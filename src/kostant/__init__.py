@@ -35,7 +35,6 @@ from .partition import (
     QPolynomial,
     consecutive_closed_form,
     clear_partition_memo,
-    kostant_count,
     kostant_q,
     kostant_q_oracle,
     set_partition_memo_limit,
@@ -58,10 +57,8 @@ from .weyl import (
     from_nonconsecutive_letters,
     from_word,
     identity,
-    length_of,
     shifted_action,
     simple_reflection,
-    support,
 )
 
 __version__ = "0.1.0"
@@ -95,10 +92,8 @@ __all__ = [
     "highest_root",
     "identity",
     "interval_root",
-    "kostant_count",
     "kostant_q",
     "kostant_q_oracle",
-    "length_of",
     "max_length",
     "multiplicity_at_one",
     "nonconsecutive_count_k",
@@ -110,7 +105,6 @@ __all__ = [
     "shifted_action",
     "simple_reflection",
     "simple_root",
-    "support",
     "two_rho",
     "zero_weight",
 ]

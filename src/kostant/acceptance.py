@@ -46,7 +46,7 @@ from .weyl import apply, enumerate_all, shifted_action
 
 DEFAULT_SEED = 21001
 DEFAULT_BRUTE_RANK = 7
-DEFAULT_CLOSED_RANK = 25
+DEFAULT_CLOSED_RANK = 60
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ shifted image sigma(lam + rho) - rho - mu still admits a decomposition into
 positive roots, i.e. contributes a nonzero term to the alternating weight
 multiplicity sum. Two constructions are provided:
 
-* `alt_set_bruteforce` tests every group element directly against the
-  partition count. It works for any lam and mu but is capped by rank.
+* `alt_set_bruteforce` scans every group element. In type A a weight has a
+  partition into positive roots exactly when its simple-root coordinates
+  are all nonnegative, so membership is that sign test, run by
+  `survivors`. It works for any lam and mu but is capped by rank.
 
 * `alt_set_characterized` is specific to lam = highest root and mu an
   interval root [i, j]: there the set consists exactly of the products of
@@ -30,10 +32,9 @@ telescopes to the Fibonacci cardinality.
 """
 
 from dataclasses import dataclass
-from itertools import islice
+from typing import Iterator
 
-from .combinatorics import binomial_safe, fibonacci, nonconsecutive_subsets
-from .partition import kostant_count
+from .combinatorics import fibonacci, nonconsecutive_count_k, nonconsecutive_subsets
 from .weights import RootInterval, Weight, as_interval, highest_root, interval_root
 from .weyl import WeylElement, enumerate_all, from_nonconsecutive_letters, shifted_action
 
@@ -41,7 +42,7 @@ PROVENANCE_BRUTE = "brute_force"
 PROVENANCE_CHARACTERIZED = "characterized"
 
 # How many elements of a characterized set get their membership re-verified
-# against the partition count at construction time.
+# by the brute-force sign test at construction time.
 _SPOT_CHECK = 8
 
 
@@ -80,10 +81,29 @@ class AlternationSet:
         }
 
 
+def survivors(lam: Weight, mu: Weight, sigmas) -> Iterator[tuple[WeylElement, tuple[int, ...]]]:
+    """(sigma, xi) for each sigma whose xi = sigma(lam + rho) - rho - mu is >= 0.
+
+    In type A the simple roots are positive roots, so xi has a partition into
+    positive roots exactly when every simple-root coordinate is nonnegative.
+    The survivors are the alternation set and the nonzero terms of the
+    alternating Weyl sum; every sign test in the package is this one. Each
+    element goes through the public `shifted_action`, so a per-call trace of
+    that layer sees every element a scan visits.
+    """
+    if lam.rank != mu.rank:
+        raise ValueError(f"rank mismatch: lam rank {lam.rank} vs mu rank {mu.rank}")
+    terms = (
+        (sigma, tuple(a - b for a, b in zip(shifted_action(sigma, lam).coords, mu.coords)))
+        for sigma in sigmas
+    )
+    return ((sigma, xi) for sigma, xi in terms if min(xi) >= 0)
+
+
 def alt_set_bruteforce(
     rank: int, lam: Weight, mu: Weight, max_rank: int | None = None
 ) -> AlternationSet:
-    """Filter the full Weyl group by kostant_count(shifted image - mu) > 0.
+    """Filter the full Weyl group by sigma(lam + rho) - rho - mu >= 0.
 
     Rank is capped like enumerate_all (default 8); lam and mu may be any
     root-lattice weights of matching rank.
@@ -92,14 +112,8 @@ def alt_set_bruteforce(
         raise ValueError(
             f"rank mismatch: rank={rank}, lam rank {lam.rank}, mu rank {mu.rank}"
         )
-    members = []
-    for sigma in enumerate_all(rank, max_rank):
-        xi = shifted_action(sigma, lam) - mu
-        if any(c < 0 for c in xi.coords):
-            continue
-        if kostant_count(rank, xi) > 0:
-            members.append(sigma)
-    return AlternationSet(rank, lam, mu, frozenset(members), PROVENANCE_BRUTE)
+    members = frozenset(sigma for sigma, _ in survivors(lam, mu, enumerate_all(rank, max_rank)))
+    return AlternationSet(rank, lam, mu, members, PROVENANCE_BRUTE)
 
 
 def alt_set_characterized(iv: RootInterval, max_ground: int | None = None) -> AlternationSet:
@@ -122,11 +136,9 @@ def alt_set_characterized(iv: RootInterval, max_ground: int | None = None) -> Al
         for rs in right:
             letters = base + tuple(x + j for x in rs)  # {1..r-1-j} into {j+1..r-1}
             members.append(from_nonconsecutive_letters(r, letters))
-    for sigma in islice(members, _SPOT_CHECK):
-        xi = shifted_action(sigma, lam) - mu
-        assert kostant_count(r, xi) > 0, (
-            f"characterized element {sigma.reduced_word()} fails the membership test"
-        )
+    spot = members[:_SPOT_CHECK]
+    if sum(1 for _ in survivors(lam, mu, spot)) != len(spot):
+        raise RuntimeError(f"a characterized element of {iv} fails the membership test")
     return AlternationSet(r, lam, mu, frozenset(members), PROVENANCE_CHARACTERIZED)
 
 
@@ -135,19 +147,21 @@ def alt_cardinality(iv: RootInterval) -> int:
     return fibonacci(iv.i) * fibonacci(iv.rank - iv.j + 1)
 
 
-def _validate_side(iv: RootInterval, side: str) -> None:
+def _side_ground(iv: RootInterval, side: str) -> int:
+    """Letters in the one-sided free range, boundary letter included; validates side."""
     if side == "right_boundary":
         if iv.i != 1 or iv.j > iv.rank - 1:
             raise ValueError(
                 f"right_boundary counts need mu = [1, j] with j <= rank-1, got {iv}"
             )
-    elif side == "left_boundary":
+        return iv.rank - 1 - iv.j
+    if side == "left_boundary":
         if iv.j != iv.rank or iv.i < 2:
             raise ValueError(
                 f"left_boundary counts need mu = [i, rank] with i >= 2, got {iv}"
             )
-    else:
-        raise ValueError(f"side must be 'left_boundary' or 'right_boundary', got {side!r}")
+        return iv.i - 2
+    raise ValueError(f"side must be 'left_boundary' or 'right_boundary', got {side!r}")
 
 
 def count_by_length(iv: RootInterval, k: int, side: str, contains: bool) -> int:
@@ -164,13 +178,9 @@ def count_by_length(iv: RootInterval, k: int, side: str, contains: bool) -> int:
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    _validate_side(iv, side)
-    r, i, j = iv.rank, iv.i, iv.j
-    if side == "right_boundary":
-        top = r - j - 2 - k if contains else r - j - 1 - k
-    else:
-        top = i - 3 - k if contains else i - 2 - k
-    return binomial_safe(top, k)
+    m = _side_ground(iv, side)
+    # The boundary letter, when present, also rules out its one neighbour.
+    return nonconsecutive_count_k(m - 2 if contains else m - 1, k)
 
 
 def max_length(iv: RootInterval, side: str, contains: bool) -> int:
@@ -179,10 +189,5 @@ def max_length(iv: RootInterval, side: str, contains: bool) -> int:
     Floor formulas clamped below at zero; beyond the returned k every count
     is exactly 0.
     """
-    _validate_side(iv, side)
-    r, i, j = iv.rank, iv.i, iv.j
-    if side == "right_boundary":
-        raw = (r - j - 2) // 2 if contains else (r - j - 1) // 2
-    else:
-        raw = (i - 3) // 2 if contains else (i - 2) // 2
-    return max(0, raw)
+    m = _side_ground(iv, side)
+    return max(0, (m - 1) // 2 if contains else m // 2)

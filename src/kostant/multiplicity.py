@@ -9,7 +9,7 @@ where P_q is the partition q-analog. Evaluating at q = 1 gives the ordinary
 weight multiplicity. Three evaluation routes are implemented, deliberately
 sharing as little as possible so they can check one another:
 
-* method "kwmf_full": the literal sum over the whole group (rank-capped).
+* method "kwmf_full": the sum over the whole group (rank-capped).
 * method "kwmf_altset": the same sum restricted to the characterized
   alternation set; only valid for lam = highest root and mu an interval
   root, where the omitted terms are exactly the zero ones.
@@ -19,25 +19,26 @@ sharing as little as possible so they can check one another:
   forms telescopes. For every interval the result is the single monomial
   q^(r - height(mu)), which `predicted_q_multiplicity` returns directly.
 
+The two "kwmf" sums skip the zero terms through `alternation.survivors` (a
+term is nonzero exactly when sigma(lam + rho) - rho - mu is nonnegative)
+and compute P_q only for the rest.
+
 The closed form per element: with h = height(mu) and l the length of sigma,
 the exponents are a = l + (number of ABSENT boundary generators) and
 b = r - h - 2l - (that same number), where the boundary generators are
 s_{i-1} (present as a possibility only when i > 1) and s_{j+1} (only when
-j < r). Both exponents are provably nonnegative on valid input; this is
-asserted.
+j < r). Both exponents are provably nonnegative on valid input; a negative
+one raises RuntimeError.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
-from .alternation import alt_cardinality, alt_set_characterized
-from .combinatorics import nonconsecutive_subsets
+from .alternation import alt_cardinality, alt_set_characterized, survivors
+from .combinatorics import nonconsecutive_count_k
 from .partition import QPolynomial, kostant_q
 from .weights import RootInterval, Weight, as_interval, highest_root, interval_root
-from .weyl import WeylElement, enumerate_all, shifted_action
-
-METHODS = ("kwmf_full", "kwmf_altset")
+from .weyl import WeylElement, enumerate_all
 
 
 @dataclass(frozen=True)
@@ -52,12 +53,12 @@ class MultiplicityReport:
     lam: Weight
     mu: Weight
     q_multiplicity: QPolynomial
-    multiplicity_at_one: int
     method: str
     term_count: int
 
-    def __post_init__(self):
-        assert self.multiplicity_at_one == self.q_multiplicity.evaluate(1)
+    @property
+    def multiplicity_at_one(self) -> int:
+        return self.q_multiplicity.evaluate(1)
 
     def to_json(self) -> dict:
         return {
@@ -72,28 +73,13 @@ class MultiplicityReport:
         }
 
 
-def _signed_sum(rank: int, lam: Weight, mu: Weight, sigmas) -> tuple[QPolynomial, int]:
-    total: list[int] = []
-    terms = 0
-    for sigma in sigmas:
-        xi = shifted_action(sigma, lam) - mu
-        if any(c < 0 for c in xi.coords):
-            continue
-        p = kostant_q(rank, xi)
-        if p.is_zero:
-            continue
+def _signed_sum(lam: Weight, mu: Weight, sigmas) -> tuple[QPolynomial, int]:
+    total, terms = QPolynomial.zero(), 0
+    for sigma, xi in survivors(lam, mu, sigmas):
+        p = kostant_q(lam.rank, Weight(lam.rank, xi))
+        total = total + p if sigma.sign > 0 else total - p
         terms += 1
-        sign = sigma.sign
-        need = len(p.coeffs)
-        if len(total) < need:
-            total.extend([0] * (need - len(total)))
-        if sign > 0:
-            for d, c in enumerate(p.coeffs):
-                total[d] += c
-        else:
-            for d, c in enumerate(p.coeffs):
-                total[d] -= c
-    return QPolynomial(total), terms
+    return total, terms
 
 
 def q_multiplicity(
@@ -123,9 +109,9 @@ def q_multiplicity(
             raise ValueError(f"kwmf_altset requires mu to be an interval root, got {mu.coords}")
         sigmas = alt_set_characterized(iv)
     else:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    poly, terms = _signed_sum(rank, lam, mu, sigmas)
-    return MultiplicityReport(rank, lam, mu, poly, poly.evaluate(1), method, terms)
+        raise ValueError(f"method must be 'kwmf_full' or 'kwmf_altset', got {method!r}")
+    poly, terms = _signed_sum(lam, mu, sigmas)
+    return MultiplicityReport(rank, lam, mu, poly, method, terms)
 
 
 def multiplicity_at_one(
@@ -148,10 +134,16 @@ def _boundary_letters(iv: RootInterval) -> tuple[int, ...]:
     return tuple(letters)
 
 
-def _term_poly(r: int, h: int, length: int, absent: int) -> QPolynomial:
-    a = length + absent
+def _exponents(r: int, h: int, length: int, absent: int) -> tuple[int, int]:
+    """(a, b) of the closed form q^a (1+q)^b; b < 0 means the input was invalid."""
     b = r - h - 2 * length - absent
-    assert b >= 0, "closed-form exponent went negative on valid input"
+    if b < 0:
+        raise RuntimeError(f"closed-form exponent b = {b} went negative")
+    return length + absent, b
+
+
+def _term_poly(r: int, h: int, length: int, absent: int) -> QPolynomial:
+    a, b = _exponents(r, h, length, absent)
     return QPolynomial((0,) * a + tuple(comb(b, y) for y in range(b + 1)))
 
 
@@ -182,21 +174,22 @@ def closed_form_term(iv: RootInterval, sigma: WeylElement) -> QPolynomial:
     return _term_poly(r, iv.height, sigma.length, absent)
 
 
-@lru_cache(maxsize=None)
-def _side_histogram(m: int) -> tuple[tuple[int, bool, int], ...]:
+def _side_histogram(m: int) -> list[tuple[int, bool, int]]:
     """Tally nonconsecutive subsets of {1..m} as (size, contains-end, count).
 
     "End" is the element of the ground set adjacent to the interval: the
-    largest letter on the left side, the smallest on the right. Reversal
-    x -> m+1-x swaps the two readings and preserves size and
-    nonconsecutivity, so one histogram (taken over the max element) serves
-    both sides.
+    largest letter on the left side, the smallest on the right. A size-k
+    subset without it is a nonconsecutive k-subset of the other m-1 letters;
+    one with it leaves k-1 letters to the m-2 not next to the end. Reversal
+    x -> m+1-x swaps the two readings, so one histogram serves both sides.
     """
-    tally: dict[tuple[int, bool], int] = {}
-    for s in nonconsecutive_subsets(m):
-        key = (len(s), bool(s) and s[-1] == m)
-        tally[key] = tally.get(key, 0) + 1
-    return tuple((k, e, c) for (k, e), c in sorted(tally.items()))
+    tally = []
+    for k in range((m + 1) // 2 + 1):
+        for has_end, count in ((False, nonconsecutive_count_k(m - 1, k)),
+                               (True, nonconsecutive_count_k(m - 2, k - 1))):
+            if count:
+                tally.append((k, has_end, count))
+    return tally
 
 
 def q_multiplicity_closed(iv: RootInterval) -> QPolynomial:
@@ -204,26 +197,26 @@ def q_multiplicity_closed(iv: RootInterval) -> QPolynomial:
 
     Elements split as (left choice, right choice) with the two sides
     independent, and each side's term data reduces to (letters used,
-    boundary letter present), so the sum is evaluated by tallying each side
-    once and crossing the tallies: the same finite sum as iterating the
-    elements, reassociated. Scales to rank 25 and beyond in milliseconds.
+    boundary letter present), so both sides are tallied by binomial counts
+    and crossed into one signed (length, #absent boundary letters) tally;
+    each cell then contributes one closed-form term. This is the same finite
+    sum as iterating the elements, reassociated, and nothing is enumerated,
+    so there is no rank cap.
     """
     r, i, j = iv.rank, iv.i, iv.j
-    h = iv.height
     n_boundary = len(_boundary_letters(iv))
-    left = _side_histogram(max(0, i - 2))
     right = _side_histogram(max(0, r - 1 - j))
-    total: list[int] = [0] * (r - h + 1)
-    for kl, has_l, cl in left:
+    cells: dict[tuple[int, int], int] = {}
+    for kl, has_l, cl in _side_histogram(max(0, i - 2)):
         for kr, has_r, cr in right:
-            length = kl + kr
-            absent = n_boundary - int(has_l) - int(has_r)
-            a = length + absent
-            b = r - h - 2 * length - absent
-            assert b >= 0, "closed-form exponent went negative on valid input"
-            weight = cl * cr if length % 2 == 0 else -cl * cr
-            for y in range(b + 1):
-                total[a + y] += weight * comb(b, y)
+            key = (kl + kr, n_boundary - has_l - has_r)
+            cells[key] = cells.get(key, 0) + cl * cr
+    total: list[int] = [0] * (r - iv.height + 1)
+    for (length, absent), count in cells.items():
+        weight = count if length % 2 == 0 else -count
+        a, b = _exponents(r, iv.height, length, absent)
+        for y in range(b + 1):
+            total[a + y] += weight * comb(b, y)
     return QPolynomial(total)
 
 
@@ -235,7 +228,6 @@ def closed_form_report(iv: RootInterval) -> MultiplicityReport:
         highest_root(iv.rank),
         interval_root(iv),
         poly,
-        poly.evaluate(1),
         "closed_form",
         alt_cardinality(iv),
     )

@@ -228,11 +228,6 @@ def kostant_q(rank: int, xi: Weight) -> QPolynomial:
     return QPolynomial(coeffs)
 
 
-def kostant_count(rank: int, xi: Weight) -> int:
-    """Plain partition count: kostant_q evaluated at q = 1."""
-    return kostant_q(rank, xi).evaluate(1)
-
-
 def kostant_q_oracle(rank: int, xi: Weight, max_height: int | None = None) -> QPolynomial:
     """Recompute kostant_q by exhaustive depth-first enumeration.
 

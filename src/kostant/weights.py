@@ -71,6 +71,8 @@ class RootInterval:
     j: int
 
     def __post_init__(self):
+        for field in ("rank", "i", "j"):
+            object.__setattr__(self, field, index(getattr(self, field)))
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if not 1 <= self.i <= self.j <= self.rank:

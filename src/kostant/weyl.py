@@ -14,10 +14,11 @@ convert back. Both directions are integral, so the action is exact.
 
 The shifted action sigma(lam + rho) - rho is computed on doubled weights
 (2*lam + 2*rho is integral even though rho alone is not) and halved at the
-end; a parity check guards the halving.
+end; a parity check guards the halving. One tuple-level kernel computes
+the permuted prefix sums behind both `apply` and `shifted_action`.
 """
 
-from itertools import permutations
+from itertools import accumulate, permutations
 from typing import Iterator
 
 from .errors import BRUTE_CAP_ENV, CapacityError, resolve_brute_rank_cap
@@ -191,35 +192,36 @@ def from_nonconsecutive_letters(rank: int, letters) -> WeylElement:
     return el
 
 
-def length_of(sigma: WeylElement) -> int:
-    return sigma.length
+def _eps(coords) -> list[int]:
+    """Epsilon coordinates (c_1, c_2 - c_1, ..., -c_r) of simple-root coordinates."""
+    return [a - b for a, b in zip((*coords, 0), (0, *coords))]
 
 
-def support(sigma: WeylElement) -> frozenset[int]:
-    return sigma.support
+def _moved_prefix_sums(perm: tuple[int, ...], eps: list[int]) -> Iterator[int]:
+    """The kernel: simple-root coordinates, in order, of eps moved by perm.
+
+    Entry x goes to slot perm[x]; coordinate k is the sum of slots 1..k.
+    """
+    moved = [0] * len(perm)
+    for x, p in enumerate(perm):
+        moved[p - 1] = eps[x]
+    return accumulate(moved[:-1])
+
+
+def _halved(sums: Iterator[int], base) -> Iterator[int]:
+    """(s - b) / 2 for each doubled coordinate s and offset b, checked to be integral."""
+    for s, b in zip(sums, base):
+        d = s - b
+        if d % 2:
+            raise RuntimeError("shifted action produced a non-integral weight")
+        yield d // 2
 
 
 def apply(sigma: WeylElement, w: Weight) -> Weight:
     """sigma acting linearly on a root-lattice weight, via epsilon coordinates."""
     if sigma.rank != w.rank:
         raise ValueError(f"rank mismatch: element {sigma.rank} vs weight {w.rank}")
-    c = w.coords
-    perm = sigma.perm
-    n = len(perm)
-    eps = [0] * n
-    prev = 0
-    for x in range(n - 1):
-        cx = c[x]
-        eps[perm[x] - 1] = cx - prev
-        prev = cx
-    eps[perm[n - 1] - 1] = -prev
-    out = []
-    acc = 0
-    for k in range(n - 1):
-        acc += eps[k]
-        out.append(acc)
-    assert acc + eps[n - 1] == 0, "epsilon coordinates of a lattice weight must sum to 0"
-    return Weight(w.rank, tuple(out))
+    return Weight(w.rank, tuple(_moved_prefix_sums(sigma.perm, _eps(w.coords))))
 
 
 def shifted_action(sigma: WeylElement, lam: Weight) -> Weight:
@@ -227,14 +229,8 @@ def shifted_action(sigma: WeylElement, lam: Weight) -> Weight:
     if sigma.rank != lam.rank:
         raise ValueError(f"rank mismatch: element {sigma.rank} vs weight {lam.rank}")
     tr = _two_rho_coords(lam.rank)
-    doubled = Weight(lam.rank, tuple(2 * c + t for c, t in zip(lam.coords, tr)))
-    image = apply(sigma, doubled)
-    halved = []
-    for v, t in zip(image.coords, tr):
-        d = v - t
-        assert d % 2 == 0, "shifted action produced a non-integral weight"
-        halved.append(d // 2)
-    return Weight(lam.rank, tuple(halved))
+    eps = _eps([2 * c + t for c, t in zip(lam.coords, tr)])
+    return Weight(lam.rank, tuple(_halved(_moved_prefix_sums(sigma.perm, eps), tr)))
 
 
 def enumerate_all(rank: int, max_rank: int | None = None) -> Iterator[WeylElement]:

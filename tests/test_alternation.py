@@ -141,6 +141,15 @@ def test_bruteforce_cap_and_validation():
         alt_set_bruteforce(3, highest_root(3), simple_root(2, 1))
 
 
+def test_survivors_rejects_rank_mismatch():
+    from kostant.alternation import survivors
+
+    with pytest.raises(ValueError):
+        survivors(highest_root(3), simple_root(2, 1), [identity(3)])
+    with pytest.raises(ValueError):  # sigma of the wrong rank
+        list(survivors(highest_root(3), simple_root(3, 1), [identity(2)]))
+
+
 # ------------------------------------------------------- counts by length
 
 
@@ -230,6 +239,14 @@ def test_characterized_rejects_oversized_ground_set():
     # the free range {2..39} would need F_40 elements; refused before any are built
     with pytest.raises(CapacityError):
         alt_set_characterized(RootInterval(40, 1, 1))
+
+
+def test_characterized_spot_check_raises(monkeypatch):
+    import kostant.alternation
+
+    monkeypatch.setattr(kostant.alternation, "survivors", lambda lam, mu, sigmas: iter(()))
+    with pytest.raises(RuntimeError):
+        alt_set_characterized(RootInterval(7, 3, 4))
 
 
 def test_from_word_membership_check():

@@ -82,6 +82,16 @@ def test_alt_set_csv(capsys):
     assert out[1].startswith("theorem,,")  # identity has the empty word
 
 
+def test_closed_route_past_the_old_subset_cap(capsys):
+    code, data = _run_json(
+        capsys, ["qmult", "--rank", "29", "--mu", "1..2", "--method", "closed", "--format", "json"]
+    )
+    assert code == EXIT_OK
+    route = data["result"]["routes"]["closed"]
+    assert route["pretty"] == "q^27"
+    assert route["term_count"] == fibonacci(28)
+
+
 def test_partition_with_oracle(capsys):
     code, data = _run_json(
         capsys,

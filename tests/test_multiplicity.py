@@ -1,16 +1,20 @@
 """q-multiplicities: alternating sums, per-element closed forms, the q-power law."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kostant import (
     MultiplicityReport,
     QPolynomial,
     RootInterval,
+    Weight,
     alt_cardinality,
+    alt_set_bruteforce,
     alt_set_characterized,
     apply,
     closed_form_report,
     closed_form_term,
+    enumerate_all,
     from_word,
     highest_root,
     identity,
@@ -25,6 +29,7 @@ from kostant import (
     simple_root,
     zero_weight,
 )
+from kostant.multiplicity import _term_poly
 
 
 def _all_intervals(r):
@@ -89,6 +94,34 @@ def test_zero_weight_q_multiplicity_is_qsum():
     for r in range(1, 5):
         rep = q_multiplicity(r, highest_root(r), zero_weight(r))
         assert rep.q_multiplicity.coeffs == (0,) + (1,) * r
+
+
+def _lam_mu_pairs():
+    return st.integers(min_value=1, max_value=5).flatmap(
+        lambda r: st.tuples(
+            st.just(r),
+            st.lists(st.integers(min_value=0, max_value=3), min_size=r, max_size=r),
+            st.lists(st.integers(min_value=-1, max_value=2), min_size=r, max_size=r),
+        )
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lam_mu_pairs())
+def test_survivor_filter_matches_the_literal_weyl_sum(case):
+    # the definition: sigma is kept iff its partition polynomial is nonzero
+    r, lam_coords, mu_coords = case
+    lam, mu = Weight(r, tuple(lam_coords)), Weight(r, tuple(mu_coords))
+    members, total = set(), QPolynomial.zero()
+    for sigma in enumerate_all(r):
+        p = kostant_q(r, shifted_action(sigma, lam) - mu)
+        if p:
+            members.add(sigma)
+            total = total + (p if sigma.sign > 0 else -p)
+    assert alt_set_bruteforce(r, lam, mu).elements == members
+    rep = q_multiplicity(r, lam, mu, "kwmf_full")
+    assert rep.q_multiplicity == total
+    assert rep.term_count == len(members)
 
 
 # --------------------------------------------------------- closed-form route
@@ -160,6 +193,18 @@ def test_closed_route_known_values():
     assert q_multiplicity_closed(RootInterval(5, 1, 2)).pretty() == "q^3"
     assert q_multiplicity_closed(RootInterval(25, 10, 12)).pretty() == "q^22"
     assert predicted_q_multiplicity(RootInterval(25, 10, 12)).coeffs == (0,) * 22 + (1,)
+
+
+def test_closed_route_has_no_subset_cap():
+    # the right-hand ground set {2..39} has F_40 nonconsecutive subsets
+    assert q_multiplicity_closed(RootInterval(40, 1, 1)) == QPolynomial.monomial(39)
+    assert q_multiplicity_closed(RootInterval(100, 40, 45)) == QPolynomial.monomial(94)
+
+
+def test_term_poly_rejects_a_negative_exponent():
+    assert _term_poly(5, 2, 0, 2) == QPolynomial((0, 0, 1, 1))  # q^2 (1+q)
+    with pytest.raises(RuntimeError):
+        _term_poly(5, 2, 2, 0)  # b = 5 - 2 - 4 = -1
 
 
 def test_closed_form_report():

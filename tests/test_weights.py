@@ -42,6 +42,12 @@ def test_interval_validation(rank, i, j):
         RootInterval(rank, i, j)
 
 
+@pytest.mark.parametrize("fields", [(5, 1.0, 2), (5.0, 1, 2), (5, 1, 2.0)])
+def test_interval_rejects_non_integers_at_construction(fields):
+    with pytest.raises(TypeError):
+        RootInterval(*fields)
+
+
 def test_interval_height_property():
     assert RootInterval(9, 3, 7).height == 5
     assert RootInterval(9, 4, 4).height == 1

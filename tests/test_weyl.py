@@ -20,11 +20,9 @@ from kostant import (
     height,
     highest_root,
     identity,
-    length_of,
     shifted_action,
     simple_reflection,
     simple_root,
-    support,
     two_rho,
     zero_weight,
 )
@@ -71,18 +69,18 @@ def test_from_word_examples():
 
 
 def test_length_examples():
-    assert length_of(from_word(2, [1, 2, 1])) == 3
-    assert length_of(from_word(4, [2, 4])) == 2
-    assert length_of(identity(5)) == 0
-    assert length_of(from_word(3, [1, 1])) == 0
+    assert from_word(2, [1, 2, 1]).length == 3
+    assert from_word(4, [2, 4]).length == 2
+    assert identity(5).length == 0
+    assert from_word(3, [1, 1]).length == 0
 
 
 def test_longest_element_length():
     # the longest element of S_{r+1} reverses everything: r(r+1)/2 inversions
     for r in range(1, 5):
-        longest = max(enumerate_all(r), key=length_of)
+        longest = max(enumerate_all(r), key=lambda s: s.length)
         assert longest.perm == tuple(range(r + 1, 0, -1))
-        assert length_of(longest) == r * (r + 1) // 2
+        assert longest.length == r * (r + 1) // 2
 
 
 def test_reduced_word_roundtrip_exhaustive():
@@ -109,12 +107,12 @@ def _stabilizer_support(sigma):
 
 
 def test_support_examples_and_oracle():
-    assert support(identity(4)) == frozenset()
-    assert support(from_word(4, [2, 4])) == {2, 4}
-    assert support(from_word(2, [1, 2, 1])) == {1, 2}
+    assert identity(4).support == frozenset()
+    assert from_word(4, [2, 4]).support == {2, 4}
+    assert from_word(2, [1, 2, 1]).support == {1, 2}
     for r in range(1, 5):
         for sigma in enumerate_all(r):
-            assert support(sigma) == _stabilizer_support(sigma)
+            assert sigma.support == _stabilizer_support(sigma)
 
 
 @settings(max_examples=200)
@@ -122,7 +120,7 @@ def test_support_examples_and_oracle():
 def test_support_is_contained_in_letters(rw):
     r, word = rw
     sigma = from_word(r, word)
-    assert support(sigma) <= set(word)
+    assert sigma.support <= set(word)
     assert sigma.length <= len(word)
 
 
@@ -220,6 +218,14 @@ def test_shifted_action_never_exceeds_original_height():
         lam = highest_root(r)
         for sigma in enumerate_all(r):
             assert height(shifted_action(sigma, lam)) <= height(lam)
+
+
+def test_halving_rejects_an_odd_doubled_coordinate():
+    from kostant.weyl import _halved
+
+    assert list(_halved(iter([4, 7]), (2, 1))) == [1, 3]
+    with pytest.raises(RuntimeError):
+        list(_halved(iter([4, 6]), (2, 1)))
 
 
 def test_enumerate_all_counts_and_order():
