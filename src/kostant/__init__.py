@@ -21,12 +21,10 @@ from .combinatorics import (
     nonconsecutive_count_k,
     nonconsecutive_subsets,
 )
-from .errors import BRUTE_CAP_ENV, CapacityError
+from .errors import CapacityError
 from .multiplicity import (
     MultiplicityReport,
-    closed_form_report,
     closed_form_term,
-    multiplicity_at_one,
     predicted_q_multiplicity,
     q_multiplicity,
     q_multiplicity_closed,
@@ -65,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlternationSet",
-    "BRUTE_CAP_ENV",
     "CapacityError",
     "MultiplicityReport",
     "QPolynomial",
@@ -79,7 +76,6 @@ __all__ = [
     "as_interval",
     "binomial_safe",
     "clear_partition_memo",
-    "closed_form_report",
     "closed_form_term",
     "consecutive_closed_form",
     "count_by_length",
@@ -95,7 +91,6 @@ __all__ = [
     "kostant_q",
     "kostant_q_oracle",
     "max_length",
-    "multiplicity_at_one",
     "nonconsecutive_count_k",
     "nonconsecutive_subsets",
     "predicted_q_multiplicity",

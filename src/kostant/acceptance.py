@@ -1,10 +1,14 @@
 """End-to-end verification harness.
 
-Each criterion re-derives one advertised guarantee from scratch and reports
-a single pass/fail line. ``run_all`` executes every criterion in a fixed
-order; the CLI ``verify`` subcommand and the acceptance test module both
-route through the functions here, so the three entry points cannot drift
-apart.
+Each criterion re-derives one advertised guarantee from scratch. A check
+returns a one-line detail of what it covered, or raises ``CriterionFailed``
+with the detail of the first mismatch; it knows neither its own name nor
+its timing, and never signals failure with ``assert`` (which ``python -O``
+strips). ``run_all`` owns the names, times each check, turns a return into
+a PASS line, a ``CriterionFailed`` into a FAIL line with its message, and
+any other exception into a FAIL line with its repr. The CLI ``verify``
+subcommand and the acceptance test module both route through the functions
+here, so the entry points cannot drift apart.
 
 Rank bounds default to the largest sizes the guarantees are advertised at.
 The two knobs that matter for runtime are ``max_brute_rank`` (everything
@@ -35,7 +39,6 @@ from .combinatorics import (
 )
 from .multiplicity import (
     closed_form_term,
-    multiplicity_at_one,
     predicted_q_multiplicity,
     q_multiplicity,
     q_multiplicity_closed,
@@ -47,6 +50,10 @@ from .weyl import apply, enumerate_all, shifted_action
 DEFAULT_SEED = 21001
 DEFAULT_BRUTE_RANK = 7
 DEFAULT_CLOSED_RANK = 60
+
+
+class CriterionFailed(Exception):
+    """A criterion found a mismatch; the message is the detail of its FAIL line."""
 
 
 @dataclass(frozen=True)
@@ -68,116 +75,65 @@ def _intervals(rank):
             yield RootInterval(rank, i, j)
 
 
-def check_alt_sets_agree(max_rank: int = DEFAULT_BRUTE_RANK) -> CriterionResult:
+def check_alt_sets_agree(max_rank: int = DEFAULT_BRUTE_RANK) -> str:
     """Brute-force membership filter and the generated description coincide."""
-    t0 = time.perf_counter()
     checked = 0
     for r in range(1, max_rank + 1):
         lam = highest_root(r)
         for iv in _intervals(r):
             brute = alt_set_bruteforce(r, lam, interval_root(iv), max_rank=max_rank)
-            gen = alt_set_characterized(iv)
-            if brute.elements != gen.elements:
-                return CriterionResult(
-                    "alternation-brute-vs-characterized",
-                    False,
-                    f"sets differ at {iv}",
-                    time.perf_counter() - t0,
-                )
+            if brute.elements != alt_set_characterized(iv).elements:
+                raise CriterionFailed(f"sets differ at {iv}")
             checked += 1
-    return CriterionResult(
-        "alternation-brute-vs-characterized",
-        True,
-        f"{checked} interval sets equal through rank {max_rank}",
-        time.perf_counter() - t0,
-    )
+    return f"{checked} interval sets equal through rank {max_rank}"
 
 
-def check_cardinality_fibonacci(max_rank: int = 16) -> CriterionResult:
+def check_cardinality_fibonacci(max_rank: int = 16) -> str:
     """Generated set sizes equal the two-sided Fibonacci product."""
-    t0 = time.perf_counter()
     checked = largest = 0
     for r in range(1, max_rank + 1):
         for iv in _intervals(r):
             n = len(alt_set_characterized(iv))
             want = fibonacci(iv.i) * fibonacci(r - iv.j + 1)
             if n != want or n != alt_cardinality(iv):
-                return CriterionResult(
-                    "alternation-cardinality-fibonacci",
-                    False,
-                    f"{iv}: built {n}, expected {want}",
-                    time.perf_counter() - t0,
-                )
+                raise CriterionFailed(f"{iv}: built {n}, expected {want}")
             checked += 1
             largest = max(largest, n)
-    return CriterionResult(
-        "alternation-cardinality-fibonacci",
-        True,
-        f"{checked} intervals through rank {max_rank}, largest set {largest}",
-        time.perf_counter() - t0,
-    )
+    return f"{checked} intervals through rank {max_rank}, largest set {largest}"
 
 
-def check_power_of_q_full(max_rank: int = DEFAULT_BRUTE_RANK) -> CriterionResult:
+def check_power_of_q_full(max_rank: int = DEFAULT_BRUTE_RANK) -> str:
     """Full alternating sum lands on a single power of q for interval weights."""
-    t0 = time.perf_counter()
     checked = 0
     for r in range(1, max_rank + 1):
         lam = highest_root(r)
         for iv in _intervals(r):
             rep = q_multiplicity(r, lam, interval_root(iv), "kwmf_full", max_rank=max_rank)
             if rep.q_multiplicity != predicted_q_multiplicity(iv):
-                return CriterionResult(
-                    "qmult-power-of-q-full-sum",
-                    False,
-                    f"{iv}: got {rep.q_multiplicity.pretty()}",
-                    time.perf_counter() - t0,
-                )
+                raise CriterionFailed(f"{iv}: got {rep.q_multiplicity.pretty()}")
             checked += 1
-    return CriterionResult(
-        "qmult-power-of-q-full-sum",
-        True,
-        f"{checked} intervals through rank {max_rank}",
-        time.perf_counter() - t0,
-    )
+    return f"{checked} intervals through rank {max_rank}"
 
 
-def check_power_of_q_closed(max_rank: int = DEFAULT_CLOSED_RANK) -> CriterionResult:
+def check_power_of_q_closed(max_rank: int = DEFAULT_CLOSED_RANK) -> str:
     """Grouped closed-form route lands on the same single power of q."""
-    t0 = time.perf_counter()
     checked = 0
     for r in range(1, max_rank + 1):
         for iv in _intervals(r):
             if q_multiplicity_closed(iv) != predicted_q_multiplicity(iv):
-                return CriterionResult(
-                    "qmult-power-of-q-closed-form",
-                    False,
-                    f"{iv}: closed route disagrees",
-                    time.perf_counter() - t0,
-                )
+                raise CriterionFailed(f"{iv}: closed route disagrees")
             checked += 1
-    return CriterionResult(
-        "qmult-power-of-q-closed-form",
-        True,
-        f"{checked} intervals through rank {max_rank}",
-        time.perf_counter() - t0,
-    )
+    return f"{checked} intervals through rank {max_rank}"
 
 
-def check_multiplicity_one(
-    max_rank: int = DEFAULT_BRUTE_RANK, image_rank: int = 4
-) -> CriterionResult:
+def check_multiplicity_one(max_rank: int = DEFAULT_BRUTE_RANK, image_rank: int = 4) -> str:
     """Interval weights carry multiplicity 1, and so does every reflected image."""
-    t0 = time.perf_counter()
-    name = "multiplicity-one-at-q1"
     intervals = 0
     for r in range(1, max_rank + 1):
         lam = highest_root(r)
         for iv in _intervals(r):
-            if multiplicity_at_one(r, lam, interval_root(iv), "kwmf_altset") != 1:
-                return CriterionResult(
-                    name, False, f"{iv}: multiplicity != 1", time.perf_counter() - t0
-                )
+            if q_multiplicity(r, lam, interval_root(iv), "kwmf_altset").multiplicity_at_one != 1:
+                raise CriterionFailed(f"{iv}: multiplicity != 1")
             intervals += 1
     images = 0
     for r in range(1, min(image_rank, max_rank) + 1):
@@ -190,26 +146,18 @@ def check_multiplicity_one(
                 if img.coords in seen:
                     continue
                 seen.add(img.coords)
-                if multiplicity_at_one(r, lam, img, "kwmf_full", max_rank=max_rank) != 1:
-                    return CriterionResult(
-                        name,
-                        False,
-                        f"rank {r} image {img.coords}: multiplicity != 1",
-                        time.perf_counter() - t0,
-                    )
+                rep = q_multiplicity(r, lam, img, "kwmf_full", max_rank=max_rank)
+                if rep.multiplicity_at_one != 1:
+                    raise CriterionFailed(f"rank {r} image {img.coords}: multiplicity != 1")
                 images += 1
-    return CriterionResult(
-        name,
-        True,
+    return (
         f"{intervals} intervals (rank <= {max_rank}), "
-        f"{images} distinct images (rank <= {min(image_rank, max_rank)})",
-        time.perf_counter() - t0,
+        f"{images} distinct images (rank <= {min(image_rank, max_rank)})"
     )
 
 
-def check_interval_partition_closed(max_rank: int = 10) -> CriterionResult:
+def check_interval_partition_closed(max_rank: int = 10) -> str:
     """Partition polynomial of an interval root is q(1+q)^(height-1), any offset."""
-    t0 = time.perf_counter()
     checked = 0
     q = QPolynomial.monomial(1)
     one_plus_q = QPolynomial((1, 1))
@@ -221,24 +169,13 @@ def check_interval_partition_closed(max_rank: int = 10) -> CriterionResult:
                 expect = expect * one_plus_q
             got = kostant_q(r, interval_root(iv))
             if got != expect or got != consecutive_closed_form(s):
-                return CriterionResult(
-                    "interval-root-partition-closed-form",
-                    False,
-                    f"{iv}: got {got.pretty()}",
-                    time.perf_counter() - t0,
-                )
+                raise CriterionFailed(f"{iv}: got {got.pretty()}")
             checked += 1
-    return CriterionResult(
-        "interval-root-partition-closed-form",
-        True,
-        f"{checked} interval roots through rank {max_rank}",
-        time.perf_counter() - t0,
-    )
+    return f"{checked} interval roots through rank {max_rank}"
 
 
-def check_per_element_terms(max_rank: int = 9) -> CriterionResult:
+def check_per_element_terms(max_rank: int = 9) -> str:
     """Per-element closed form equals the partition DP on the shifted image."""
-    t0 = time.perf_counter()
     terms = 0
     for r in range(1, max_rank + 1):
         lam = highest_root(r)
@@ -247,32 +184,18 @@ def check_per_element_terms(max_rank: int = 9) -> CriterionResult:
             for sigma in alt_set_characterized(iv):
                 direct = kostant_q(r, shifted_action(sigma, lam) - mu)
                 if closed_form_term(iv, sigma) != direct:
-                    return CriterionResult(
-                        "per-element-terms-match-dp",
-                        False,
-                        f"{iv}, word {sigma.reduced_word()}: mismatch",
-                        time.perf_counter() - t0,
-                    )
+                    raise CriterionFailed(f"{iv}, word {sigma.reduced_word()}: mismatch")
                 terms += 1
-    return CriterionResult(
-        "per-element-terms-match-dp",
-        True,
-        f"{terms} terms through rank {max_rank}",
-        time.perf_counter() - t0,
-    )
+    return f"{terms} terms through rank {max_rank}"
 
 
-def check_dp_vs_oracle(seed: int = DEFAULT_SEED) -> CriterionResult:
+def check_dp_vs_oracle(seed: int = DEFAULT_SEED) -> str:
     """Memoized DP equals the naive part-by-part enumeration oracle."""
-    t0 = time.perf_counter()
-    name = "partition-dp-vs-oracle"
     exhaustive = 0
     for coords in product(range(3), repeat=4):
         w = Weight(4, coords)
         if kostant_q(4, w) != kostant_q_oracle(4, w):
-            return CriterionResult(
-                name, False, f"A4 {coords}: DP != oracle", time.perf_counter() - t0
-            )
+            raise CriterionFailed(f"A4 {coords}: DP != oracle")
         exhaustive += 1
     rng = random.Random(seed)
     sampled = 0
@@ -280,50 +203,28 @@ def check_dp_vs_oracle(seed: int = DEFAULT_SEED) -> CriterionResult:
         coords = tuple(rng.randint(0, 3) for _ in range(5))
         w = Weight(5, coords)
         if kostant_q(5, w) != kostant_q_oracle(5, w):
-            return CriterionResult(
-                name, False, f"A5 {coords}: DP != oracle", time.perf_counter() - t0
-            )
+            raise CriterionFailed(f"A5 {coords}: DP != oracle")
         sampled += 1
-    return CriterionResult(
-        name,
-        True,
-        f"{exhaustive} exhaustive A4 weights, {sampled} sampled A5 weights (seed {seed})",
-        time.perf_counter() - t0,
-    )
+    return f"{exhaustive} exhaustive A4 weights, {sampled} sampled A5 weights (seed {seed})"
 
 
-def check_fibonacci_identity(max_n: int = 30, enum_n: int = 16) -> CriterionResult:
+def check_fibonacci_identity(max_n: int = 30, enum_n: int = 16) -> str:
     """Binomial sum hits the Fibonacci numbers; enumeration sizes agree."""
-    t0 = time.perf_counter()
-    name = "fibonacci-binomial-identity"
     for n in range(max_n + 1):
         if not fib_identity_check(n):
-            return CriterionResult(
-                name, False, f"identity fails at n={n}", time.perf_counter() - t0
-            )
+            raise CriterionFailed(f"identity fails at n={n}")
     for n in range(enum_n + 1):
         subsets = nonconsecutive_subsets(n)
         if len(subsets) != fibonacci(n + 2):
-            return CriterionResult(
-                name, False, f"enumeration size wrong at n={n}", time.perf_counter() - t0
-            )
+            raise CriterionFailed(f"enumeration size wrong at n={n}")
         for k in range(n + 2):
             if sum(1 for s in subsets if len(s) == k) != nonconsecutive_count_k(n, k):
-                return CriterionResult(
-                    name, False, f"size-{k} count wrong at n={n}", time.perf_counter() - t0
-                )
-    return CriterionResult(
-        name,
-        True,
-        f"identity n <= {max_n}, enumeration n <= {enum_n}",
-        time.perf_counter() - t0,
-    )
+                raise CriterionFailed(f"size-{k} count wrong at n={n}")
+    return f"identity n <= {max_n}, enumeration n <= {enum_n}"
 
 
-def check_boundary_length_counts(max_rank: int = 14) -> CriterionResult:
+def check_boundary_length_counts(max_rank: int = 14) -> str:
     """Length-split counting formulas match direct filtering of the sets."""
-    t0 = time.perf_counter()
-    name = "boundary-letter-length-counts"
     checked = 0
     for r in range(2, max_rank + 1):
         sides = [(RootInterval(r, 1, j), "right_boundary", j + 1) for j in range(1, r)]
@@ -340,50 +241,22 @@ def check_boundary_length_counts(max_rank: int = 14) -> CriterionResult:
                 for k in range(top + 3):
                     want = tallies.get((contains, k), 0)
                     if count_by_length(iv, k, side, contains) != want:
-                        return CriterionResult(
-                            name,
-                            False,
-                            f"{iv} {side} contains={contains} k={k}",
-                            time.perf_counter() - t0,
-                        )
+                        raise CriterionFailed(f"{iv} {side} contains={contains} k={k}")
                 if any(k > top for (has, k) in tallies if has == contains):
-                    return CriterionResult(
-                        name,
-                        False,
-                        f"{iv} {side}: element longer than the stated bound",
-                        time.perf_counter() - t0,
-                    )
+                    raise CriterionFailed(f"{iv} {side}: element longer than the stated bound")
             if sum(tallies.values()) != alt_cardinality(iv):
-                return CriterionResult(
-                    name, False, f"{iv}: totals miss the cardinality", time.perf_counter() - t0
-                )
+                raise CriterionFailed(f"{iv}: totals miss the cardinality")
             checked += 1
-    return CriterionResult(
-        name,
-        True,
-        f"{checked} one-sided intervals through rank {max_rank}",
-        time.perf_counter() - t0,
-    )
+    return f"{checked} one-sided intervals through rank {max_rank}"
 
 
-def check_zero_weight_sum(max_rank: int = 6) -> CriterionResult:
+def check_zero_weight_sum(max_rank: int = 6) -> str:
     """Zero-weight q-multiplicity of the highest root is q + q^2 + ... + q^r."""
-    t0 = time.perf_counter()
     for r in range(1, max_rank + 1):
         rep = q_multiplicity(r, highest_root(r), zero_weight(r), "kwmf_full", max_rank=max_rank)
         if rep.q_multiplicity != QPolynomial((0,) + (1,) * r):
-            return CriterionResult(
-                "zero-weight-qmult-sum",
-                False,
-                f"rank {r}: got {rep.q_multiplicity.pretty()}",
-                time.perf_counter() - t0,
-            )
-    return CriterionResult(
-        "zero-weight-qmult-sum",
-        True,
-        f"ranks 1..{max_rank}",
-        time.perf_counter() - t0,
-    )
+            raise CriterionFailed(f"rank {r}: got {rep.q_multiplicity.pretty()}")
+    return f"ranks 1..{max_rank}"
 
 
 def run_all(
@@ -411,9 +284,12 @@ def run_all(
     for name, check in checks:
         t0 = time.perf_counter()
         try:
-            res = check()
+            passed, detail = True, check()
+        except CriterionFailed as exc:
+            passed, detail = False, str(exc)
         except Exception as exc:  # report the crash as a failed line, keep going
-            res = CriterionResult(name, False, repr(exc), time.perf_counter() - t0)
+            passed, detail = False, repr(exc)
+        res = CriterionResult(name, passed, detail, time.perf_counter() - t0)
         results.append(res)
         print(format_line(res), file=out)
     if all(r.passed for r in results):

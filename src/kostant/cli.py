@@ -6,25 +6,33 @@ machines; the JSON envelope is always ``{"query": ..., "result": ...,
 "verdict": "pass" | "fail" | null}`` where the verdict is null unless the
 subcommand compared independent routes.
 
+Each subcommand handler validates and computes, then returns ``(query,
+verdict, view)``, with the view built for the requested format only: the
+JSON result dict, a CSV ``(header, rows)`` pair, or the table's lines.
+``_render`` is the one output path: it writes the envelope, the CSV or the
+lines (plus a ``verdict:`` line when there is a verdict) and maps the
+verdict to the exit code. ``verify`` streams its table as each criterion
+finishes, so its table view is None.
+
 Exit codes: 0 success or all-pass, 1 a comparison or verification failed,
-2 usage error, 3 a capacity cap was hit (raise it with --brute-cap or the
-KOSTANT_MAX_BRUTE_RANK environment variable).
+2 usage error (including an ``--out`` that cannot be written), 3 a capacity
+cap was hit (raise it with --brute-cap).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from .acceptance import DEFAULT_BRUTE_RANK, DEFAULT_CLOSED_RANK, DEFAULT_SEED, run_all
 from .alternation import alt_cardinality, alt_set_bruteforce, alt_set_characterized
 from .combinatorics import fibonacci, nonconsecutive_count_k
 from .errors import CapacityError
-from .multiplicity import closed_form_report, predicted_q_multiplicity, q_multiplicity
+from .multiplicity import predicted_q_multiplicity, q_multiplicity, q_multiplicity_closed
 from .partition import kostant_q, kostant_q_oracle
 from .weights import RootInterval, Weight, highest_root, interval_root, zero_weight
 
@@ -33,42 +41,31 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
-ALT_METHODS = ("brute", "theorem", "both")
-QMULT_METHODS = ("kwmf", "closed", "predicted", "all")
 FORMATS = ("json", "csv", "table")
 
 
-class UsageError(Exception):
-    """Bad flag combination or malformed value; maps to exit code 2."""
+class UsageError(ValueError):
+    """Bad flag combination, malformed value or unwritable --out; exit code 2."""
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated knobs for the query subcommands.
+def _int_at_least(low: int):
+    """An argparse type for integers >= low, so a bad value exits 2 at parse time."""
 
-    mu is None exactly when the zero weight was requested with `--mu 0`.
-    """
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
 
-    rank: int
-    mu: RootInterval | None
-    method: str
-    format: str = "table"
-    brute_cap: int | None = None
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise UsageError(f"--rank must be >= 1, got {self.rank}")
-        if self.brute_cap is not None and self.brute_cap < 1:
-            raise UsageError(f"--brute-cap must be >= 1, got {self.brute_cap}")
-        if self.mu is not None and self.mu.rank != self.rank:
-            raise UsageError("interval rank does not match --rank")
+    return parse
 
 
-def _parse_mu(text: str, rank: int, allow_zero: bool) -> RootInterval | None:
+def _parse_mu(text: str, rank: int) -> RootInterval | None:
+    """The interval i..j, or None for the zero-weight token 0."""
     if text.strip() == "0":
-        if not allow_zero:
-            raise UsageError("--mu 0 is only supported by qmult with --method kwmf")
         return None
     head, sep, tail = text.partition("..")
     if not sep:
@@ -77,170 +74,103 @@ def _parse_mu(text: str, rank: int, allow_zero: bool) -> RootInterval | None:
         i, j = int(head), int(tail)
     except ValueError:
         raise UsageError(f"--mu expects integer endpoints, got {text!r}") from None
-    try:
-        return RootInterval(rank, i, j)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        print(text)
-
-
-def _render_json(query: dict, result: dict, verdict: bool | None) -> str:
-    v = None if verdict is None else ("pass" if verdict else "fail")
-    return json.dumps({"query": query, "result": result, "verdict": v}, indent=2)
-
-
-def _render_csv(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+    return RootInterval(rank, i, j)
 
 
 def _word_str(word) -> str:
     return "e" if not word else " ".join(f"s{x}" for x in word)
 
 
-def _verdict_exit(verdict: bool | None) -> int:
-    return EXIT_FAIL if verdict is False else EXIT_OK
-
-
-def _cmd_alt_set(cfg: CliConfig, out_path: str | None) -> int:
-    if cfg.mu is None:
-        raise UsageError("alt-set needs an interval --mu i..j")
-    iv = cfg.mu
-    lam = highest_root(cfg.rank)
+def _cmd_alt_set(args):
+    iv = _parse_mu(args.mu, args.rank)
+    if iv is None:
+        raise UsageError("--mu 0 is only supported by qmult with --method kwmf")
     sets = {}
-    if cfg.method in ("brute", "both"):
+    if args.method in ("brute", "both"):
         sets["brute"] = alt_set_bruteforce(
-            cfg.rank, lam, interval_root(iv), max_rank=cfg.brute_cap
+            args.rank, highest_root(args.rank), interval_root(iv), max_rank=args.brute_cap
         )
-    if cfg.method in ("theorem", "both"):
+    if args.method in ("theorem", "both"):
         sets["theorem"] = alt_set_characterized(iv)
     verdict = None
-    if cfg.method == "both":
+    if args.method == "both":
         verdict = sets["brute"].elements == sets["theorem"].elements
-    query = {
-        "command": "alt-set",
-        "rank": cfg.rank,
-        "mu": [iv.i, iv.j],
-        "method": cfg.method,
-    }
-    if cfg.format == "json":
-        result = {
+    query = {"command": "alt-set", "rank": args.rank, "mu": [iv.i, iv.j], "method": args.method}
+    if args.format == "json":
+        view = {
             "sets": {name: s.to_json() for name, s in sets.items()},
             "predicted_count": alt_cardinality(iv),
         }
-        _emit(_render_json(query, result, verdict), out_path)
-    elif cfg.format == "csv":
-        rows = []
-        for name, s in sets.items():
-            for el in s:
-                rows.append(
-                    [
-                        name,
-                        " ".join(map(str, el.reduced_word())),
-                        " ".join(map(str, el.perm)),
-                        el.length,
-                        el.sign,
-                    ]
-                )
-        _emit(_render_csv(["method", "word", "perm", "length", "sign"], rows), out_path)
+    elif args.format == "csv":
+        rows = [
+            [name, " ".join(map(str, el.reduced_word())), " ".join(map(str, el.perm)),
+             el.length, el.sign]
+            for name, s in sets.items()
+            for el in s
+        ]
+        view = (["method", "word", "perm", "length", "sign"], rows)
     else:
-        lines = [
-            f"alternation set, rank {cfg.rank}, interval weight [{iv.i}, {iv.j}]",
+        view = [
+            f"alternation set, rank {args.rank}, interval weight [{iv.i}, {iv.j}]",
             f"predicted count: {alt_cardinality(iv)}",
         ]
         for name, s in sets.items():
-            lines.append(f"{name}: {len(s)} elements")
-            for el in s:
-                lines.append(f"  {_word_str(el.reduced_word()):<20} perm {el.perm}")
-        if verdict is not None:
-            lines.append(f"verdict: {'pass' if verdict else 'fail'}")
-        _emit("\n".join(lines), out_path)
-    return _verdict_exit(verdict)
+            view.append(f"{name}: {len(s)} elements")
+            view += [f"  {_word_str(el.reduced_word()):<20} perm {el.perm}" for el in s]
+    return query, verdict, view
 
 
-def _route_json(poly, method: str, term_count: int | None) -> dict:
-    return {
-        "coeffs": list(poly.coeffs),
-        "pretty": poly.pretty(),
-        "multiplicity_at_one": poly.evaluate(1),
-        "method": method,
-        "term_count": term_count,
-    }
-
-
-def _cmd_qmult(cfg: CliConfig, out_path: str | None) -> int:
-    lam = highest_root(cfg.rank)
-    if cfg.mu is None:
-        if cfg.method != "kwmf":
+def _cmd_qmult(args):
+    iv = _parse_mu(args.mu, args.rank)
+    if iv is None:
+        if args.method != "kwmf":
             raise UsageError("--mu 0 requires --method kwmf")
-        mu_weight = zero_weight(cfg.rank)
-        mu_label: object = 0
+        mu_weight, mu_label = zero_weight(args.rank), 0
     else:
-        mu_weight = interval_root(cfg.mu)
-        mu_label = [cfg.mu.i, cfg.mu.j]
-    routes: dict[str, dict] = {}
-    if cfg.method in ("kwmf", "all"):
-        rep = q_multiplicity(cfg.rank, lam, mu_weight, "kwmf_full", max_rank=cfg.brute_cap)
-        routes["kwmf"] = _route_json(rep.q_multiplicity, rep.method, rep.term_count)
-    if cfg.method in ("closed", "all"):
-        rep = closed_form_report(cfg.mu)
-        routes["closed"] = _route_json(rep.q_multiplicity, rep.method, rep.term_count)
-    if cfg.method in ("predicted", "all"):
-        poly = predicted_q_multiplicity(cfg.mu)
-        routes["predicted"] = _route_json(poly, "predicted", None)
-    verdict = None
-    if cfg.method == "all":
-        coeff_lists = [r["coeffs"] for r in routes.values()]
-        verdict = all(c == coeff_lists[0] for c in coeff_lists)
-    query = {
-        "command": "qmult",
-        "rank": cfg.rank,
-        "mu": mu_label,
-        "method": cfg.method,
-    }
-    if cfg.format == "json":
-        _emit(_render_json(query, {"routes": routes}, verdict), out_path)
-    elif cfg.format == "csv":
-        rows = [
-            [
-                name,
-                r["pretty"],
-                r["multiplicity_at_one"],
-                "" if r["term_count"] is None else r["term_count"],
-                " ".join(map(str, r["coeffs"])),
-            ]
-            for name, r in routes.items()
-        ]
-        _emit(
-            _render_csv(["route", "polynomial", "at_one", "term_count", "coeffs"], rows),
-            out_path,
+        mu_weight, mu_label = interval_root(iv), [iv.i, iv.j]
+    routes = {}  # name -> (polynomial, method tag, term count or None)
+    if args.method in ("kwmf", "all"):
+        rep = q_multiplicity(
+            args.rank, highest_root(args.rank), mu_weight, "kwmf_full", max_rank=args.brute_cap
         )
+        routes["kwmf"] = (rep.q_multiplicity, rep.method, rep.term_count)
+    if args.method in ("closed", "all"):
+        routes["closed"] = (q_multiplicity_closed(iv), "closed_form", alt_cardinality(iv))
+    if args.method in ("predicted", "all"):
+        routes["predicted"] = (predicted_q_multiplicity(iv), "predicted", None)
+    verdict = None
+    if args.method == "all":
+        verdict = len({poly.coeffs for poly, _, _ in routes.values()}) == 1
+    query = {"command": "qmult", "rank": args.rank, "mu": mu_label, "method": args.method}
+    if args.format == "json":
+        view = {
+            "routes": {
+                name: {
+                    "coeffs": list(poly.coeffs),
+                    "pretty": poly.pretty(),
+                    "multiplicity_at_one": poly.evaluate(1),
+                    "method": method,
+                    "term_count": terms,
+                }
+                for name, (poly, method, terms) in routes.items()
+            }
+        }
+    elif args.format == "csv":
+        rows = [
+            [name, poly.pretty(), poly.evaluate(1), "" if terms is None else terms,
+             " ".join(map(str, poly.coeffs))]
+            for name, (poly, _, terms) in routes.items()
+        ]
+        view = (["route", "polynomial", "at_one", "term_count", "coeffs"], rows)
     else:
-        lines = [f"q-multiplicity, rank {cfg.rank}, highest root at mu = {mu_label}"]
-        for name, r in routes.items():
-            extra = "" if r["term_count"] is None else f" ({r['term_count']} nonzero terms)"
-            lines.append(f"{name:<10} {r['pretty']}   at q=1: {r['multiplicity_at_one']}{extra}")
-        if verdict is not None:
-            lines.append(f"verdict: {'pass' if verdict else 'fail'}")
-        _emit("\n".join(lines), out_path)
-    return _verdict_exit(verdict)
+        view = [f"q-multiplicity, rank {args.rank}, highest root at mu = {mu_label}"]
+        for name, (poly, _, terms) in routes.items():
+            extra = "" if terms is None else f" ({terms} nonzero terms)"
+            view.append(f"{name:<10} {poly.pretty()}   at q=1: {poly.evaluate(1)}{extra}")
+    return query, verdict, view
 
 
-def _cmd_partition(args) -> int:
-    if args.rank < 1:
-        raise UsageError(f"--rank must be >= 1, got {args.rank}")
+def _cmd_partition(args):
     try:
         coords = tuple(int(x) for x in args.weight.split(","))
     except ValueError:
@@ -248,39 +178,30 @@ def _cmd_partition(args) -> int:
     if len(coords) != args.rank:
         raise UsageError(f"--weight has {len(coords)} coordinates for rank {args.rank}")
     w = Weight(args.rank, coords)
-    poly = kostant_q(args.rank, w)
-    sources = {"dp": poly}
+    sources = {"dp": kostant_q(args.rank, w)}
     verdict = None
     if args.oracle:
-        oracle = kostant_q_oracle(args.rank, w)
-        sources["oracle"] = oracle
-        verdict = oracle == poly
+        sources["oracle"] = kostant_q_oracle(args.rank, w)
+        verdict = sources["oracle"] == sources["dp"]
     query = {"command": "partition", "rank": args.rank, "weight": list(coords)}
     if args.format == "json":
-        result = {
+        view = {
             name: {"coeffs": list(p.coeffs), "pretty": p.pretty(), "count": p.evaluate(1)}
             for name, p in sources.items()
         }
-        _emit(_render_json(query, result, verdict), args.out)
     elif args.format == "csv":
         rows = [
             [name, p.pretty(), p.evaluate(1), " ".join(map(str, p.coeffs))]
             for name, p in sources.items()
         ]
-        _emit(_render_csv(["source", "polynomial", "count", "coeffs"], rows), args.out)
+        view = (["source", "polynomial", "count", "coeffs"], rows)
     else:
-        lines = [f"partition polynomial, rank {args.rank}, weight {list(coords)}"]
-        for name, p in sources.items():
-            lines.append(f"{name:<8} {p.pretty()}   count: {p.evaluate(1)}")
-        if verdict is not None:
-            lines.append(f"verdict: {'pass' if verdict else 'fail'}")
-        _emit("\n".join(lines), args.out)
-    return _verdict_exit(verdict)
+        view = [f"partition polynomial, rank {args.rank}, weight {list(coords)}"]
+        view += [f"{name:<8} {p.pretty()}   count: {p.evaluate(1)}" for name, p in sources.items()]
+    return query, verdict, view
 
 
-def _cmd_identity(args) -> int:
-    if args.max_n < 0:
-        raise UsageError(f"--max-n must be >= 0, got {args.max_n}")
+def _cmd_identity(args):
     rows = []
     for n in range(args.max_n + 1):
         total = sum(nonconsecutive_count_k(n, k) for k in range(n + 2))
@@ -289,51 +210,76 @@ def _cmd_identity(args) -> int:
     verdict = all(r["equal"] for r in rows)
     query = {"command": "identity", "max_n": args.max_n}
     if args.format == "json":
-        _emit(_render_json(query, {"rows": rows}, verdict), args.out)
+        view = {"rows": rows}
     elif args.format == "csv":
         table = [[r["n"], r["binomial_sum"], r["fibonacci"], r["equal"]] for r in rows]
-        _emit(_render_csv(["n", "binomial_sum", "fibonacci", "equal"], table), args.out)
+        view = (["n", "binomial_sum", "fibonacci", "equal"], table)
     else:
-        lines = [f"{'n':>4} {'binomial_sum':>14} {'fibonacci':>11}  equal"]
-        for r in rows:
-            lines.append(
-                f"{r['n']:>4} {r['binomial_sum']:>14} {r['fibonacci']:>11}  {r['equal']}"
-            )
-        lines.append(f"verdict: {'pass' if verdict else 'fail'}")
-        _emit("\n".join(lines), args.out)
-    return _verdict_exit(verdict)
+        view = [f"{'n':>4} {'binomial_sum':>14} {'fibonacci':>11}  equal"]
+        view += [
+            f"{r['n']:>4} {r['binomial_sum']:>14} {r['fibonacci']:>11}  {r['equal']}"
+            for r in rows
+        ]
+    return query, verdict, view
 
 
-def _cmd_verify(args) -> int:
-    if args.max_brute_rank < 1 or args.max_closed_rank < 1:
-        raise UsageError("verify rank bounds must be >= 1")
-    live = args.format == "table" and args.out is None
-    stream = sys.stdout if live else io.StringIO()
-    results = run_all(
-        max_brute_rank=args.max_brute_rank,
-        max_closed_rank=args.max_closed_rank,
-        seed=args.seed,
-        stream=stream,
+def _cmd_verify(args):
+    bounds = dict(
+        max_brute_rank=args.max_brute_rank, max_closed_rank=args.max_closed_rank, seed=args.seed
     )
-    verdict = all(r.passed for r in results)
+    query = {"command": "verify", **bounds}
+    if args.format == "table":
+        with _output(args.out) as stream:
+            results = run_all(**bounds, stream=stream)
+        return query, all(r.passed for r in results), None
+    results = run_all(**bounds, stream=io.StringIO())
     if args.format == "json":
-        query = {
-            "command": "verify",
-            "max_brute_rank": args.max_brute_rank,
-            "max_closed_rank": args.max_closed_rank,
-            "seed": args.seed,
-        }
         crits = [
             {"name": r.name, "passed": r.passed, "detail": r.detail, "seconds": r.seconds}
             for r in results
         ]
-        _emit(_render_json(query, {"criteria": crits}, verdict), args.out)
-    elif args.format == "csv":
+        view = {"criteria": crits}
+    else:
         rows = [[r.name, r.passed, f"{r.seconds:.2f}", r.detail] for r in results]
-        _emit(_render_csv(["criterion", "passed", "seconds", "detail"], rows), args.out)
-    elif not live:
-        _emit(stream.getvalue().rstrip("\n"), args.out)
-    return EXIT_OK if verdict else EXIT_FAIL
+        view = (["criterion", "passed", "seconds", "detail"], rows)
+    return query, all(r.passed for r in results), view
+
+
+@contextlib.contextmanager
+def _output(path: str | None):
+    """stdout, or the --out file; an OSError while opening or writing it is a usage error."""
+    if path is None:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise UsageError(f"cannot write --out: {exc}") from None
+
+
+def _render(args, query: dict, verdict: bool | None, view) -> int:
+    """Write one handler's view in args.format and return the exit code."""
+    exit_code = EXIT_FAIL if verdict is False else EXIT_OK
+    if view is None:  # verify has streamed its table already
+        return exit_code
+    if args.format == "json":
+        v = None if verdict is None else ("pass" if verdict else "fail")
+        text = json.dumps({"query": query, "result": view, "verdict": v}, indent=2)
+    elif args.format == "csv":
+        header, rows = view
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue().rstrip("\n")
+    else:
+        if verdict is not None:
+            view.append(f"verdict: {'pass' if verdict else 'fail'}")
+        text = "\n".join(view)
+    with _output(args.out) as fh:
+        print(text, file=fh)
+    return exit_code
 
 
 def _add_output_flags(sp) -> None:
@@ -348,64 +294,44 @@ def _build_parser() -> argparse.ArgumentParser:
         "for the adjoint representation in type A.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    positive = _int_at_least(1)
 
     alt = sub.add_parser("alt-set", help="alternation set for an interval weight")
-    alt.add_argument("--rank", type=int, required=True)
+    alt.add_argument("--rank", type=positive, required=True)
     alt.add_argument("--mu", required=True, help="interval i..j")
-    alt.add_argument("--method", choices=ALT_METHODS, default="theorem")
-    alt.add_argument("--brute-cap", type=int, default=None)
+    alt.add_argument("--method", choices=("brute", "theorem", "both"), default="theorem")
+    alt.add_argument("--brute-cap", type=positive, default=None)
     _add_output_flags(alt)
+    alt.set_defaults(handler=_cmd_alt_set)
 
     qm = sub.add_parser("qmult", help="q-multiplicity of the highest root at a weight")
-    qm.add_argument("--rank", type=int, required=True)
+    qm.add_argument("--rank", type=positive, required=True)
     qm.add_argument("--mu", required=True, help="interval i..j, or 0 for the zero weight")
-    qm.add_argument("--method", choices=QMULT_METHODS, default="closed")
-    qm.add_argument("--brute-cap", type=int, default=None)
+    qm.add_argument("--method", choices=("kwmf", "closed", "predicted", "all"), default="closed")
+    qm.add_argument("--brute-cap", type=positive, default=None)
     _add_output_flags(qm)
+    qm.set_defaults(handler=_cmd_qmult)
 
     pa = sub.add_parser("partition", help="partition polynomial of a weight")
-    pa.add_argument("--rank", type=int, required=True)
+    pa.add_argument("--rank", type=positive, required=True)
     pa.add_argument("--weight", required=True, help="comma-separated coordinates c1,...,cr")
     pa.add_argument("--oracle", action="store_true", help="also run the enumeration oracle")
     _add_output_flags(pa)
+    pa.set_defaults(handler=_cmd_partition)
 
     idn = sub.add_parser("identity", help="Fibonacci vs binomial-sum table")
-    idn.add_argument("--max-n", type=int, default=16)
+    idn.add_argument("--max-n", type=_int_at_least(0), default=16)
     _add_output_flags(idn)
+    idn.set_defaults(handler=_cmd_identity)
 
     ver = sub.add_parser("verify", help="run the full verification suite")
-    ver.add_argument("--max-brute-rank", type=int, default=DEFAULT_BRUTE_RANK)
-    ver.add_argument("--max-closed-rank", type=int, default=DEFAULT_CLOSED_RANK)
+    ver.add_argument("--max-brute-rank", type=positive, default=DEFAULT_BRUTE_RANK)
+    ver.add_argument("--max-closed-rank", type=positive, default=DEFAULT_CLOSED_RANK)
     ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_output_flags(ver)
+    ver.set_defaults(handler=_cmd_verify)
 
     return p
-
-
-def _dispatch(args) -> int:
-    if args.command == "alt-set":
-        cfg = CliConfig(
-            args.rank,
-            _parse_mu(args.mu, args.rank, allow_zero=False),
-            args.method,
-            args.format,
-            args.brute_cap,
-        )
-        return _cmd_alt_set(cfg, args.out)
-    if args.command == "qmult":
-        cfg = CliConfig(
-            args.rank,
-            _parse_mu(args.mu, args.rank, allow_zero=True),
-            args.method,
-            args.format,
-            args.brute_cap,
-        )
-        return _cmd_qmult(cfg, args.out)
-    if args.command == "partition":
-        return _cmd_partition(args)
-    if args.command == "identity":
-        return _cmd_identity(args)
-    return _cmd_verify(args)
 
 
 def run(argv=None) -> int:
@@ -416,10 +342,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        return _dispatch(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _render(args, *args.handler(args))
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -1,8 +1,5 @@
 """Capacity caps and the exception raised when a brute-force size limit is hit."""
 
-import os
-
-BRUTE_CAP_ENV = "KOSTANT_MAX_BRUTE_RANK"
 DEFAULT_BRUTE_RANK_CAP = 8
 DEFAULT_ORACLE_HEIGHT_CAP = 24
 DEFAULT_SUBSET_GROUND_CAP = 25
@@ -16,24 +13,3 @@ class CapacityError(RuntimeError):
     raise it.
     """
 
-
-def resolve_brute_rank_cap(explicit: int | None = None) -> int:
-    """Resolve the cap on ranks for full Weyl group enumeration.
-
-    Precedence: explicit argument, then the KOSTANT_MAX_BRUTE_RANK environment
-    variable, then the built-in default of 8 (|W| = 9! = 362880).
-    """
-    if explicit is not None:
-        if explicit < 1:
-            raise ValueError(f"brute-force rank cap must be >= 1, got {explicit}")
-        return explicit
-    raw = os.environ.get(BRUTE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_BRUTE_RANK_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{BRUTE_CAP_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{BRUTE_CAP_ENV} must be >= 1, got {value}")
-    return value

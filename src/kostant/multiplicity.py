@@ -34,10 +34,10 @@ one raises RuntimeError.
 from dataclasses import dataclass
 from math import comb
 
-from .alternation import alt_cardinality, alt_set_characterized, survivors
+from .alternation import alt_set_characterized, survivors
 from .combinatorics import nonconsecutive_count_k
 from .partition import QPolynomial, kostant_q
-from .weights import RootInterval, Weight, as_interval, highest_root, interval_root
+from .weights import RootInterval, Weight, as_interval, highest_root
 from .weyl import WeylElement, enumerate_all
 
 
@@ -112,17 +112,6 @@ def q_multiplicity(
         raise ValueError(f"method must be 'kwmf_full' or 'kwmf_altset', got {method!r}")
     poly, terms = _signed_sum(lam, mu, sigmas)
     return MultiplicityReport(rank, lam, mu, poly, method, terms)
-
-
-def multiplicity_at_one(
-    rank: int,
-    lam: Weight,
-    mu: Weight,
-    method: str = "kwmf_full",
-    max_rank: int | None = None,
-) -> int:
-    """Ordinary weight multiplicity: the q-multiplicity at q = 1."""
-    return q_multiplicity(rank, lam, mu, method, max_rank).multiplicity_at_one
 
 
 def _boundary_letters(iv: RootInterval) -> tuple[int, ...]:
@@ -218,19 +207,6 @@ def q_multiplicity_closed(iv: RootInterval) -> QPolynomial:
         for y in range(b + 1):
             total[a + y] += weight * comb(b, y)
     return QPolynomial(total)
-
-
-def closed_form_report(iv: RootInterval) -> MultiplicityReport:
-    """Package q_multiplicity_closed as a report, method tag "closed_form"."""
-    poly = q_multiplicity_closed(iv)
-    return MultiplicityReport(
-        iv.rank,
-        highest_root(iv.rank),
-        interval_root(iv),
-        poly,
-        "closed_form",
-        alt_cardinality(iv),
-    )
 
 
 def predicted_q_multiplicity(iv: RootInterval) -> QPolynomial:

@@ -22,13 +22,13 @@ class Weight:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        if index(self.rank) < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+        rank = index(self.rank)
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
         coords = tuple(index(c) for c in self.coords)
-        if len(coords) != self.rank:
-            raise ValueError(
-                f"rank {self.rank} weight needs {self.rank} coordinates, got {len(coords)}"
-            )
+        if len(coords) != rank:
+            raise ValueError(f"rank {rank} weight needs {rank} coordinates, got {len(coords)}")
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "coords", coords)
 
     def _check_rank(self, other: "Weight") -> None:

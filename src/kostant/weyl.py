@@ -21,7 +21,7 @@ the permuted prefix sums behind both `apply` and `shifted_action`.
 from itertools import accumulate, permutations
 from typing import Iterator
 
-from .errors import BRUTE_CAP_ENV, CapacityError, resolve_brute_rank_cap
+from .errors import DEFAULT_BRUTE_RANK_CAP, CapacityError
 from .weights import Weight, _two_rho_coords
 
 
@@ -237,17 +237,18 @@ def enumerate_all(rank: int, max_rank: int | None = None) -> Iterator[WeylElemen
     """All (rank+1)! Weyl group elements, lexicographic by one-line notation.
 
     Refuses ranks above the brute-force cap (default 8, so at most 362880
-    elements); override with the max_rank argument, the CLI --brute-cap
-    flag, or the KOSTANT_MAX_BRUTE_RANK environment variable. The cap is
-    checked eagerly, before the first element is produced.
+    elements); override with the max_rank argument or the CLI --brute-cap
+    flag. The cap is checked eagerly, before the first element is produced.
     """
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    cap = resolve_brute_rank_cap(max_rank)
+    cap = DEFAULT_BRUTE_RANK_CAP if max_rank is None else max_rank
+    if cap < 1:
+        raise ValueError(f"brute-force rank cap must be >= 1, got {cap}")
     if rank > cap:
         raise CapacityError(
             f"full Weyl group enumeration at rank {rank} exceeds the cap of {cap}; "
-            f"raise it with --brute-cap or {BRUTE_CAP_ENV} if you really want "
+            f"raise it with --brute-cap or max_rank if you really want "
             f"{rank + 1}! elements"
         )
     return (WeylElement(rank, perm, check=False) for perm in permutations(range(1, rank + 2)))

@@ -1,11 +1,17 @@
-"""One test per verification criterion; each prints its pass/fail line.
+"""One test per verification criterion; each prints its pass detail.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
+Run with `pytest tests/test_acceptance.py -v -s` to see the details as they
 complete. Bounds are the advertised defaults, so this module is the slow
-part of the suite (about half a minute total).
+part of the suite (about half a minute total). A failing criterion raises
+CriterionFailed, which fails its test with the mismatch as the message.
 """
 
+import ast
+from pathlib import Path
+
+import kostant.acceptance as acceptance
 from kostant.acceptance import (
+    CriterionFailed,
     check_alt_sets_agree,
     check_boundary_length_counts,
     check_cardinality_fibonacci,
@@ -17,54 +23,92 @@ from kostant.acceptance import (
     check_power_of_q_closed,
     check_power_of_q_full,
     check_zero_weight_sum,
-    format_line,
 )
+from kostant.cli import EXIT_FAIL, run
 
-
-def _report(res):
-    print(format_line(res))
-    assert res.passed, format_line(res)
+SRC = Path(acceptance.__file__).parent
 
 
 def test_criterion_alt_sets_agree():
-    _report(check_alt_sets_agree())
+    print(check_alt_sets_agree())
 
 
 def test_criterion_cardinality_fibonacci():
-    _report(check_cardinality_fibonacci())
+    print(check_cardinality_fibonacci())
 
 
 def test_criterion_power_of_q_full():
-    _report(check_power_of_q_full())
+    print(check_power_of_q_full())
 
 
 def test_criterion_power_of_q_closed():
-    _report(check_power_of_q_closed())
+    print(check_power_of_q_closed())
 
 
 def test_criterion_multiplicity_one():
-    _report(check_multiplicity_one())
+    print(check_multiplicity_one())
 
 
 def test_criterion_interval_partition_closed():
-    _report(check_interval_partition_closed())
+    print(check_interval_partition_closed())
 
 
 def test_criterion_per_element_terms():
-    _report(check_per_element_terms())
+    print(check_per_element_terms())
 
 
 def test_criterion_dp_vs_oracle():
-    _report(check_dp_vs_oracle())
+    print(check_dp_vs_oracle())
 
 
 def test_criterion_fibonacci_identity():
-    _report(check_fibonacci_identity())
+    print(check_fibonacci_identity())
 
 
 def test_criterion_boundary_length_counts():
-    _report(check_boundary_length_counts())
+    print(check_boundary_length_counts())
 
 
 def test_criterion_zero_weight_sum():
-    _report(check_zero_weight_sum())
+    print(check_zero_weight_sum())
+
+
+def test_verify_reports_a_mismatch_and_a_crash(capsys, monkeypatch, tmp_path):
+    for name in dir(acceptance):
+        if name.startswith("check_"):
+            monkeypatch.setattr(acceptance, name, lambda *args, **kwargs: "stub")
+
+    def mismatch(*args, **kwargs):
+        raise CriterionFailed("x")
+
+    def crash(*args, **kwargs):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(acceptance, "check_power_of_q_full", mismatch)
+    monkeypatch.setattr(acceptance, "check_dp_vs_oracle", crash)
+    assert run(["verify"]) == EXIT_FAIL
+    text = capsys.readouterr().out
+    lines = text.splitlines()
+    fails = [ln.split() for ln in lines if ln.startswith("FAIL")]
+    assert [(f[1], " ".join(f[3:])) for f in fails] == [
+        ("qmult-power-of-q-full-sum", "x"),
+        ("partition-dp-vs-oracle", "ZeroDivisionError('boom')"),
+    ]
+    assert sum(ln.startswith("PASS") for ln in lines) == 9
+    assert lines[-1] == "2 of 11 criteria FAILED"
+    # with --out the same table streams into the file instead
+    target = tmp_path / "verify.txt"
+    assert run(["verify", "--out", str(target)]) == EXIT_FAIL
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == text
+
+
+def test_no_assert_statements_in_the_package():
+    # `python -O` strips asserts, so a check written as one would pass silently.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

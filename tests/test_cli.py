@@ -1,7 +1,12 @@
 """CLI behaviour: exit codes, formats, JSON round-trips, capacity mapping."""
 
+import contextlib
+import io
 import json
 
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import kostant.acceptance as acceptance
 from kostant import (
     fibonacci,
     highest_root,
@@ -212,3 +217,102 @@ def test_verify_maps_failure_to_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_all", forced_failure)
     assert run(["verify"]) == EXIT_FAIL
     capsys.readouterr()
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = str(tmp_path / "missing" / "x")
+    assert run(["identity", "--max-n", "3", "--out", target]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    # verify opens its --out before it runs any criterion
+    assert run(["verify", "--max-brute-rank", "1", "--out", target]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+_VALID = {
+    "--brute-cap": st.integers(1, 6),
+    "--max-n": st.integers(0, 6),
+    "--seed": st.integers(-2, 6),
+    "--max-brute-rank": st.integers(1, 2),
+    "--max-closed-rank": st.integers(1, 3),
+    "--format": st.sampled_from(["json", "csv", "table"]),
+    "--method:alt-set": st.sampled_from(["brute", "theorem", "both"]),
+    "--method:qmult": st.sampled_from(["kwmf", "closed", "predicted", "all"]),
+}
+_INVALID = st.one_of(
+    st.integers(-2, 0),
+    st.sampled_from(["brute", "kwmf", "all", "6..1", "0..0", "1,x", "x", ""]),
+)
+_GRAMMAR = {
+    "alt-set": ("--rank", "--mu", "--method", "--brute-cap", "--format", "--out"),
+    "qmult": ("--rank", "--mu", "--method", "--brute-cap", "--format", "--out"),
+    "partition": ("--rank", "--weight", "--oracle", "--format", "--out"),
+    "identity": ("--max-n", "--format", "--out"),
+    "verify": ("--max-brute-rank", "--max-closed-rank", "--seed", "--format", "--out"),
+}
+_JUNK = st.one_of(
+    st.sampled_from(["", "x", "..", "1..", "-", "--", "--bogus", "1,a", "2.5", "--rank"]),
+    st.text(max_size=4),
+)
+
+
+def _one_in(n):
+    return st.sampled_from(range(n)).map(lambda k: k == 0)
+
+
+@st.composite
+def _argv(draw, out_dir):
+    """argv from the real grammar, each flag sometimes dropped or given a bad value."""
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    rank = draw(st.integers(1, 6))
+    interval = st.integers(1, rank).flatmap(
+        lambda i: st.integers(i, rank).map(lambda j: f"{i}..{j}")
+    )
+    valid = {
+        **_VALID,
+        "--rank": st.just(rank),
+        "--mu": st.one_of(interval, interval, st.just("0")),
+        "--weight": st.lists(st.integers(-2, 2), min_size=rank, max_size=rank).map(
+            lambda c: ",".join(map(str, c))
+        ),
+    }
+    argv = [command]
+    for flag in _GRAMMAR[command]:
+        if draw(_one_in(8)):
+            continue  # a dropped flag; required ones then exit 2
+        if flag == "--oracle":
+            argv.append(flag)
+        elif flag == "--out":
+            target = draw(st.sampled_from([None, None, None, "missing/out.txt", "out.txt"]))
+            if target:
+                argv += [flag, str(out_dir / target)]
+        else:
+            strategy = valid.get(f"{flag}:{command}", valid.get(flag))
+            value = str(draw(_INVALID if draw(_one_in(8)) else strategy))
+            # the = spelling lets a negative value through argparse
+            if draw(st.booleans()):
+                argv.append(f"{flag}={value}")
+            else:
+                argv += [flag, value]
+    if draw(_one_in(4)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    return argv
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_fuzzed_argv_only_ever_exits_0_to_3(tmp_path, monkeypatch, data):
+    # The criteria themselves are pinned by test_acceptance and the golden file;
+    # stubbing them keeps each fuzzed verify call as cheap as the other subcommands.
+    for name in dir(acceptance):
+        if name.startswith("check_"):
+            monkeypatch.setattr(acceptance, name, lambda *args, **kwargs: "stub")
+    argv = data.draw(_argv(tmp_path))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_CAPACITY)

@@ -1,5 +1,7 @@
 """q-multiplicities: alternating sums, per-element closed forms, the q-power law."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,6 @@ from kostant import (
     alt_set_bruteforce,
     alt_set_characterized,
     apply,
-    closed_form_report,
     closed_form_term,
     enumerate_all,
     from_word,
@@ -20,7 +21,6 @@ from kostant import (
     identity,
     interval_root,
     kostant_q,
-    multiplicity_at_one,
     predicted_q_multiplicity,
     q_multiplicity,
     q_multiplicity_closed,
@@ -29,6 +29,7 @@ from kostant import (
     simple_root,
     zero_weight,
 )
+from kostant.cli import run
 from kostant.multiplicity import _term_poly
 
 
@@ -48,12 +49,13 @@ def test_known_q_multiplicities():
 
 
 def test_multiplicity_at_one_examples():
-    assert multiplicity_at_one(4, highest_root(4), interval_root(RootInterval(4, 2, 3))) == 1
-    assert multiplicity_at_one(3, highest_root(3), highest_root(3)) == 1
+    iv = interval_root(RootInterval(4, 2, 3))
+    assert q_multiplicity(4, highest_root(4), iv).multiplicity_at_one == 1
+    assert q_multiplicity(3, highest_root(3), highest_root(3)).multiplicity_at_one == 1
     # a non-dominant Weyl image of a root has the same multiplicity
     mu = apply(simple_reflection(3, 1), simple_root(3, 1))  # -alpha_1
     assert mu.coords == (-1, 0, 0)
-    assert multiplicity_at_one(3, highest_root(3), mu) == 1
+    assert q_multiplicity(3, highest_root(3), mu).multiplicity_at_one == 1
 
 
 def test_report_fields_and_json():
@@ -207,12 +209,14 @@ def test_term_poly_rejects_a_negative_exponent():
         _term_poly(5, 2, 2, 0)  # b = 5 - 2 - 4 = -1
 
 
-def test_closed_form_report():
-    rep = closed_form_report(RootInterval(7, 3, 4))
-    assert rep.method == "closed_form"
-    assert rep.term_count == 6
-    assert rep.q_multiplicity.pretty() == "q^5"
-    assert rep.multiplicity_at_one == 1
+def test_closed_form_report(capsys):
+    # the closed route as the CLI reports it: method tag and term count
+    assert run(["qmult", "--rank", "7", "--mu", "3..4", "--format", "json"]) == 0
+    rep = json.loads(capsys.readouterr().out)["result"]["routes"]["closed"]
+    assert rep["method"] == "closed_form"
+    assert rep["term_count"] == alt_cardinality(RootInterval(7, 3, 4)) == 6
+    assert rep["pretty"] == q_multiplicity_closed(RootInterval(7, 3, 4)).pretty() == "q^5"
+    assert rep["multiplicity_at_one"] == 1
 
 
 def test_method_validation():

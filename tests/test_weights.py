@@ -99,6 +99,14 @@ def test_weight_validation():
         Weight(2, (1, 0)) + (1, 0)
 
 
+def test_weight_stores_the_coerced_rank():
+    w = Weight(True, (1,))
+    assert type(w.rank) is int
+    assert repr(w) == "Weight(rank=1, coords=(1,))"
+    with pytest.raises(TypeError):
+        Weight(2.0, (1, 2))
+
+
 def test_weight_json():
     assert Weight(3, (1, 0, -2)).to_json() == [1, 0, -2]
 

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kostant import (
-    BRUTE_CAP_ENV,
     CapacityError,
     Weight,
     apply,
@@ -237,18 +236,15 @@ def test_enumerate_all_counts_and_order():
     assert len(set(elements)) == 6
 
 
-def test_enumerate_cap_and_overrides(monkeypatch):
+def test_enumerate_cap_and_overrides():
     with pytest.raises(CapacityError) as exc:
         enumerate_all(9)
-    assert BRUTE_CAP_ENV in str(exc.value)
+    assert "--brute-cap" in str(exc.value)
     # explicit argument lifts the cap without enumerating everything
     gen = enumerate_all(9, max_rank=9)
     assert next(gen).is_identity
-    monkeypatch.setenv(BRUTE_CAP_ENV, "9")
-    assert next(enumerate_all(9)).is_identity
-    monkeypatch.setenv(BRUTE_CAP_ENV, "junk")
     with pytest.raises(ValueError):
-        enumerate_all(9)
+        enumerate_all(3, max_rank=0)
 
 
 def test_element_validation_and_equality():
