@@ -1,11 +1,12 @@
 """The q-multiplicity of an interval weight in the adjoint representation.
 
 Three independent routes give the same answer:
-  1. the full alternating sum over all (r+1)! Weyl group elements,
+  1. the full alternating sum over all (r+1)! Weyl group elements, found
+     by a pruned search that visits only the nonzero terms,
   2. a per-survivor closed form q^a (1+q)^b summed over the alternation set,
   3. the prediction: the single monomial q^(rank - height).
-Route 2 needs no group enumeration, so it reaches ranks where route 1 is
-hopeless. At q = 1 every answer collapses to multiplicity 1; at the zero
+Route 2 counts instead of searching the group, so it has no rank cap and
+reaches ranks far beyond route 1's. At q = 1 every answer collapses to multiplicity 1; at the zero
 weight the q-multiplicity is instead q + q^2 + ... + q^rank.
 """
 

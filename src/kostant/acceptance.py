@@ -11,9 +11,11 @@ subcommand and the acceptance test module both route through the functions
 here, so the entry points cannot drift apart.
 
 Rank bounds default to the largest sizes the guarantees are advertised at.
-The two knobs that matter for runtime are ``max_brute_rank`` (everything
-that sums over the full symmetric group) and ``max_closed_rank`` (the
-closed-form route, which never enumerates the group).
+``run_all`` takes two knobs. ``max_brute_rank`` bounds the four criteria
+that search the full symmetric group: brute vs characterized sets, the
+full-sum power of q, multiplicity one (intervals, and Weyl images up to
+rank 6) and the zero-weight sum (up to rank 6). ``max_closed_rank`` bounds
+the closed-form route. The other six criteria run at fixed sizes.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def check_cardinality_fibonacci(max_rank: int = 16) -> str:
     return f"{checked} intervals through rank {max_rank}, largest set {largest}"
 
 
-def check_power_of_q_full(max_rank: int = DEFAULT_BRUTE_RANK) -> str:
+def check_power_of_q_full(max_rank: int = 12) -> str:
     """Full alternating sum lands on a single power of q for interval weights."""
     checked = 0
     for r in range(1, max_rank + 1):
@@ -126,7 +128,7 @@ def check_power_of_q_closed(max_rank: int = DEFAULT_CLOSED_RANK) -> str:
     return f"{checked} intervals through rank {max_rank}"
 
 
-def check_multiplicity_one(max_rank: int = DEFAULT_BRUTE_RANK, image_rank: int = 4) -> str:
+def check_multiplicity_one(max_rank: int = DEFAULT_BRUTE_RANK, image_rank: int = 6) -> str:
     """Interval weights carry multiplicity 1, and so does every reflected image."""
     intervals = 0
     for r in range(1, max_rank + 1):
@@ -250,7 +252,7 @@ def check_boundary_length_counts(max_rank: int = 14) -> str:
     return f"{checked} one-sided intervals through rank {max_rank}"
 
 
-def check_zero_weight_sum(max_rank: int = 6) -> str:
+def check_zero_weight_sum(max_rank: int = 10) -> str:
     """Zero-weight q-multiplicity of the highest root is q + q^2 + ... + q^r."""
     for r in range(1, max_rank + 1):
         rep = q_multiplicity(r, highest_root(r), zero_weight(r), "kwmf_full", max_rank=max_rank)

@@ -8,7 +8,10 @@ multiplicity sum. Two constructions are provided:
 * `alt_set_bruteforce` scans every group element. In type A a weight has a
   partition into positive roots exactly when its simple-root coordinates
   are all nonnegative, so membership is that sign test, run by
-  `survivors`. It works for any lam and mu but is capped by rank.
+  `survivors`. It works for any lam and mu but is capped by rank. It stays
+  a literal scan on purpose: it is the reference for `pruned_survivors`,
+  which finds the same members by a search that drops a branch as soon as
+  one coordinate goes negative (the full alternating sum uses it).
 
 * `alt_set_characterized` is specific to lam = highest root and mu an
   interval root [i, j]: there the set consists exactly of the products of
@@ -35,8 +38,23 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .combinatorics import fibonacci, nonconsecutive_count_k, nonconsecutive_subsets
-from .weights import RootInterval, Weight, as_interval, highest_root, interval_root
-from .weyl import WeylElement, enumerate_all, from_nonconsecutive_letters, shifted_action
+from .weights import (
+    RootInterval,
+    Weight,
+    _two_rho_coords,
+    as_interval,
+    highest_root,
+    interval_root,
+)
+from .weyl import (
+    WeylElement,
+    _eps,
+    _halved,
+    check_brute_rank,
+    enumerate_all,
+    from_nonconsecutive_letters,
+    shifted_action,
+)
 
 PROVENANCE_BRUTE = "brute_force"
 PROVENANCE_CHARACTERIZED = "characterized"
@@ -87,9 +105,9 @@ def survivors(lam: Weight, mu: Weight, sigmas) -> Iterator[tuple[WeylElement, tu
     In type A the simple roots are positive roots, so xi has a partition into
     positive roots exactly when every simple-root coordinate is nonnegative.
     The survivors are the alternation set and the nonzero terms of the
-    alternating Weyl sum; every sign test in the package is this one. Each
-    element goes through the public `shifted_action`, so a per-call trace of
-    that layer sees every element a scan visits.
+    alternating Weyl sum. Each element goes through the public
+    `shifted_action`, so a per-call trace of that layer sees every element a
+    scan visits; `pruned_survivors` runs the same test prefix by prefix.
     """
     if lam.rank != mu.rank:
         raise ValueError(f"rank mismatch: lam rank {lam.rank} vs mu rank {mu.rank}")
@@ -98,6 +116,48 @@ def survivors(lam: Weight, mu: Weight, sigmas) -> Iterator[tuple[WeylElement, tu
         for sigma in sigmas
     )
     return ((sigma, xi) for sigma, xi in terms if min(xi) >= 0)
+
+
+def pruned_survivors(
+    lam: Weight, mu: Weight, max_rank: int | None = None
+) -> Iterator[tuple[WeylElement, tuple[int, ...]]]:
+    """The pairs of survivors(lam, mu, enumerate_all(rank)), by a pruned search.
+
+    Coordinate k of sigma(2 lam + 2 rho) is the sum of the epsilon entries
+    that sigma moves into slots 1..k, so the search fills sigma^-1(1),
+    sigma^-1(2), ... one slot at a time and drops a branch as soon as its
+    prefix sum falls below 2 rho_k + 2 mu_k: every completion would fail the
+    sign test there. The last slot is forced, since the entries sum to 0.
+    The pairs come in no particular order. The rank cap of enumerate_all
+    applies, checked before the first pair is produced, because for large
+    lam every element can survive.
+    """
+    if lam.rank != mu.rank:
+        raise ValueError(f"rank mismatch: lam rank {lam.rank} vs mu rank {mu.rank}")
+    rank = lam.rank
+    check_brute_rank(rank, max_rank)
+    tr = _two_rho_coords(rank)
+    eps = _eps([2 * c + t for c, t in zip(lam.coords, tr)])
+    floors = [t + 2 * m for t, m in zip(tr, mu.coords)]
+    perm = [0] * (rank + 1)  # perm[x] = sigma(x + 1), set as slots fill
+    prefixes: list[int] = []
+
+    def fill(unused: tuple[int, ...], total: int):
+        slot = len(prefixes) + 1
+        if slot > rank:
+            perm[unused[0]] = slot
+            xi = tuple(h - m for h, m in zip(_halved(prefixes, tr), mu.coords))
+            yield WeylElement(rank, tuple(perm), check=False), xi
+            return
+        for n, x in enumerate(unused):
+            s = total + eps[x]
+            if s >= floors[slot - 1]:
+                perm[x] = slot
+                prefixes.append(s)
+                yield from fill(unused[:n] + unused[n + 1:], s)
+                prefixes.pop()
+
+    return fill(tuple(range(rank + 1)), 0)
 
 
 def alt_set_bruteforce(

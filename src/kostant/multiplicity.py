@@ -9,7 +9,8 @@ where P_q is the partition q-analog. Evaluating at q = 1 gives the ordinary
 weight multiplicity. Three evaluation routes are implemented, deliberately
 sharing as little as possible so they can check one another:
 
-* method "kwmf_full": the sum over the whole group (rank-capped).
+* method "kwmf_full": the sum over the whole group (rank-capped), run as a
+  pruned search that never builds an element whose term is zero.
 * method "kwmf_altset": the same sum restricted to the characterized
   alternation set; only valid for lam = highest root and mu an interval
   root, where the omitted terms are exactly the zero ones.
@@ -19,9 +20,12 @@ sharing as little as possible so they can check one another:
   forms telescopes. For every interval the result is the single monomial
   q^(r - height(mu)), which `predicted_q_multiplicity` returns directly.
 
-The two "kwmf" sums skip the zero terms through `alternation.survivors` (a
-term is nonzero exactly when sigma(lam + rho) - rho - mu is nonnegative)
-and compute P_q only for the rest.
+Both "kwmf" sums compute P_q only on the nonzero terms: a term is nonzero
+exactly when sigma(lam + rho) - rho - mu is nonnegative. "kwmf_full" finds
+those elements with `alternation.pruned_survivors`, which fixes sigma one
+slot at a time and drops a branch once a coordinate goes negative, so it
+never builds the (r+1)! elements; "kwmf_altset" runs the same sign test,
+`alternation.survivors`, over the characterized set.
 
 The closed form per element: with h = height(mu) and l the length of sigma,
 the exponents are a = l + (number of ABSENT boundary generators) and
@@ -34,11 +38,11 @@ one raises RuntimeError.
 from dataclasses import dataclass
 from math import comb
 
-from .alternation import alt_set_characterized, survivors
+from .alternation import alt_set_characterized, pruned_survivors, survivors
 from .combinatorics import nonconsecutive_count_k
 from .partition import QPolynomial, kostant_q
 from .weights import RootInterval, Weight, as_interval, highest_root
-from .weyl import WeylElement, enumerate_all
+from .weyl import WeylElement
 
 
 @dataclass(frozen=True)
@@ -73,10 +77,11 @@ class MultiplicityReport:
         }
 
 
-def _signed_sum(lam: Weight, mu: Weight, sigmas) -> tuple[QPolynomial, int]:
+def _signed_sum(rank: int, pairs) -> tuple[QPolynomial, int]:
+    """Sum sign(sigma) * P_q(xi) over the (sigma, xi) pairs of the nonzero terms."""
     total, terms = QPolynomial.zero(), 0
-    for sigma, xi in survivors(lam, mu, sigmas):
-        p = kostant_q(lam.rank, Weight(lam.rank, xi))
+    for sigma, xi in pairs:
+        p = kostant_q(rank, Weight(rank, xi))
         total = total + p if sigma.sign > 0 else total - p
         terms += 1
     return total, terms
@@ -100,17 +105,17 @@ def q_multiplicity(
             f"rank mismatch: rank={rank}, lam rank {lam.rank}, mu rank {mu.rank}"
         )
     if method == "kwmf_full":
-        sigmas = enumerate_all(rank, max_rank)
+        pairs = pruned_survivors(lam, mu, max_rank)
     elif method == "kwmf_altset":
         if lam != highest_root(rank):
             raise ValueError("kwmf_altset requires lam to be the highest root")
         iv = as_interval(mu)
         if iv is None:
             raise ValueError(f"kwmf_altset requires mu to be an interval root, got {mu.coords}")
-        sigmas = alt_set_characterized(iv)
+        pairs = survivors(lam, mu, alt_set_characterized(iv))
     else:
         raise ValueError(f"method must be 'kwmf_full' or 'kwmf_altset', got {method!r}")
-    poly, terms = _signed_sum(lam, mu, sigmas)
+    poly, terms = _signed_sum(rank, pairs)
     return MultiplicityReport(rank, lam, mu, poly, method, terms)
 
 

@@ -4,9 +4,11 @@ from collections import Counter
 
 import pytest
 
+import kostant.alternation
 from kostant import (
     CapacityError,
     RootInterval,
+    Weight,
     alt_cardinality,
     alt_set_bruteforce,
     alt_set_characterized,
@@ -20,6 +22,8 @@ from kostant import (
     simple_root,
     zero_weight,
 )
+from kostant.alternation import pruned_survivors, survivors
+from kostant.weyl import enumerate_all
 
 
 def _words(aset):
@@ -142,12 +146,45 @@ def test_bruteforce_cap_and_validation():
 
 
 def test_survivors_rejects_rank_mismatch():
-    from kostant.alternation import survivors
-
     with pytest.raises(ValueError):
         survivors(highest_root(3), simple_root(2, 1), [identity(3)])
     with pytest.raises(ValueError):  # sigma of the wrong rank
         list(survivors(highest_root(3), simple_root(3, 1), [identity(2)]))
+
+
+# ------------------------------------------------------- the pruned search
+
+
+def _pairs(pairs):
+    return {(sigma.perm, xi) for sigma, xi in pairs}
+
+
+def test_pruned_search_keeps_the_whole_group_when_nothing_is_pruned():
+    # mu far below every image: each branch reaches the forced last slot
+    lam, mu = zero_weight(3), Weight(3, (-10, -10, -10))
+    found = _pairs(pruned_survivors(lam, mu))
+    assert len(found) == 24
+    assert found == _pairs(survivors(lam, mu, enumerate_all(3)))
+
+
+def test_pruned_search_guards():
+    with pytest.raises(ValueError):
+        pruned_survivors(highest_root(3), simple_root(2, 1))
+    # the cap is checked on the call, before any element is produced
+    with pytest.raises(CapacityError, match="--brute-cap"):
+        pruned_survivors(highest_root(9), simple_root(9, 1))
+
+
+def test_pruned_search_raises_on_an_odd_doubled_weight(monkeypatch):
+    real_eps = kostant.alternation._eps
+
+    def odd_eps(coords):
+        eps = real_eps(coords)  # move one unit between the ends: the sum stays 0
+        return [eps[0] + 1, *eps[1:-1], eps[-1] - 1]
+
+    monkeypatch.setattr(kostant.alternation, "_eps", odd_eps)
+    with pytest.raises(RuntimeError, match="non-integral"):
+        list(pruned_survivors(highest_root(2), zero_weight(2)))
 
 
 # ------------------------------------------------------- counts by length

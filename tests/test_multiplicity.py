@@ -29,6 +29,7 @@ from kostant import (
     simple_root,
     zero_weight,
 )
+from kostant.alternation import pruned_survivors, survivors
 from kostant.cli import run
 from kostant.multiplicity import _term_poly
 
@@ -124,6 +125,34 @@ def test_survivor_filter_matches_the_literal_weyl_sum(case):
     rep = q_multiplicity(r, lam, mu, "kwmf_full")
     assert rep.q_multiplicity == total
     assert rep.term_count == len(members)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda r: st.tuples(st.just(r), st.integers(1, r)).flatmap(
+            lambda ri: st.tuples(st.just(ri[0]), st.just(ri[1]), st.integers(ri[1], ri[0]))
+        )
+    )
+)
+def test_every_route_agrees_on_random_intervals(rij):
+    iv = RootInterval(*rij)
+    r, lam, mu = iv.rank, highest_root(iv.rank), interval_root(iv)
+    full = q_multiplicity(r, lam, mu, "kwmf_full", max_rank=r)
+    restricted = q_multiplicity(r, lam, mu, "kwmf_altset")
+    expected = predicted_q_multiplicity(iv)
+    assert full.q_multiplicity == restricted.q_multiplicity == expected
+    assert q_multiplicity_closed(iv) == expected
+    assert full.term_count == restricted.term_count == alt_cardinality(iv)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_lam_mu_pairs())
+def test_pruned_search_matches_the_literal_scan(case):
+    r, lam_coords, mu_coords = case
+    lam, mu = Weight(r, tuple(lam_coords)), Weight(r, tuple(mu_coords))
+    literal = {(s.perm, xi) for s, xi in survivors(lam, mu, enumerate_all(r))}
+    assert {(s.perm, xi) for s, xi in pruned_survivors(lam, mu)} == literal
 
 
 # --------------------------------------------------------- closed-form route
