@@ -19,8 +19,10 @@ from kostant import (
     kostant_q_oracle,
     set_partition_memo_limit,
     simple_root,
+    two_rho,
     zero_weight,
 )
+from kostant import partition
 
 
 # ---------------------------------------------------------------- QPolynomial
@@ -189,10 +191,42 @@ def test_memo_limit_flush_keeps_results_correct():
         set_partition_memo_limit(2)
         clear_partition_memo()
         assert kostant_q(3, xi) == expected
+        assert len(partition._MEMO[3]) <= 2
         assert kostant_q(3, highest_root(3)) == consecutive_closed_form(3)
+        assert len(partition._MEMO[3]) <= 2
     finally:
         set_partition_memo_limit(None)
         clear_partition_memo()
     with pytest.raises(ValueError):
         set_partition_memo_limit(0)
     assert kostant_q(3, xi) == expected
+
+
+def test_memo_keeps_only_block_boundary_states():
+    # A state whose first nonzero position is f starts at the first root
+    # covering f, so the remaining weight alone is its key; the states
+    # inside a block live for one call only.
+    clear_partition_memo()
+    try:
+        assert kostant_q(7, two_rho(7)).evaluate(1) == 244868962698
+        memo = partition._MEMO[7]
+        assert len(memo) == 11892
+        for key in memo:
+            assert type(key) is tuple and len(key) == 7
+            assert all(type(c) is int and c >= 0 for c in key) and any(key)
+    finally:
+        clear_partition_memo()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_dp_matches_oracle_in_any_call_order_warm_or_cold(data):
+    rank = data.draw(st.integers(1, 5))
+    coords = st.tuples(*[st.integers(0, 3)] * rank)
+    weights = [Weight(rank, c) for c in data.draw(st.lists(coords, min_size=1, max_size=6))]
+    expected = {xi: kostant_q_oracle(rank, xi) for xi in weights}
+    for xi in weights:
+        assert kostant_q(rank, xi) == expected[xi]
+    clear_partition_memo()
+    for xi in data.draw(st.permutations(weights)):
+        assert kostant_q(rank, xi) == expected[xi]
