@@ -23,10 +23,14 @@ multiplicity sum. Two constructions are provided:
 The two constructions carry a provenance tag so tests can compare them
 without one silently standing in for the other.
 
-`count_by_length` and `max_length` expose the finer count of characterized
-elements by how many generators they use on one side of a one-sided
-interval, split by whether the generator adjacent to the interval (s_{i-1}
-on the left, s_{j+1} on the right) appears. Note the index convention: k
+`sides` describes the theorem's two sides once: each side's free letter
+range and its boundary letter. `side_tally` counts a side's choices by
+binomials. The generated set, the closed route in `multiplicity` and the
+counts below read only these two.
+
+`count_by_length` and `max_length` read the tally of a one-sided interval:
+[1, j] with j < r has only the right side, [i, r] with i > 1 only the left,
+and any other interval raises ValueError. Note the index convention: k
 counts the OTHER letters, drawn from the free range away from the boundary;
 an element counted under (k, contains=True) has Coxeter length k + 1, one
 counted under (k, contains=False) has length k. This is the convention
@@ -35,7 +39,7 @@ telescopes to the Fibonacci cardinality.
 """
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .combinatorics import fibonacci, nonconsecutive_count_k, nonconsecutive_subsets
 from .weights import (
@@ -180,22 +184,20 @@ def alt_set_characterized(iv: RootInterval, max_ground: int | None = None) -> Al
     """Generate A(highest root, interval root [i, j]) from its description.
 
     Elements are the products of pairwise nonconsecutive generators taken
-    from {2..i-1} on the left of the interval and {j+1..r-1} on the right;
-    the gap between the two ranges is at least 2, so any choice on one side
-    combines freely with any choice on the other. A few of the generated
-    elements are re-verified against the brute-force membership test.
+    from the free ranges of the two `sides`; the gap between the two ranges
+    is at least 2, so any choice on one side combines freely with any choice
+    on the other. A few of the generated elements are re-verified against
+    the brute-force membership test.
     """
-    r, i, j = iv.rank, iv.i, iv.j
+    r = iv.rank
     lam = highest_root(r)
     mu = interval_root(iv)
-    left = nonconsecutive_subsets(max(0, i - 2), max_ground)
-    right = nonconsecutive_subsets(max(0, r - 1 - j), max_ground)
-    members = []
-    for ls in left:
-        base = tuple(x + 1 for x in ls)  # {1..i-2} shifted into {2..i-1}
-        for rs in right:
-            letters = base + tuple(x + j for x in rs)  # {1..r-1-j} into {j+1..r-1}
-            members.append(from_nonconsecutive_letters(r, letters))
+    left, right = (
+        [tuple(x + side.letters.start - 1 for x in s)  # {1..m} onto the free range
+         for s in nonconsecutive_subsets(len(side.letters), max_ground)]
+        for side in sides(iv)
+    )
+    members = [from_nonconsecutive_letters(r, ls + rs) for ls in left for rs in right]
     spot = members[:_SPOT_CHECK]
     if sum(1 for _ in survivors(lam, mu, spot)) != len(spot):
         raise RuntimeError(f"a characterized element of {iv} fails the membership test")
@@ -207,47 +209,67 @@ def alt_cardinality(iv: RootInterval) -> int:
     return fibonacci(iv.i) * fibonacci(iv.rank - iv.j + 1)
 
 
-def _side_ground(iv: RootInterval, side: str) -> int:
-    """Letters in the one-sided free range, boundary letter included; validates side."""
-    if side == "right_boundary":
-        if iv.i != 1 or iv.j > iv.rank - 1:
-            raise ValueError(
-                f"right_boundary counts need mu = [1, j] with j <= rank-1, got {iv}"
-            )
-        return iv.rank - 1 - iv.j
-    if side == "left_boundary":
-        if iv.j != iv.rank or iv.i < 2:
-            raise ValueError(
-                f"left_boundary counts need mu = [i, rank] with i >= 2, got {iv}"
-            )
-        return iv.i - 2
-    raise ValueError(f"side must be 'left_boundary' or 'right_boundary', got {side!r}")
+class Side(NamedTuple):
+    """One side of A(highest root, [i, j]): its free letter range and boundary letter.
+
+    The ranges are {2..i-1} (left) and {j+1..r-1} (right); the boundary
+    letters are s_{i-1} and s_{j+1}, None when i = 1 or j = r. At i = 2 or
+    j = r-1 the range is empty, so the boundary letter is always absent.
+    """
+
+    letters: range
+    boundary: int | None
 
 
-def count_by_length(iv: RootInterval, k: int, side: str, contains: bool) -> int:
+def sides(iv: RootInterval) -> tuple[Side, Side]:
+    """The (left, right) sides of A(highest root, iv)."""
+    r, i, j = iv.rank, iv.i, iv.j
+    return (
+        Side(range(2, i), i - 1 if i > 1 else None),
+        Side(range(j + 1, r), j + 1 if j < r else None),
+    )
+
+
+def side_tally(side: Side) -> list[tuple[int, bool, int]]:
+    """(length, boundary letter present, count) for each nonzero count of the side.
+
+    A choice of k letters besides the boundary letter is a nonconsecutive
+    k-subset of the other m-1 free letters, or of the m-2 not next to the
+    boundary letter when that is present too.
+    """
+    m = len(side.letters)
+    tally = []
+    for k in range(m // 2 + 1):
+        for contains in (False, True):
+            count = nonconsecutive_count_k(m - 2 if contains else m - 1, k)
+            if count:
+                tally.append((k + contains, contains, count))
+    return tally
+
+
+def one_side(iv: RootInterval) -> Side:
+    """The only side with a boundary letter: [1, j] with j < r, or [i, r] with i > 1."""
+    present = [side for side in sides(iv) if side.boundary is not None]
+    if len(present) != 1:
+        raise ValueError(f"length counts need [1, j], j < rank, or [i, rank], i > 1; got {iv}")
+    return present[0]
+
+
+def count_by_length(iv: RootInterval, k: int, contains: bool) -> int:
     """Count characterized elements by free-range letters, split on the boundary letter.
 
-    For a one-sided interval the active generator range has a single
-    distinguished letter adjacent to the interval: s_{j+1} when mu = [1, j]
-    (side="right_boundary"), s_{i-1} when mu = [i, r] ("left_boundary").
-    This returns the number of elements using exactly k letters from the
-    rest of the range, with the boundary letter required (contains=True) or
-    forbidden (contains=False). Lengths: k+1 in the first case, k in the
-    second. All four counts are zero-padded binomials; summing them over k
-    recovers the Fibonacci cardinality.
+    This is the number of elements of a one-sided interval using exactly k
+    letters besides its boundary letter, with that letter required
+    (contains=True, length k+1) or forbidden (contains=False, length k).
+    Every other interval raises ValueError.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    m = _side_ground(iv, side)
-    # The boundary letter, when present, also rules out its one neighbour.
-    return nonconsecutive_count_k(m - 2 if contains else m - 1, k)
+    tally = {(length - has, has): count for length, has, count in side_tally(one_side(iv))}
+    return tally.get((k, contains), 0)
 
 
-def max_length(iv: RootInterval, side: str, contains: bool) -> int:
-    """Largest k with count_by_length(iv, k, side, contains) possibly nonzero.
-
-    Floor formulas clamped below at zero; beyond the returned k every count
-    is exactly 0.
-    """
-    m = _side_ground(iv, side)
-    return max(0, (m - 1) // 2 if contains else m // 2)
+def max_length(iv: RootInterval, contains: bool) -> int:
+    """Largest k with count_by_length(iv, k, contains) nonzero, or 0; past it every count is 0."""
+    tally = side_tally(one_side(iv))
+    return max((length - has for length, has, _ in tally if has == contains), default=0)

@@ -16,7 +16,9 @@ finishes, so its table view is None.
 
 Exit codes: 0 success or all-pass, 1 a comparison or verification failed,
 2 usage error (including an ``--out`` that cannot be written), 3 a capacity
-cap was hit (raise it with --brute-cap).
+cap was hit. The Weyl group rank cap can be raised with --brute-cap; the
+ground-set cap on the theorem's alternation sets (25 free letters per side)
+has no flag.
 """
 
 from __future__ import annotations

@@ -4,10 +4,12 @@ Conventions: Fibonacci numbers are 1-indexed with F_1 = F_2 = 1 (there is no
 F_0 here; asking for it is an error). A subset S of {1, ..., n} is
 *nonconsecutive* when no two of its elements differ by 1. There are F_{n+2}
 such subsets in total and C(n+1-k, k) of cardinality k, where the binomial
-is the zero-padded one below.
+is the zero-padded one below. Subsets are generated fresh on each call;
+no list of them stays resident.
 """
 
 import math
+from itertools import combinations
 
 from .errors import DEFAULT_SUBSET_GROUND_CAP, CapacityError
 
@@ -36,27 +38,16 @@ def binomial_safe(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-# _subsets_upto(n)[m] lists the nonconsecutive subsets of {1..m} as sorted
-# tuples. Recurrence: a subset of {1..m} either avoids m (subset of {1..m-1})
-# or contains m and avoids m-1 (subset of {1..m-2} plus m).
-_SUBSETS: list[list[tuple[int, ...]]] = [[()], [(), (1,)]]
-
-
-def _raw_subsets(n: int) -> list[tuple[int, ...]]:
-    while len(_SUBSETS) <= n:
-        m = len(_SUBSETS)
-        grown = list(_SUBSETS[m - 1])
-        grown.extend(s + (m,) for s in _SUBSETS[m - 2])
-        _SUBSETS.append(grown)
-    return _SUBSETS[n]
-
-
 def nonconsecutive_subsets(n: int, max_ground: int | None = None) -> list[tuple[int, ...]]:
     """All nonconsecutive subsets of {1, ..., n}, ordered by (size, lexicographic).
 
-    n = 0 yields just the empty subset. The ground-set size is capped
-    (default 25, i.e. at most F_27 = 196418 subsets) because the result is
-    materialized; pass max_ground to raise the cap deliberately.
+    n = 0 yields just the empty subset. Each size k comes from the shift
+    bijection x_t = y_t + t (t = 0, 1, ...) applied to the k-subsets y of
+    {1, ..., n-k+1}, which itertools.combinations lists in lexicographic
+    order; the shift keeps that order, so nothing is sorted, and nothing is
+    cached between calls. The ground-set size is capped (default 25, i.e.
+    at most F_27 = 196418 subsets) because the result is materialized; pass
+    max_ground to raise the cap deliberately.
     """
     if n < 0:
         raise ValueError(f"ground set size must be >= 0, got {n}")
@@ -66,7 +57,11 @@ def nonconsecutive_subsets(n: int, max_ground: int | None = None) -> list[tuple[
             f"nonconsecutive_subsets asked for ground set of size {n}, cap is {cap}; "
             f"pass max_ground to override"
         )
-    return sorted(_raw_subsets(n), key=lambda s: (len(s), s))
+    return [
+        tuple(y + t for t, y in enumerate(ys))
+        for k in range((n + 1) // 2 + 1)
+        for ys in combinations(range(1, n - k + 2), k)
+    ]
 
 
 def nonconsecutive_count_k(n: int, k: int) -> int:

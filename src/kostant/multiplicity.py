@@ -31,15 +31,14 @@ The closed form per element: with h = height(mu) and l the length of sigma,
 the exponents are a = l + (number of ABSENT boundary generators) and
 b = r - h - 2l - (that same number), where the boundary generators are
 s_{i-1} (present as a possibility only when i > 1) and s_{j+1} (only when
-j < r). Both exponents are provably nonnegative on valid input; a negative
-one raises RuntimeError.
+j < r), as `alternation.sides` describes them. Both exponents are provably
+nonnegative on valid input; a negative one raises RuntimeError.
 """
 
 from dataclasses import dataclass
 from math import comb
 
-from .alternation import alt_set_characterized, pruned_survivors, survivors
-from .combinatorics import nonconsecutive_count_k
+from .alternation import alt_set_characterized, pruned_survivors, side_tally, sides, survivors
 from .partition import QPolynomial, kostant_q
 from .weights import RootInterval, Weight, as_interval, highest_root
 from .weyl import WeylElement
@@ -119,15 +118,6 @@ def q_multiplicity(
     return MultiplicityReport(rank, lam, mu, poly, method, terms)
 
 
-def _boundary_letters(iv: RootInterval) -> tuple[int, ...]:
-    letters = []
-    if iv.i > 1:
-        letters.append(iv.i - 1)
-    if iv.j < iv.rank:
-        letters.append(iv.j + 1)
-    return tuple(letters)
-
-
 def _exponents(r: int, h: int, length: int, absent: int) -> tuple[int, int]:
     """(a, b) of the closed form q^a (1+q)^b; b < 0 means the input was invalid."""
     b = r - h - 2 * length - absent
@@ -149,41 +139,19 @@ def closed_form_term(iv: RootInterval, sigma: WeylElement) -> QPolynomial:
     membership is validated. The value is q^a (1+q)^b with a = length +
     #absent boundary generators and b = r - h - 2*length - #absent.
     """
-    r, i, j = iv.rank, iv.i, iv.j
+    r = iv.rank
     if sigma.rank != r:
         raise ValueError(f"rank mismatch: interval rank {r} vs element rank {sigma.rank}")
+    left, right = sides(iv)
     supp = sorted(sigma.support)
-    for x in supp:
-        if not (2 <= x <= i - 1 or j + 1 <= x <= r - 1):
-            raise ValueError(
-                f"element with support {supp} is not in the alternation set of {iv}"
-            )
-    for a, b in zip(supp, supp[1:]):
-        if b - a < 2:
-            raise ValueError(
-                f"element with support {supp} is not in the alternation set of {iv}"
-            )
-    boundary = _boundary_letters(iv)
-    absent = sum(1 for x in boundary if x not in sigma.support)
+    outside = [x for x in supp if x not in left.letters and x not in right.letters]
+    if outside or any(b - a < 2 for a, b in zip(supp, supp[1:])):
+        raise ValueError(f"element with support {supp} is not in the alternation set of {iv}")
+    absent = sum(
+        1 for side in (left, right)
+        if side.boundary is not None and side.boundary not in sigma.support
+    )
     return _term_poly(r, iv.height, sigma.length, absent)
-
-
-def _side_histogram(m: int) -> list[tuple[int, bool, int]]:
-    """Tally nonconsecutive subsets of {1..m} as (size, contains-end, count).
-
-    "End" is the element of the ground set adjacent to the interval: the
-    largest letter on the left side, the smallest on the right. A size-k
-    subset without it is a nonconsecutive k-subset of the other m-1 letters;
-    one with it leaves k-1 letters to the m-2 not next to the end. Reversal
-    x -> m+1-x swaps the two readings, so one histogram serves both sides.
-    """
-    tally = []
-    for k in range((m + 1) // 2 + 1):
-        for has_end, count in ((False, nonconsecutive_count_k(m - 1, k)),
-                               (True, nonconsecutive_count_k(m - 2, k - 1))):
-            if count:
-                tally.append((k, has_end, count))
-    return tally
 
 
 def q_multiplicity_closed(iv: RootInterval) -> QPolynomial:
@@ -197,12 +165,13 @@ def q_multiplicity_closed(iv: RootInterval) -> QPolynomial:
     sum as iterating the elements, reassociated, and nothing is enumerated,
     so there is no rank cap.
     """
-    r, i, j = iv.rank, iv.i, iv.j
-    n_boundary = len(_boundary_letters(iv))
-    right = _side_histogram(max(0, r - 1 - j))
+    r = iv.rank
+    left, right = sides(iv)
+    n_boundary = (left.boundary is not None) + (right.boundary is not None)
+    right_tally = side_tally(right)
     cells: dict[tuple[int, int], int] = {}
-    for kl, has_l, cl in _side_histogram(max(0, i - 2)):
-        for kr, has_r, cr in right:
+    for kl, has_l, cl in side_tally(left):
+        for kr, has_r, cr in right_tally:
             key = (kl + kr, n_boundary - has_l - has_r)
             cells[key] = cells.get(key, 0) + cl * cr
     total: list[int] = [0] * (r - iv.height + 1)

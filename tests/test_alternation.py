@@ -192,20 +192,20 @@ def test_pruned_search_raises_on_an_odd_doubled_weight(monkeypatch):
 
 def test_count_by_length_known_values():
     iv = RootInterval(10, 1, 3)
-    assert count_by_length(iv, 2, "right_boundary", True) == 3
-    assert count_by_length(iv, 2, "right_boundary", False) == 6
-    assert count_by_length(iv, 0, "right_boundary", False) == 1  # the identity
+    assert count_by_length(iv, 2, True) == 3
+    assert count_by_length(iv, 2, False) == 6
+    assert count_by_length(iv, 0, False) == 1  # the identity
     left = RootInterval(5, 5, 5)
-    assert count_by_length(left, 0, "left_boundary", True) == 1  # s_4 alone
-    assert count_by_length(left, 1, "left_boundary", True) == 1  # s_2 s_4
+    assert count_by_length(left, 0, True) == 1  # s_4 alone
+    assert count_by_length(left, 1, True) == 1  # s_2 s_4
 
 
 def test_max_length_known_values():
-    assert max_length(RootInterval(10, 1, 3), "right_boundary", True) == 2
-    assert max_length(RootInterval(5, 5, 5), "left_boundary", True) == 1
+    assert max_length(RootInterval(10, 1, 3), True) == 2
+    assert max_length(RootInterval(5, 5, 5), True) == 1
     # clamped at zero when the range cannot even hold the boundary letter
-    assert max_length(RootInterval(6, 1, 5), "right_boundary", True) == 0
-    assert max_length(RootInterval(6, 1, 5), "right_boundary", False) == 0
+    assert max_length(RootInterval(6, 1, 5), True) == 0
+    assert max_length(RootInterval(6, 1, 5), False) == 0
 
 
 def _filtered_counts(iv, side):
@@ -232,7 +232,7 @@ def test_count_by_length_matches_direct_filter_through_rank_9(side):
             tally = _filtered_counts(iv, side)
             for contains in (True, False):
                 for k in range(0, r + 2):
-                    assert count_by_length(iv, k, side, contains) == tally.get(
+                    assert count_by_length(iv, k, contains) == tally.get(
                         (contains, k), 0
                     ), (iv, k, contains)
 
@@ -248,28 +248,26 @@ def test_counts_total_to_cardinality_and_vanish_past_max(side):
         for iv in ivs:
             total = 0
             for contains in (True, False):
-                bound = max_length(iv, side, contains)
+                bound = max_length(iv, contains)
                 for k in range(0, bound + 1):
-                    total += count_by_length(iv, k, side, contains)
+                    total += count_by_length(iv, k, contains)
                 for k in range(bound + 1, bound + 5):
-                    assert count_by_length(iv, k, side, contains) == 0
+                    assert count_by_length(iv, k, contains) == 0
             assert total == alt_cardinality(iv), iv
 
 
 def test_count_by_length_validation():
     iv = RootInterval(6, 2, 4)  # two-sided: neither side applies
     with pytest.raises(ValueError):
-        count_by_length(iv, 0, "right_boundary", True)
+        count_by_length(iv, 0, True)
     with pytest.raises(ValueError):
-        count_by_length(iv, 0, "left_boundary", True)
+        count_by_length(iv, 0, False)
     with pytest.raises(ValueError):
-        count_by_length(RootInterval(6, 1, 3), 0, "middle", True)
+        count_by_length(RootInterval(6, 1, 6), 0, True)  # [1, r]: no side at all
     with pytest.raises(ValueError):
-        count_by_length(RootInterval(6, 1, 3), -1, "right_boundary", True)
+        count_by_length(RootInterval(6, 1, 3), -1, True)
     with pytest.raises(ValueError):
-        max_length(RootInterval(6, 1, 6), "right_boundary", True)  # j = rank
-    with pytest.raises(ValueError):
-        max_length(RootInterval(6, 1, 3), "left_boundary", True)  # i = 1
+        max_length(RootInterval(6, 1, 6), True)  # j = rank
 
 
 def test_characterized_rejects_oversized_ground_set():

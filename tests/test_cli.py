@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -205,6 +209,17 @@ def test_verify_json_deterministic_for_seed(capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == EXIT_OK
     assert "alt-set" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_without_installing():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "kostant", "identity", "--max-n", "3"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "verdict: pass" in done.stdout
 
 
 def test_verify_maps_failure_to_exit_1(capsys, monkeypatch):

@@ -1,6 +1,10 @@
 """Fibonacci numbers, zero-padded binomials, nonconsecutive subsets."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -92,6 +96,26 @@ def test_subsets_ground_cap():
     assert len(nonconsecutive_subsets(26, max_ground=26)) == fibonacci(28)
     with pytest.raises(ValueError):
         nonconsecutive_subsets(-1)
+
+
+def test_subsets_keep_nothing_resident():
+    # A fresh interpreter, so no earlier call in this session has filled a cache.
+    probe = (
+        "import gc, tracemalloc\n"
+        "from kostant.combinatorics import nonconsecutive_subsets\n"
+        "tracemalloc.start()\n"
+        "before = tracemalloc.get_traced_memory()[0]\n"
+        "nonconsecutive_subsets(22)\n"
+        "gc.collect()\n"
+        "print(tracemalloc.get_traced_memory()[0] - before)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 1_000_000, done.stdout
 
 
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=25))

@@ -204,6 +204,21 @@ def test_closed_form_term_rejects_non_members():
         closed_form_term(iv, identity(6))  # rank mismatch
 
 
+def test_closed_form_term_accepts_exactly_the_characterized_set_through_rank_5():
+    # the membership check and the generated set both read alternation.sides
+    for r in range(1, 6):
+        group = list(enumerate_all(r))
+        for iv in _all_intervals(r):
+            members = alt_set_characterized(iv)
+            for sigma in group:
+                try:
+                    closed_form_term(iv, sigma)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == (sigma in members), (iv, sigma.reduced_word())
+
+
 def test_grouped_closed_sum_equals_per_element_sum_through_rank_9():
     for r in range(1, 10):
         for iv in _all_intervals(r):
