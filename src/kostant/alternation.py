@@ -18,7 +18,14 @@ multiplicity sum. Two constructions are provided:
   pairwise nonconsecutive generators drawn from {2..i-1} and {j+1..r-1}.
   Nonconsecutive subsets of an n-set are Fibonacci-counted, so the set has
   exactly F_i * F_{r-j+1} elements and is cheap to generate at ranks far
-  beyond brute force reach.
+  beyond brute force reach. Each side's choices are validated once, F_i
+  and F_{r-j+1} of them; a left letter moves only slots 1..i and a right
+  letter only slots j+1..r+1, so a product's one-line notation is glued as
+  left[:i] + (i+1, ..., j) + right[j:] and its reduced word as the left
+  letters then the right ones. The set is materialized, so it is refused
+  with CapacityError, before anything is built, when it would exceed
+  F_(cap+2) elements: the most one side of cap free letters gives
+  (cap = max_ground, default 25; at rank 30, [15, 15] has 602,070).
 
 The two constructions carry a provenance tag so tests can compare them
 without one silently standing in for the other.
@@ -42,6 +49,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .combinatorics import fibonacci, nonconsecutive_count_k, nonconsecutive_subsets
+from .errors import DEFAULT_SUBSET_GROUND_CAP, CapacityError
 from .weights import (
     RootInterval,
     Weight,
@@ -54,6 +62,7 @@ from .weyl import (
     WeylElement,
     _eps,
     _halved,
+    _with_reduced_word,
     check_brute_rank,
     enumerate_all,
     from_nonconsecutive_letters,
@@ -186,22 +195,43 @@ def alt_set_characterized(iv: RootInterval, max_ground: int | None = None) -> Al
     Elements are the products of pairwise nonconsecutive generators taken
     from the free ranges of the two `sides`; the gap between the two ranges
     is at least 2, so any choice on one side combines freely with any choice
-    on the other. A few of the generated elements are re-verified against
-    the brute-force membership test.
+    on the other. Each side's choices are validated once, and every product
+    is glued from its two factors. The set is refused with CapacityError,
+    before anything is built, when it would hold more than F_(cap+2)
+    elements (cap = max_ground, default 25). A few of the generated
+    elements are re-verified against the brute-force membership test.
     """
-    r = iv.rank
+    r, i, j = iv.rank, iv.i, iv.j
+    cap = DEFAULT_SUBSET_GROUND_CAP if max_ground is None else max_ground
+    if cap < 0:
+        raise ValueError(f"ground-set cap must be >= 0, got {cap}")
+    size, bound = alt_cardinality(iv), fibonacci(cap + 2)
+    if size > bound:
+        raise CapacityError(
+            f"the alternation set of {iv} has {size} elements, more than F_{cap + 2} = "
+            f"{bound}, the most {cap} free letters on one side give; "
+            f"pass max_ground to raise the cap"
+        )
     lam = highest_root(r)
     mu = interval_root(iv)
-    left, right = (
-        [tuple(x + side.letters.start - 1 for x in s)  # {1..m} onto the free range
-         for s in nonconsecutive_subsets(len(side.letters), max_ground)]
-        for side in sides(iv)
-    )
-    members = [from_nonconsecutive_letters(r, ls + rs) for ls in left for rs in right]
+    left_side, right_side = sides(iv)
+    # Left letters (< i) move only slots 1..i, right letters (> j) only j+1..r+1.
+    middle = tuple(range(i + 1, j + 1))
+    left = [(el.perm[:i] + middle, el.reduced_word())
+            for el in _side_factors(r, left_side, max_ground)]
+    right = [(el.perm[j:], el.reduced_word()) for el in _side_factors(r, right_side, max_ground)]
+    members = [_with_reduced_word(r, lp + rp, ls + rs) for lp, ls in left for rp, rs in right]
     spot = members[:_SPOT_CHECK]
     if sum(1 for _ in survivors(lam, mu, spot)) != len(spot):
         raise RuntimeError(f"a characterized element of {iv} fails the membership test")
     return AlternationSet(r, lam, mu, frozenset(members), PROVENANCE_CHARACTERIZED)
+
+
+def _side_factors(rank: int, side: "Side", max_ground: int | None) -> list[WeylElement]:
+    """Each choice of letters on one side, validated once, as an element."""
+    shift = side.letters.start - 1  # {1..m} onto the free range
+    return [from_nonconsecutive_letters(rank, tuple(x + shift for x in s))
+            for s in nonconsecutive_subsets(len(side.letters), max_ground)]
 
 
 def alt_cardinality(iv: RootInterval) -> int:

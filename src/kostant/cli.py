@@ -17,8 +17,11 @@ finishes, so its table view is None.
 Exit codes: 0 success or all-pass, 1 a comparison or verification failed,
 2 usage error (including an ``--out`` that cannot be written), 3 a capacity
 cap was hit. The Weyl group rank cap can be raised with --brute-cap; the
-ground-set cap on the theorem's alternation sets (25 free letters per side)
-has no flag.
+cap on the theorem's alternation sets (25 free letters per side, so at most
+F_27 = 196418 elements) has no flag.
+
+The parser is built once per process and reused by every ``run`` call;
+each call parses into a fresh Namespace.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import sys
@@ -33,7 +37,7 @@ import sys
 from .acceptance import DEFAULT_BRUTE_RANK, DEFAULT_CLOSED_RANK, DEFAULT_SEED, run_all
 from .alternation import alt_cardinality, alt_set_bruteforce, alt_set_characterized
 from .combinatorics import fibonacci, nonconsecutive_count_k
-from .errors import CapacityError
+from .errors import DEFAULT_SUBSET_GROUND_CAP, CapacityError
 from .multiplicity import predicted_q_multiplicity, q_multiplicity, q_multiplicity_closed
 from .partition import kostant_q, kostant_q_oracle
 from .weights import RootInterval, Weight, highest_root, interval_root, zero_weight
@@ -93,7 +97,15 @@ def _cmd_alt_set(args):
             args.rank, highest_root(args.rank), interval_root(iv), max_rank=args.brute_cap
         )
     if args.method in ("theorem", "both"):
-        sets["theorem"] = alt_set_characterized(iv)
+        try:
+            sets["theorem"] = alt_set_characterized(iv)
+        except CapacityError:
+            cap = DEFAULT_SUBSET_GROUND_CAP
+            raise CapacityError(
+                f"alt-set --mu {iv.i}..{iv.j} at rank {args.rank} has {alt_cardinality(iv)} "
+                f"elements; the theorem route has a fixed cap of {cap} free letters per side "
+                f"(at most F_{cap + 2} = {fibonacci(cap + 2)} elements) and no flag raises it"
+            ) from None
     verdict = None
     if args.method == "both":
         verdict = sets["brute"].elements == sets["theorem"].elements
@@ -289,7 +301,9 @@ def _add_output_flags(sp) -> None:
     sp.add_argument("--out", metavar="FILE", default=None, help="write output to FILE")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each parse fills a fresh Namespace."""
     p = argparse.ArgumentParser(
         prog="kostant",
         description="Alternation sets, partition polynomials, and q-multiplicities "
@@ -338,9 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     """Parse argv and execute; returns the exit code instead of exiting."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:

@@ -32,6 +32,8 @@ class WeylElement:
     and a reduced word are computed lazily and cached.
     """
 
+    __slots__ = ("rank", "perm", "_length", "_word", "_support")
+
     def __init__(self, rank: int, perm: tuple[int, ...], check: bool = True):
         perm = tuple(perm)
         if check:
@@ -86,7 +88,14 @@ class WeylElement:
 
     @property
     def sign(self) -> int:
-        """(-1) ** length, computed from cycle parity in linear time."""
+        """(-1) ** length.
+
+        Read off the parity of the length when it is already known (as for
+        every element built from a reduced word); otherwise counted from the
+        cycle parity in linear time, without computing the length.
+        """
+        if self._length is not None:
+            return -1 if self._length % 2 else 1
         seen = [False] * len(self.perm)
         cycles = 0
         for start in range(len(self.perm)):
@@ -170,9 +179,9 @@ def from_nonconsecutive_letters(rank: int, letters) -> WeylElement:
     """Product of the commuting generators named by `letters`.
 
     Letters must be strictly increasing with gaps >= 2, so they pairwise
-    commute and the word is reduced; length and support are known up front
-    and cached, which is what makes materializing large alternation sets
-    cheap.
+    commute and the word is reduced; the word, and with it the length, is
+    known up front and cached, which is what makes materializing large
+    alternation sets cheap.
     """
     letters = tuple(letters)
     prev = None
@@ -185,10 +194,19 @@ def from_nonconsecutive_letters(rank: int, letters) -> WeylElement:
     perm = list(range(1, rank + 2))
     for letter in letters:
         perm[letter - 1], perm[letter] = perm[letter], perm[letter - 1]
-    el = WeylElement(rank, tuple(perm), check=False)
-    el._length = len(letters)
-    el._word = letters
-    el._support = frozenset(letters)
+    return _with_reduced_word(rank, tuple(perm), letters)
+
+
+def _with_reduced_word(rank: int, perm: tuple[int, ...], word: tuple[int, ...]) -> WeylElement:
+    """The element with one-line notation `perm`, whose reduced word `word` is known.
+
+    Nothing is checked: the caller vouches that `word` is the reduced word
+    that `reduced_word` would find for `perm`. The word and the length are
+    cached; the support stays lazy.
+    """
+    el = WeylElement.__new__(WeylElement)
+    el.rank, el.perm = rank, perm
+    el._length, el._word, el._support = len(word), word, None
     return el
 
 

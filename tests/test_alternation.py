@@ -3,17 +3,20 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kostant.alternation
 from kostant import (
     CapacityError,
     RootInterval,
     Weight,
+    WeylElement,
     alt_cardinality,
     alt_set_bruteforce,
     alt_set_characterized,
     count_by_length,
     fibonacci,
+    from_nonconsecutive_letters,
     from_word,
     highest_root,
     identity,
@@ -274,6 +277,77 @@ def test_characterized_rejects_oversized_ground_set():
     # the free range {2..39} would need F_40 elements; refused before any are built
     with pytest.raises(CapacityError):
         alt_set_characterized(RootInterval(40, 1, 1))
+
+
+def test_characterized_bounds_the_product_not_only_each_side(monkeypatch):
+    # 25 free letters on each side pass the per-side cap, but the product is
+    # F_27^2 = 38,580,030,724 elements: refused before any side is built
+    def no_subsets(*args, **kwargs):
+        raise AssertionError("a side was built")
+
+    monkeypatch.setattr(kostant.alternation, "nonconsecutive_subsets", no_subsets)
+    iv = RootInterval(53, 27, 27)
+    assert [len(side.letters) for side in kostant.alternation.sides(iv)] == [25, 25]
+    with pytest.raises(CapacityError, match="38580030724 elements"):
+        alt_set_characterized(iv)
+    monkeypatch.undo()
+    # the bound is F_(cap + 2): at cap 5, F_7 = 13 elements pass and 15 do not
+    assert len(alt_set_characterized(RootInterval(7, 7, 7), max_ground=5)) == 13
+    iv = RootInterval(10, 4, 6)  # sides of 2 and 3 letters: 3 * 5 = 15 elements
+    with pytest.raises(CapacityError, match="F_7 = 13"):
+        alt_set_characterized(iv, max_ground=5)
+    assert len(alt_set_characterized(iv)) == 15
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        alt_set_characterized(RootInterval(3, 1, 1), max_ground=-2)
+
+
+def _validated_products(iv):
+    """The characterized set built the slow way: every product validated on its own."""
+    left, right = (_nonconsecutive(side.letters) for side in kostant.alternation.sides(iv))
+    return {ls + rs: from_nonconsecutive_letters(iv.rank, ls + rs) for ls in left for rs in right}
+
+
+def _nonconsecutive(letters):
+    """Every nonconsecutive subset of a range of letters, by plain recursion."""
+    if not letters:
+        return [()]
+    first, rest = letters[0], letters[1:]
+    return _nonconsecutive(rest) + [(first,) + s for s in _nonconsecutive(rest[1:])]
+
+
+def _assert_glued_equals_validated(iv):
+    expected = _validated_products(iv)
+    glued = alt_set_characterized(iv)
+    assert len(glued) == len(expected) == alt_cardinality(iv)
+    for el in glued.elements:
+        ref = expected[el.reduced_word()]
+        assert el.perm == ref.perm
+        assert el.reduced_word() == ref.reduced_word()
+        assert el.length == ref.length
+        assert el.support == ref.support
+        assert el.sign == ref.sign
+        fresh = WeylElement(iv.rank, el.perm)  # nothing cached: word and sign from perm
+        assert fresh.reduced_word() == el.reduced_word()
+        assert fresh.sign == el.sign
+
+
+def test_glued_products_equal_validated_products_through_rank_12():
+    for r in range(1, 13):
+        for iv in _all_intervals(r):
+            _assert_glued_equals_validated(iv)
+
+
+@st.composite
+def _intervals_13_to_22(draw):
+    r = draw(st.integers(13, 22))
+    i = draw(st.integers(1, r))
+    return RootInterval(r, i, draw(st.integers(i, r)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_intervals_13_to_22())
+def test_glued_products_equal_validated_products_to_rank_22(iv):
+    _assert_glued_equals_validated(iv)
 
 
 def test_characterized_spot_check_raises(monkeypatch):

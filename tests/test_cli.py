@@ -170,6 +170,38 @@ def test_capacity_exit_3(capsys):
     capsys.readouterr()
 
 
+def test_ground_cap_exit_3_names_no_flag(capsys):
+    assert run(["alt-set", "--rank", "30", "--mu", "1..1"]) == EXIT_CAPACITY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("capacity: alt-set --mu 1..1 at rank 30 has 832040 elements")
+    assert "fixed cap of 25 free letters per side" in captured.err
+    assert "no flag raises it" in captured.err
+    assert "max_ground" not in captured.err
+    # each side within 25 letters, but F_27^2 elements together
+    assert run(["alt-set", "--rank", "53", "--mu", "27..27", "--format", "json"]) == EXIT_CAPACITY
+    assert "38580030724 elements" in capsys.readouterr().err
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    import kostant.cli as cli
+
+    assert cli._build_parser() is cli._build_parser()
+    assert run(["qmult", "--rank", "x", "--mu", "1..1"]) == EXIT_USAGE
+    assert run(["--help"]) == EXIT_OK
+    argv = ["qmult", "--rank", "9", "--mu", "1..1", "--method", "kwmf"]
+    assert run(argv + ["--brute-cap", "9"]) == EXIT_OK
+    assert "q^8" in capsys.readouterr().out
+    assert run(argv) == EXIT_CAPACITY  # the --brute-cap of the last call is gone
+    assert "--brute-cap" in capsys.readouterr().err
+    golden = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+    repeated = ["alt-set", "--rank", "7", "--mu", "4..4", "--method", "theorem", "--format", "csv"]
+    record = next(rec for rec in golden if rec["argv"] == repeated)
+    for _ in range(3):
+        assert run(record["argv"]) == record["exit"]
+        assert capsys.readouterr().out == record["stdout"]
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code = run(

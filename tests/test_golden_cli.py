@@ -11,6 +11,9 @@ an output change is intended:
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from kostant.cli import run
@@ -67,6 +70,26 @@ def test_cli_output_matches_golden():
     assert [rec["argv"] for rec in records] == golden_argvs()
     mismatched = [rec["argv"] for rec in records if call(rec["argv"]) != rec]
     assert mismatched == []
+
+
+def test_python_dash_O_replays_one_golden_call_per_format():
+    """`python -O -m kostant` strips asserts; the output must not change."""
+    records = {json.dumps(rec["argv"]): rec for rec in json.loads(GOLDEN.read_text())}
+    argvs = (
+        ["alt-set", "--rank", "7", "--mu", "4..4", "--method", "theorem", "--format", "json"],
+        ["alt-set", "--rank", "7", "--mu", "1..1", "--method", "both", "--format", "csv"],
+        ["qmult", "--rank", "6", "--mu", "2..6", "--method", "all", "--format", "table"],
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for argv in argvs:
+        record = records[json.dumps(argv)]
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "kostant", *argv],
+            env=env, capture_output=True, timeout=120,
+        )  # bytes, so the CSV's \r\n line ends are compared as written
+        assert (done.returncode, done.stdout.decode()) == (record["exit"], record["stdout"]), (
+            done.stderr.decode()
+        )
 
 
 if __name__ == "__main__":

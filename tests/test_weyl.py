@@ -96,6 +96,37 @@ def test_sign_matches_length_parity():
             assert sigma.sign == (-1) ** sigma.length
 
 
+def _cycle_parity(perm):
+    """(-1) ** (n - number of cycles), read off the one-line notation."""
+    seen, cycles = set(), 0
+    for start in range(1, len(perm) + 1):
+        if start not in seen:
+            cycles += 1
+            x = start
+            while x not in seen:
+                seen.add(x)
+                x = perm[x - 1]
+    return -1 if (len(perm) - cycles) % 2 else 1
+
+
+def test_sign_is_cycle_parity_with_and_without_a_cached_length():
+    from kostant import WeylElement
+
+    for r in range(1, 6):
+        for sigma in enumerate_all(r):
+            expected = _cycle_parity(sigma.perm)
+            fresh = WeylElement(r, sigma.perm)
+            assert fresh._length is None
+            assert fresh.sign == expected  # counted from cycles
+            assert fresh._length is None  # the sign did not compute the length
+            fresh.length
+            assert fresh.sign == expected  # read off the cached length
+    for r, letters in [(5, (2, 4)), (7, (1, 3, 5, 7)), (6, ()), (8, (3, 8))]:
+        sigma = from_nonconsecutive_letters(r, letters)
+        assert sigma._length == len(letters)
+        assert sigma.sign == _cycle_parity(sigma.perm) == (-1) ** len(letters)
+
+
 def _stabilizer_support(sigma):
     """Independent reading of support: s_i appears iff sigma moves {1..i} off itself."""
     out = set()
