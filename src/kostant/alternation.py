@@ -45,7 +45,7 @@ under which the counts are plain zero-padded binomials and their total
 telescopes to the Fibonacci cardinality.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 from .combinatorics import fibonacci, nonconsecutive_count_k, nonconsecutive_subsets
@@ -82,8 +82,14 @@ class AlternationSet:
     """The elements sigma with a nonzero partition count after the shifted action.
 
     `elements` is a frozenset of WeylElements; iteration is deterministic,
-    sorted by (length, reduced word). `provenance` records which
+    by length and then by reduced word. `provenance` records which
     construction produced the set.
+
+    That order is built once. `alt_set_characterized` sorts its products
+    before it builds them and passes the order in as `_order`; a set built
+    without one sorts its elements on its first iteration and keeps the
+    result, so a set that is never iterated never computes a reduced word.
+    The order takes no part in equality, hashing or repr.
     """
 
     rank: int
@@ -91,6 +97,7 @@ class AlternationSet:
     mu: Weight
     elements: frozenset[WeylElement]
     provenance: str
+    _order: tuple[WeylElement, ...] | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -99,7 +106,10 @@ class AlternationSet:
         return sigma in self.elements
 
     def __iter__(self):
-        return iter(sorted(self.elements, key=lambda s: (s.length, s.reduced_word())))
+        if self._order is None:
+            order = sorted(self.elements, key=lambda s: (s.length, s.reduced_word()))
+            object.__setattr__(self, "_order", tuple(order))
+        return iter(self._order)
 
     def to_json(self) -> dict:
         iv = as_interval(self.mu)
@@ -196,10 +206,13 @@ def alt_set_characterized(iv: RootInterval, max_ground: int | None = None) -> Al
     from the free ranges of the two `sides`; the gap between the two ranges
     is at least 2, so any choice on one side combines freely with any choice
     on the other. Each side's choices are validated once, and every product
-    is glued from its two factors. The set is refused with CapacityError,
-    before anything is built, when it would hold more than F_(cap+2)
-    elements (cap = max_ground, default 25). A few of the generated
-    elements are re-verified against the brute-force membership test.
+    is glued from its two factors, in the set's iteration order: the glued
+    (length, word, perm) triples are sorted before any element is built.
+    The set is refused with CapacityError, before anything is built, when
+    it would hold more than F_(cap+2) elements (cap = max_ground, default
+    25). The longest few elements, which carry letters from both sides
+    whenever both sides have free letters, are re-verified against the
+    brute-force membership test.
     """
     r, i, j = iv.rank, iv.i, iv.j
     cap = DEFAULT_SUBSET_GROUND_CAP if max_ground is None else max_ground
@@ -220,11 +233,14 @@ def alt_set_characterized(iv: RootInterval, max_ground: int | None = None) -> Al
     left = [(el.perm[:i] + middle, el.reduced_word())
             for el in _side_factors(r, left_side, max_ground)]
     right = [(el.perm[j:], el.reduced_word()) for el in _side_factors(r, right_side, max_ground)]
-    members = [_with_reduced_word(r, lp + rp, ls + rs) for lp, ls in left for rp, rs in right]
-    spot = members[:_SPOT_CHECK]
+    # Distinct elements have distinct words, so the sort never compares perms.
+    glued = [(len(ls) + len(rs), ls + rs, lp + rp) for lp, ls in left for rp, rs in right]
+    glued.sort()
+    members = tuple([_with_reduced_word(r, perm, word) for _, word, perm in glued])
+    spot = members[-_SPOT_CHECK:]
     if sum(1 for _ in survivors(lam, mu, spot)) != len(spot):
         raise RuntimeError(f"a characterized element of {iv} fails the membership test")
-    return AlternationSet(r, lam, mu, frozenset(members), PROVENANCE_CHARACTERIZED)
+    return AlternationSet(r, lam, mu, frozenset(members), PROVENANCE_CHARACTERIZED, _order=members)
 
 
 def _side_factors(rank: int, side: "Side", max_ground: int | None) -> list[WeylElement]:

@@ -12,7 +12,11 @@ JSON result dict, a CSV ``(header, rows)`` pair, or the table's lines.
 ``_render`` is the one output path: it writes the envelope, the CSV or the
 lines (plus a ``verdict:`` line when there is a verdict) and maps the
 verdict to the exit code. ``verify`` streams its table as each criterion
-finishes, so its table view is None.
+finishes, so its table view is None. The envelope is written by
+``_json_indented``, which gives the bytes of ``json.dumps(..., indent=2)``
+while leaving every scalar to the stdlib's C encoder. ``alt-set`` rows
+come in the alternation set's own iteration order (by length, then by
+reduced word), which the set builds once; the CLI does not sort.
 
 Exit codes: 0 success or all-pass, 1 a comparison or verification failed,
 2 usage error (including an ``--out`` that cannot be written), 3 a capacity
@@ -272,6 +276,39 @@ def _output(path: str | None):
         raise UsageError(f"cannot write --out: {exc}") from None
 
 
+def _json_indented(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, without the pure-Python encoder.
+
+    With an indent, json.dumps runs its pure-Python encoder. Here only the
+    non-empty containers are written in Python. Exact ints are written by
+    int.__repr__, as the stdlib writes them, and a list of them takes one
+    join. Every other scalar, every key and every empty container goes
+    through the C encoder of a plain json.dumps, so escaping, true/false/
+    null, float repr and key stringifying are the stdlib's own, and so is
+    the TypeError for a key or value it cannot encode. `pad` is the newline
+    and indent of the value's own line.
+    """
+    if isinstance(value, dict) and value:
+        inner = pad + "  "
+        # json.dumps stringifies a non-str key only as a key: encode {k: 0}, slice it out
+        items = [
+            f"{json.dumps(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]}: "
+            f"{_json_indented(v, inner)}"
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)) and value:
+        inner = pad + "  "
+        if set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_json_indented(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
 def _render(args, query: dict, verdict: bool | None, view) -> int:
     """Write one handler's view in args.format and return the exit code."""
     exit_code = EXIT_FAIL if verdict is False else EXIT_OK
@@ -279,7 +316,7 @@ def _render(args, query: dict, verdict: bool | None, view) -> int:
         return exit_code
     if args.format == "json":
         v = None if verdict is None else ("pass" if verdict else "fail")
-        text = json.dumps({"query": query, "result": view, "verdict": v}, indent=2)
+        text = _json_indented({"query": query, "result": view, "verdict": v})
     elif args.format == "csv":
         header, rows = view
         buf = io.StringIO()

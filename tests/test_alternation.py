@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import kostant.alternation
 from kostant import (
+    AlternationSet,
     CapacityError,
     RootInterval,
     Weight,
@@ -132,6 +133,46 @@ def test_set_iteration_order_and_json():
         "elements": [[], [2], [5], [6], [2, 5], [2, 6]],
         "provenance": "characterized",
     }
+
+
+def _canonical(aset):
+    return sorted(aset.elements, key=lambda s: (s.length, s.reduced_word()))
+
+
+def test_both_constructions_iterate_in_the_canonical_order_through_rank_6():
+    for r in range(1, 7):
+        lam = highest_root(r)
+        for iv in _all_intervals(r):
+            generated = alt_set_characterized(iv)
+            brute = alt_set_bruteforce(r, lam, interval_root(iv))
+            assert list(generated) == list(brute) == _canonical(generated), iv
+            assert list(generated) == list(generated)
+            assert list(brute) == list(brute)
+
+
+def test_cached_order_takes_no_part_in_equality_hash_or_repr():
+    aset = alt_set_characterized(RootInterval(7, 3, 4))
+    assert aset._order is not None  # built with the set, before any iteration
+    fields = (aset.rank, aset.lam, aset.mu, aset.elements, aset.provenance)
+    reversed_order = AlternationSet(*fields, _order=tuple(reversed(_canonical(aset))))
+    no_order = AlternationSet(*fields)
+    assert aset == reversed_order == no_order
+    assert hash(aset) == hash(reversed_order) == hash(no_order)
+    assert repr(aset) == repr(reversed_order) == repr(no_order)
+    assert "_order" not in repr(aset)
+    # a set built without an order sorts its elements on the first iteration
+    assert list(no_order) == _canonical(aset)
+
+
+def test_a_brute_force_set_computes_no_word_until_it_is_iterated():
+    aset = alt_set_bruteforce(5, highest_root(5), interval_root(RootInterval(5, 3, 3)))
+    assert len(aset) == 4
+    assert all(s._word is None for s in aset.elements)
+    assert aset._order is None
+    first = list(aset)
+    assert all(s._word is not None for s in aset.elements)
+    assert aset._order == tuple(first)  # kept for the next iteration
+    assert list(aset) == first == _canonical(aset)
 
 
 def test_bruteforce_json_uses_coords_for_non_interval_mu():

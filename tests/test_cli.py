@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import kostant.acceptance as acceptance
@@ -18,7 +19,7 @@ from kostant import (
     q_multiplicity,
     RootInterval,
 )
-from kostant.cli import EXIT_CAPACITY, EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
+from kostant.cli import EXIT_CAPACITY, EXIT_FAIL, EXIT_OK, EXIT_USAGE, _json_indented, run
 
 
 def _run_json(capsys, argv):
@@ -89,6 +90,54 @@ def test_alt_set_csv(capsys):
     assert out[0] == "method,word,perm,length,sign"
     assert len(out) == 7  # header + six elements, theorem route only
     assert out[1].startswith("theorem,,")  # identity has the empty word
+
+
+_JSON_SCALARS = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(min_value=-(2**200), max_value=-1),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([-0.0, 1e300, -1e-300]),
+    st.text(),
+    st.sampled_from(['"', "\\", '\\"\n\t\x00\x1f\x7f', "é☃\u2028𝄞"]),
+)
+_JSON_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.none(), st.floats())
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(st.integers(), max_size=5),
+        st.dictionaries(_JSON_KEYS, inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_writer_gives_the_stdlib_indent_2_bytes(value):
+    assert _json_indented(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_edge_cases_and_refusals():
+    for value in ({}, [], (), [[], {}], {"a": {}}, {1: [True, 1, None]}, [2**70, -3, 0]):
+        assert _json_indented(value) == json.dumps(value, indent=2)
+    for bad in ({(1, 2): 0}, [object()], {"k": {1, 2}}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            _json_indented(bad)
+
+
+def test_large_alt_set_json_is_the_stdlib_indent_2_text(capsys):
+    # rank 20, [3, 3]: 5,168 elements, beyond the golden file's rank 7
+    assert run(["alt-set", "--rank", "20", "--mu", "3..3", "--format", "json"]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert json.loads(text)["result"]["sets"]["theorem"]["count"] == 5168
 
 
 def test_closed_route_past_the_old_subset_cap(capsys):

@@ -258,6 +258,20 @@ def test_halving_rejects_an_odd_doubled_coordinate():
         list(_halved(iter([4, 6]), (2, 1)))
 
 
+def test_shifted_action_raises_on_an_odd_doubled_weight(monkeypatch):
+    import kostant.weyl
+
+    real_eps = kostant.weyl._eps
+
+    def odd_eps(coords):
+        eps = real_eps(coords)  # move one unit between the ends: the sum stays 0
+        return [eps[0] + 1, *eps[1:-1], eps[-1] - 1]
+
+    monkeypatch.setattr(kostant.weyl, "_eps", odd_eps)
+    with pytest.raises(RuntimeError, match="non-integral"):
+        shifted_action(identity(2), highest_root(2))
+
+
 def test_enumerate_all_counts_and_order():
     assert sum(1 for _ in enumerate_all(1)) == 2
     assert sum(1 for _ in enumerate_all(3)) == 24
