@@ -35,7 +35,6 @@ from .partition import (
     clear_partition_memo,
     kostant_q,
     kostant_q_oracle,
-    set_partition_memo_limit,
 )
 from .weights import (
     RootInterval,
@@ -96,7 +95,6 @@ __all__ = [
     "predicted_q_multiplicity",
     "q_multiplicity",
     "q_multiplicity_closed",
-    "set_partition_memo_limit",
     "shifted_action",
     "simple_reflection",
     "simple_root",

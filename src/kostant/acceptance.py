@@ -11,8 +11,8 @@ subcommand and the acceptance test module both route through the functions
 here, so the entry points cannot drift apart.
 
 Rank bounds default to the largest sizes the guarantees are advertised at.
-``run_all`` takes two knobs. ``max_brute_rank`` bounds the two criteria
-that scan the full symmetric group: brute vs characterized sets, and
+``run_all`` takes two knobs. ``max_brute_rank`` bounds two criteria: brute
+vs characterized sets, which scans the full symmetric group, and
 multiplicity one (intervals, and Weyl images up to rank 12).
 ``max_closed_rank`` bounds the closed-form route. The other eight criteria,
 the pruned full-sum power of q (rank 12) and zero-weight sum (rank 10)
@@ -112,7 +112,7 @@ def check_power_of_q_full(max_rank: int = 12) -> str:
     for r in range(1, max_rank + 1):
         lam = highest_root(r)
         for iv in _intervals(r):
-            rep = q_multiplicity(r, lam, interval_root(iv), "kwmf_full", max_rank=max_rank)
+            rep = q_multiplicity(r, lam, interval_root(iv), "kwmf_full")
             if rep.q_multiplicity != predicted_q_multiplicity(iv):
                 raise CriterionFailed(f"{iv}: got {rep.q_multiplicity.pretty()}")
             checked += 1
@@ -149,7 +149,7 @@ def check_multiplicity_one(max_rank: int = DEFAULT_BRUTE_RANK, image_rank: int =
         lam = highest_root(r)
         for iv in _intervals(r):
             for img in (interval_root(iv), -interval_root(iv)):
-                rep = q_multiplicity(r, lam, img, "kwmf_full", max_rank=max_rank)
+                rep = q_multiplicity(r, lam, img, "kwmf_full")
                 if rep.multiplicity_at_one != 1:
                     raise CriterionFailed(f"rank {r} image {img.coords}: multiplicity != 1")
                 images += 1
@@ -254,7 +254,7 @@ def check_boundary_length_counts(max_rank: int = 14) -> str:
 def check_zero_weight_sum(max_rank: int = 10) -> str:
     """Zero-weight q-multiplicity of the highest root is q + q^2 + ... + q^r."""
     for r in range(1, max_rank + 1):
-        rep = q_multiplicity(r, highest_root(r), zero_weight(r), "kwmf_full", max_rank=max_rank)
+        rep = q_multiplicity(r, highest_root(r), zero_weight(r), "kwmf_full")
         if rep.q_multiplicity != QPolynomial((0,) + (1,) * r):
             raise CriterionFailed(f"rank {r}: got {rep.q_multiplicity.pretty()}")
     return f"ranks 1..{max_rank}"

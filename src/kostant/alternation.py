@@ -11,7 +11,8 @@ multiplicity sum. Two constructions are provided:
   `survivors`. It works for any lam and mu but is capped by rank. It stays
   a literal scan on purpose: it is the reference for `pruned_survivors`,
   which finds the same members by a search that drops a branch as soon as
-  one coordinate goes negative (the full alternating sum uses it).
+  one coordinate goes negative (the full alternating sum uses it) and is
+  bounded by a fixed budget of visited nodes, not by rank.
 
 * `alt_set_characterized` is specific to lam = highest root and mu an
   interval root [i, j]: there the set consists exactly of the products of
@@ -24,8 +25,8 @@ multiplicity sum. Two constructions are provided:
   left[:i] + (i+1, ..., j) + right[j:] and its reduced word as the left
   letters then the right ones. The set is materialized, so it is refused
   with CapacityError, before anything is built, when it would exceed
-  F_(cap+2) elements: the most one side of cap free letters gives
-  (cap = max_ground, default 25; at rank 30, [15, 15] has 602,070).
+  F_27 = 196,418 elements, the most one side of 25 free letters gives (at
+  rank 30, [15, 15] has 602,070); so it also bounds each side.
 
 The two constructions carry a provenance tag so tests can compare them
 without one silently standing in for the other.
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 from .combinatorics import fibonacci, nonconsecutive_count_k, nonconsecutive_subsets
-from .errors import DEFAULT_SUBSET_GROUND_CAP, CapacityError
+from .errors import DEFAULT_SUBSET_GROUND_CAP, SEARCH_NODE_BUDGET, CapacityError
 from .weights import (
     RootInterval,
     Weight,
@@ -63,7 +64,6 @@ from .weyl import (
     _eps,
     _halved,
     _with_reduced_word,
-    check_brute_rank,
     enumerate_all,
     from_nonconsecutive_letters,
     shifted_action,
@@ -141,9 +141,7 @@ def survivors(lam: Weight, mu: Weight, sigmas) -> Iterator[tuple[WeylElement, tu
     return ((sigma, xi) for sigma, xi in terms if min(xi) >= 0)
 
 
-def pruned_survivors(
-    lam: Weight, mu: Weight, max_rank: int | None = None
-) -> Iterator[tuple[WeylElement, tuple[int, ...]]]:
+def pruned_survivors(lam: Weight, mu: Weight) -> Iterator[tuple[WeylElement, tuple[int, ...]]]:
     """The pairs of survivors(lam, mu, enumerate_all(rank)), by a pruned search.
 
     Coordinate k of sigma(2 lam + 2 rho) is the sum of the epsilon entries
@@ -151,21 +149,28 @@ def pruned_survivors(
     sigma^-1(2), ... one slot at a time and drops a branch as soon as its
     prefix sum falls below 2 rho_k + 2 mu_k: every completion would fail the
     sign test there. The last slot is forced, since the entries sum to 0.
-    The pairs come in no particular order. The rank cap of enumerate_all
-    applies, checked before the first pair is produced, because for large
-    lam every element can survive.
+    The pairs come in no particular order. Each prefix the search enters is
+    a node; past SEARCH_NODE_BUDGET nodes it raises CapacityError, so what
+    is refused is a search that really explodes, not a rank.
     """
     if lam.rank != mu.rank:
         raise ValueError(f"rank mismatch: lam rank {lam.rank} vs mu rank {mu.rank}")
     rank = lam.rank
-    check_brute_rank(rank, max_rank)
     tr = _two_rho_coords(rank)
     eps = _eps([2 * c + t for c, t in zip(lam.coords, tr)])
     floors = [t + 2 * m for t, m in zip(tr, mu.coords)]
     perm = [0] * (rank + 1)  # perm[x] = sigma(x + 1), set as slots fill
     prefixes: list[int] = []
+    nodes = 0
 
     def fill(unused: tuple[int, ...], total: int):
+        nonlocal nodes
+        nodes += 1
+        if nodes > SEARCH_NODE_BUDGET:
+            raise CapacityError(
+                f"the pruned search at rank {rank} visited more than {SEARCH_NODE_BUDGET} "
+                f"nodes, its fixed budget; no flag raises it"
+            )
         slot = len(prefixes) + 1
         if slot > rank:
             perm[unused[0]] = slot
@@ -199,7 +204,7 @@ def alt_set_bruteforce(
     return AlternationSet(rank, lam, mu, members, PROVENANCE_BRUTE)
 
 
-def alt_set_characterized(iv: RootInterval, max_ground: int | None = None) -> AlternationSet:
+def alt_set_characterized(iv: RootInterval) -> AlternationSet:
     """Generate A(highest root, interval root [i, j]) from its description.
 
     Elements are the products of pairwise nonconsecutive generators taken
@@ -209,30 +214,26 @@ def alt_set_characterized(iv: RootInterval, max_ground: int | None = None) -> Al
     is glued from its two factors, in the set's iteration order: the glued
     (length, word, perm) triples are sorted before any element is built.
     The set is refused with CapacityError, before anything is built, when
-    it would hold more than F_(cap+2) elements (cap = max_ground, default
-    25). The longest few elements, which carry letters from both sides
-    whenever both sides have free letters, are re-verified against the
-    brute-force membership test.
+    it would hold more than F_27 elements, what 25 free letters on one side
+    give; the cap is fixed. The longest few elements, which carry letters
+    from both sides whenever both sides have free letters, are re-verified
+    against the brute-force membership test.
     """
     r, i, j = iv.rank, iv.i, iv.j
-    cap = DEFAULT_SUBSET_GROUND_CAP if max_ground is None else max_ground
-    if cap < 0:
-        raise ValueError(f"ground-set cap must be >= 0, got {cap}")
+    cap = DEFAULT_SUBSET_GROUND_CAP
     size, bound = alt_cardinality(iv), fibonacci(cap + 2)
     if size > bound:
         raise CapacityError(
             f"the alternation set of {iv} has {size} elements, more than F_{cap + 2} = "
-            f"{bound}, the most {cap} free letters on one side give; "
-            f"pass max_ground to raise the cap"
+            f"{bound}, the most {cap} free letters on one side give; the cap is fixed"
         )
     lam = highest_root(r)
     mu = interval_root(iv)
     left_side, right_side = sides(iv)
     # Left letters (< i) move only slots 1..i, right letters (> j) only j+1..r+1.
     middle = tuple(range(i + 1, j + 1))
-    left = [(el.perm[:i] + middle, el.reduced_word())
-            for el in _side_factors(r, left_side, max_ground)]
-    right = [(el.perm[j:], el.reduced_word()) for el in _side_factors(r, right_side, max_ground)]
+    left = [(el.perm[:i] + middle, el.reduced_word()) for el in _side_factors(r, left_side)]
+    right = [(el.perm[j:], el.reduced_word()) for el in _side_factors(r, right_side)]
     # Distinct elements have distinct words, so the sort never compares perms.
     glued = [(len(ls) + len(rs), ls + rs, lp + rp) for lp, ls in left for rp, rs in right]
     glued.sort()
@@ -243,11 +244,11 @@ def alt_set_characterized(iv: RootInterval, max_ground: int | None = None) -> Al
     return AlternationSet(r, lam, mu, frozenset(members), PROVENANCE_CHARACTERIZED, _order=members)
 
 
-def _side_factors(rank: int, side: "Side", max_ground: int | None) -> list[WeylElement]:
+def _side_factors(rank: int, side: "Side") -> list[WeylElement]:
     """Each choice of letters on one side, validated once, as an element."""
     shift = side.letters.start - 1  # {1..m} onto the free range
     return [from_nonconsecutive_letters(rank, tuple(x + shift for x in s))
-            for s in nonconsecutive_subsets(len(side.letters), max_ground)]
+            for s in nonconsecutive_subsets(len(side.letters))]
 
 
 def alt_cardinality(iv: RootInterval) -> int:

@@ -20,9 +20,11 @@ reduced word), which the set builds once; the CLI does not sort.
 
 Exit codes: 0 success or all-pass, 1 a comparison or verification failed,
 2 usage error (including an ``--out`` that cannot be written), 3 a capacity
-cap was hit. The Weyl group rank cap can be raised with --brute-cap; the
-cap on the theorem's alternation sets (25 free letters per side, so at most
-F_27 = 196418 elements) has no flag.
+cap was hit. Only the rank cap of ``alt-set --method brute``, the literal
+scan of the whole Weyl group, can be raised, with --brute-cap. The node
+budget of ``qmult --method kwmf``'s pruned search and the cap on the
+theorem's alternation sets (25 free letters per side, so at most F_27 =
+196418 elements) are fixed; see ``errors``.
 
 The parser is built once per process and reused by every ``run`` call;
 each call parses into a fresh Namespace.
@@ -148,9 +150,7 @@ def _cmd_qmult(args):
         mu_weight, mu_label = interval_root(iv), [iv.i, iv.j]
     routes = {}  # name -> (polynomial, method tag, term count or None)
     if args.method in ("kwmf", "all"):
-        rep = q_multiplicity(
-            args.rank, highest_root(args.rank), mu_weight, "kwmf_full", max_rank=args.brute_cap
-        )
+        rep = q_multiplicity(args.rank, highest_root(args.rank), mu_weight, "kwmf_full")
         routes["kwmf"] = (rep.q_multiplicity, rep.method, rep.term_count)
     if args.method in ("closed", "all"):
         routes["closed"] = (q_multiplicity_closed(iv), "closed_form", alt_cardinality(iv))
@@ -361,7 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
     qm.add_argument("--rank", type=positive, required=True)
     qm.add_argument("--mu", required=True, help="interval i..j, or 0 for the zero weight")
     qm.add_argument("--method", choices=("kwmf", "closed", "predicted", "all"), default="closed")
-    qm.add_argument("--brute-cap", type=positive, default=None)
     _add_output_flags(qm)
     qm.set_defaults(handler=_cmd_qmult)
 

@@ -38,24 +38,23 @@ def binomial_safe(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def nonconsecutive_subsets(n: int, max_ground: int | None = None) -> list[tuple[int, ...]]:
+def nonconsecutive_subsets(n: int) -> list[tuple[int, ...]]:
     """All nonconsecutive subsets of {1, ..., n}, ordered by (size, lexicographic).
 
     n = 0 yields just the empty subset. Each size k comes from the shift
     bijection x_t = y_t + t (t = 0, 1, ...) applied to the k-subsets y of
     {1, ..., n-k+1}, which itertools.combinations lists in lexicographic
     order; the shift keeps that order, so nothing is sorted, and nothing is
-    cached between calls. The ground-set size is capped (default 25, i.e.
-    at most F_27 = 196418 subsets) because the result is materialized; pass
-    max_ground to raise the cap deliberately.
+    cached between calls. Because the result is materialized, the ground
+    set is capped at 25 (at most F_27 = 196418 subsets), the same fixed cap
+    that bounds each side of a characterized alternation set.
     """
     if n < 0:
         raise ValueError(f"ground set size must be >= 0, got {n}")
-    cap = DEFAULT_SUBSET_GROUND_CAP if max_ground is None else max_ground
-    if n > cap:
+    if n > DEFAULT_SUBSET_GROUND_CAP:
         raise CapacityError(
-            f"nonconsecutive_subsets asked for ground set of size {n}, cap is {cap}; "
-            f"pass max_ground to override"
+            f"nonconsecutive_subsets asked for ground set of size {n}, "
+            f"more than the fixed cap of {DEFAULT_SUBSET_GROUND_CAP}"
         )
     return [
         tuple(y + t for t, y in enumerate(ys))

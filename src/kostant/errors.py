@@ -1,15 +1,29 @@
-"""Capacity caps and the exception raised when a brute-force size limit is hit."""
+"""Every limit of the package, and the exception raised when one is hit.
 
+Only the literal scan of the whole Weyl group and the enumeration oracle
+take a per-call override; the other limits are fixed.
+"""
+
+# The literal scan of all (rank+1)! elements: rank 8 is 362,880 of them.
 DEFAULT_BRUTE_RANK_CAP = 8
+# The enumeration oracle for partition polynomials, by height.
 DEFAULT_ORACLE_HEIGHT_CAP = 24
+# Free letters on one side of a characterized alternation set; the set is
+# refused when it would hold more than F_(cap+2) = 196,418 elements.
 DEFAULT_SUBSET_GROUND_CAP = 25
+# Nodes (permutation prefixes) the pruned survivor search may enter. For
+# lam = highest root it enters 24,475 at mu = 0, rank 20; 14,222 at
+# mu = -[1, 12], rank 12; and 3,010,348 at mu = 0, rank 30.
+SEARCH_NODE_BUDGET = 2**17
+# Block-boundary states the partition DP keeps between calls, all ranks
+# together; past it the memo is flushed wholesale.
+PARTITION_MEMO_BOUND = 2**16
 
 
 class CapacityError(RuntimeError):
-    """A brute-force enumeration was asked to exceed its configured cap.
+    """A computation was asked to exceed one of the limits above.
 
-    Distinct from ValueError: the request is mathematically valid, just too big
-    for exhaustive enumeration. The message always names the cap and how to
-    raise it.
+    Distinct from ValueError: the request is mathematically valid, just too big.
+    The message names the limit, and how to raise it where a caller can;
+    the fixed limits have no override.
     """
-

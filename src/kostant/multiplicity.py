@@ -9,8 +9,9 @@ where P_q is the partition q-analog. Evaluating at q = 1 gives the ordinary
 weight multiplicity. Three evaluation routes are implemented, deliberately
 sharing as little as possible so they can check one another:
 
-* method "kwmf_full": the sum over the whole group (rank-capped), run as a
-  pruned search that never builds an element whose term is zero.
+* method "kwmf_full": the sum over the whole group, run as a pruned search
+  that never builds an element whose term is zero; the search, not the
+  rank, is bounded, by a fixed budget of visited nodes.
 * method "kwmf_altset": the same sum restricted to the characterized
   alternation set; only valid for lam = highest root and mu an interval
   root, where the omitted terms are exactly the zero ones.
@@ -87,24 +88,22 @@ def _signed_sum(rank: int, pairs) -> tuple[QPolynomial, int]:
 
 
 def q_multiplicity(
-    rank: int,
-    lam: Weight,
-    mu: Weight,
-    method: str = "kwmf_full",
-    max_rank: int | None = None,
+    rank: int, lam: Weight, mu: Weight, method: str = "kwmf_full"
 ) -> MultiplicityReport:
     """Alternating Weyl sum for m_q(lam, mu).
 
-    "kwmf_full" accepts any root-lattice lam and mu (rank-capped, default 8).
+    "kwmf_full" accepts any root-lattice lam and mu. Its search runs to the
+    end before any partition polynomial is computed, so a query past the
+    search's node budget raises CapacityError having done no DP work.
     "kwmf_altset" requires lam = highest root and mu an interval root and
-    sums over the characterized alternation set instead, with no rank cap.
+    sums over the characterized alternation set instead.
     """
     if lam.rank != rank or mu.rank != rank:
         raise ValueError(
             f"rank mismatch: rank={rank}, lam rank {lam.rank}, mu rank {mu.rank}"
         )
     if method == "kwmf_full":
-        pairs = pruned_survivors(lam, mu, max_rank)
+        pairs = list(pruned_survivors(lam, mu))
     elif method == "kwmf_altset":
         if lam != highest_root(rank):
             raise ValueError("kwmf_altset requires lam to be the highest root")

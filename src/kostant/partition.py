@@ -21,27 +21,28 @@ What the DP remembers. In type A every positive root is an interval, so
 once the positions before the first nonzero one, f, are cleared, every
 root still usable at f starts at f. A state at the start of that block of
 roots [f, f], [f, f+1], ... is therefore fixed by the remaining weight
-alone, and only these block-boundary states are kept between calls, in a
-per-rank dict keyed by the remaining coordinate tuple. Inside a block the
-DP chooses how many copies of [f, j] to take, j = f, f+1, ...; it takes
-only counts that leave the longer roots able to clear f, so it never
-visits a state without a decomposition. Those in-block states, keyed by
-(j, remaining weight), go into a scratch dict that one top-level call
-creates and drops on return. So about a tenth of the states stay
-resident (for 2rho at rank 7, 11,892 block states against 106,881 in-block
-ones), but one large call still peaks with its scratch dict, which lives
-until the call returns. `set_partition_memo_limit` caps the per-rank dict;
-it is checked after each top-level call, never inside the recursion, and a
-table past the cap is flushed wholesale. Under CPython's GIL concurrent
-callers at worst duplicate work, and since every entry is a pure function
-of its key the results are identical either way.
+alone, and only these block-boundary states are kept between calls, in
+one dict for every rank, keyed by the remaining coordinate tuple (whose
+length is the rank). Inside a block the DP chooses how many copies of
+[f, j] to take, j = f, f+1, ...; it takes only counts that leave the
+longer roots able to clear f, so it never visits a state without a
+decomposition. Those in-block states, keyed by (j, remaining weight), go
+into a scratch dict that one top-level call creates and drops on return.
+So about a tenth of the states stay resident (for 2rho at rank 7, 11,892
+block states against 106,881 in-block ones), but one large call still
+peaks with its scratch dict, which lives until the call returns. The
+resident dict is checked against PARTITION_MEMO_BOUND (2^16 states) after
+each top-level call, never inside the recursion, and past it is flushed
+wholesale, so a long-lived process keeps bounded memory. Under CPython's
+GIL concurrent callers at worst duplicate work, and since every entry is a
+pure function of its key the results are identical either way.
 """
 
 from functools import lru_cache
 from math import comb
 from operator import index
 
-from .errors import DEFAULT_ORACLE_HEIGHT_CAP, CapacityError
+from .errors import DEFAULT_ORACLE_HEIGHT_CAP, PARTITION_MEMO_BOUND, CapacityError
 from .weights import Weight, height
 
 
@@ -157,20 +158,8 @@ def _spans(rank: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, rank + 1) for j in range(i, rank + 1))
 
 
-# Per-rank memo of block-boundary states, keyed by the remaining weight
-# alone, plus an optional size cap. The cap is applied between top-level
-# calls: a table past it is flushed wholesale; entries are pure functions of
-# their keys, so a flush only costs recomputation.
-_MEMO: dict[int, dict] = {}
-_MEMO_LIMIT: int | None = None
-
-
-def set_partition_memo_limit(limit: int | None) -> None:
-    """Cap the number of cached DP states per rank (None = unbounded)."""
-    global _MEMO_LIMIT
-    if limit is not None and limit < 1:
-        raise ValueError(f"memo limit must be >= 1 or None, got {limit}")
-    _MEMO_LIMIT = limit
+# Block-boundary states of every rank; a flush only costs recomputation.
+_MEMO: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
 def clear_partition_memo() -> None:
@@ -241,10 +230,9 @@ def kostant_q(rank: int, xi: Weight) -> QPolynomial:
         return QPolynomial.zero()
     if xi.is_zero:
         return QPolynomial.one()
-    blocks = _MEMO.setdefault(rank, {})
-    coeffs = _block_coeffs(blocks, {}, rank - 1, xi.coords)
-    if _MEMO_LIMIT is not None and len(blocks) > _MEMO_LIMIT:
-        blocks.clear()
+    coeffs = _block_coeffs(_MEMO, {}, rank - 1, xi.coords)
+    if len(_MEMO) > PARTITION_MEMO_BOUND:
+        _MEMO.clear()
     return QPolynomial(coeffs)
 
 

@@ -251,12 +251,13 @@ def shifted_action(sigma: WeylElement, lam: Weight) -> Weight:
     return Weight(lam.rank, tuple(_halved(_moved_prefix_sums(sigma.perm, eps), tr)))
 
 
-def check_brute_rank(rank: int, max_rank: int | None = None) -> None:
-    """Refuse a search over all of S_(rank+1) above the brute-force rank cap.
+def enumerate_all(rank: int, max_rank: int | None = None) -> Iterator[WeylElement]:
+    """All (rank+1)! Weyl group elements, lexicographic by one-line notation.
 
-    The cap defaults to 8 (at most 362880 elements); override it with the
-    max_rank argument or the CLI --brute-cap flag. Raises CapacityError
-    naming both.
+    The rank cap defaults to 8 (at most 362880 elements); override it with
+    the max_rank argument or the CLI's alt-set --brute-cap. It is checked
+    eagerly, before the first element is produced, and a rank above it
+    raises CapacityError naming both.
     """
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
@@ -269,13 +270,4 @@ def check_brute_rank(rank: int, max_rank: int | None = None) -> None:
             f"raise it with --brute-cap or max_rank if you really want "
             f"{rank + 1}! elements"
         )
-
-
-def enumerate_all(rank: int, max_rank: int | None = None) -> Iterator[WeylElement]:
-    """All (rank+1)! Weyl group elements, lexicographic by one-line notation.
-
-    The rank cap (see `check_brute_rank`) is checked eagerly, before the
-    first element is produced.
-    """
-    check_brute_rank(rank, max_rank)
     return (WeylElement(rank, perm, check=False) for perm in permutations(range(1, rank + 2)))

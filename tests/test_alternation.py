@@ -211,12 +211,21 @@ def test_pruned_search_keeps_the_whole_group_when_nothing_is_pruned():
     assert found == _pairs(survivors(lam, mu, enumerate_all(3)))
 
 
-def test_pruned_search_guards():
+def test_pruned_search_guards(monkeypatch):
     with pytest.raises(ValueError):
         pruned_survivors(highest_root(3), simple_root(2, 1))
-    # the cap is checked on the call, before any element is produced
-    with pytest.raises(CapacityError, match="--brute-cap"):
-        pruned_survivors(highest_root(9), simple_root(9, 1))
+    # nothing pruned at rank 3: prefixes of 0, 1, 2 and 3 slots, 1 + 4 + 12 + 24 nodes
+    lam, mu = zero_weight(3), Weight(3, (-10, -10, -10))
+    monkeypatch.setattr(kostant.alternation, "SEARCH_NODE_BUDGET", 41)
+    assert sum(1 for _ in pruned_survivors(lam, mu)) == 24
+    monkeypatch.setattr(kostant.alternation, "SEARCH_NODE_BUDGET", 40)
+    found = []
+    with pytest.raises(CapacityError, match="more than 40 nodes, its fixed budget; no flag"):
+        found.extend(pruned_survivors(lam, mu))
+    assert len(found) == 23  # the budget trips on the last leaf
+    # rank alone is no longer refused: at rank 9 the search stays small
+    monkeypatch.undo()
+    assert len(list(pruned_survivors(highest_root(9), simple_root(9, 1)))) == fibonacci(9)
 
 
 def test_pruned_search_raises_on_an_odd_doubled_weight(monkeypatch):
@@ -333,13 +342,12 @@ def test_characterized_bounds_the_product_not_only_each_side(monkeypatch):
         alt_set_characterized(iv)
     monkeypatch.undo()
     # the bound is F_(cap + 2): at cap 5, F_7 = 13 elements pass and 15 do not
-    assert len(alt_set_characterized(RootInterval(7, 7, 7), max_ground=5)) == 13
     iv = RootInterval(10, 4, 6)  # sides of 2 and 3 letters: 3 * 5 = 15 elements
-    with pytest.raises(CapacityError, match="F_7 = 13"):
-        alt_set_characterized(iv, max_ground=5)
     assert len(alt_set_characterized(iv)) == 15
-    with pytest.raises(ValueError, match="cap must be >= 0"):
-        alt_set_characterized(RootInterval(3, 1, 1), max_ground=-2)
+    monkeypatch.setattr(kostant.alternation, "DEFAULT_SUBSET_GROUND_CAP", 5)
+    assert len(alt_set_characterized(RootInterval(7, 7, 7))) == 13
+    with pytest.raises(CapacityError, match="F_7 = 13.*the cap is fixed"):
+        alt_set_characterized(iv)
 
 
 def _validated_products(iv):

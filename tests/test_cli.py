@@ -202,6 +202,9 @@ def test_usage_errors_exit_2(capsys):
     assert run(["partition", "--rank", "2", "--weight", "a,b"]) == EXIT_USAGE
     assert run(["identity", "--max-n", "-1"]) == EXIT_USAGE
     assert run(["alt-set", "--rank", "3", "--mu", "1..2", "--brute-cap", "0"]) == EXIT_USAGE
+    # only alt-set's literal scan takes a cap; qmult's search has a fixed budget
+    assert run(["qmult", "--rank", "9", "--mu", "1..1", "--method", "kwmf",
+                "--brute-cap", "9"]) == EXIT_USAGE
     assert run(["alt-set", "--rank", "3", "--mu", "0"]) == EXIT_USAGE
     assert run([]) == EXIT_USAGE
     capsys.readouterr()
@@ -211,12 +214,29 @@ def test_capacity_exit_3(capsys):
     assert run(["alt-set", "--rank", "9", "--mu", "1..2", "--method", "brute"]) == EXIT_CAPACITY
     err = capsys.readouterr().err
     assert "--brute-cap" in err
-    assert run(["qmult", "--rank", "9", "--mu", "1..2", "--method", "kwmf"]) == EXIT_CAPACITY
-    capsys.readouterr()
+    # mu = 0 at rank 30 needs F_30 = 832,040 terms; the search stops at its node budget
+    assert run(["qmult", "--rank", "30", "--mu", "0", "--method", "kwmf"]) == EXIT_CAPACITY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("capacity: the pruned search at rank 30 visited more than")
+    assert "its fixed budget; no flag raises it" in captured.err
+    assert "--brute-cap" not in captured.err
     # an explicit cap at least the rank lets the query through
     assert run(["alt-set", "--rank", "3", "--mu", "1..2", "--method", "brute",
                 "--brute-cap", "3"]) == EXIT_OK
     capsys.readouterr()
+
+
+def test_kwmf_past_the_old_rank_cap(capsys):
+    assert run(["qmult", "--rank", "9", "--mu", "1..1", "--method", "kwmf"]) == EXIT_OK
+    assert "q^8 " in capsys.readouterr().out
+    code, data = _run_json(
+        capsys, ["qmult", "--rank", "20", "--mu", "0", "--method", "kwmf", "--format", "json"]
+    )
+    assert code == EXIT_OK
+    kwmf = data["result"]["routes"]["kwmf"]
+    assert kwmf["coeffs"] == [0] + [1] * 20
+    assert kwmf["term_count"] == 6765  # F_20
 
 
 def test_ground_cap_exit_3_names_no_flag(capsys):
@@ -238,11 +258,11 @@ def test_reused_parser_keeps_no_state_between_calls(capsys):
     assert cli._build_parser() is cli._build_parser()
     assert run(["qmult", "--rank", "x", "--mu", "1..1"]) == EXIT_USAGE
     assert run(["--help"]) == EXIT_OK
-    argv = ["qmult", "--rank", "9", "--mu", "1..1", "--method", "kwmf"]
-    assert run(argv + ["--brute-cap", "9"]) == EXIT_OK
-    assert "q^8" in capsys.readouterr().out
-    assert run(argv) == EXIT_CAPACITY  # the --brute-cap of the last call is gone
+    argv = ["alt-set", "--rank", "3", "--mu", "1..2", "--method", "brute"]
+    assert run(argv + ["--brute-cap", "2"]) == EXIT_CAPACITY
     assert "--brute-cap" in capsys.readouterr().err
+    assert run(argv) == EXIT_OK  # the --brute-cap of the last call is gone
+    assert "brute: 1 elements" in capsys.readouterr().out
     golden = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
     repeated = ["alt-set", "--rank", "7", "--mu", "4..4", "--method", "theorem", "--format", "csv"]
     record = next(rec for rec in golden if rec["argv"] == repeated)
@@ -342,7 +362,7 @@ _INVALID = st.one_of(
 )
 _GRAMMAR = {
     "alt-set": ("--rank", "--mu", "--method", "--brute-cap", "--format", "--out"),
-    "qmult": ("--rank", "--mu", "--method", "--brute-cap", "--format", "--out"),
+    "qmult": ("--rank", "--mu", "--method", "--format", "--out"),
     "partition": ("--rank", "--weight", "--oracle", "--format", "--out"),
     "identity": ("--max-n", "--format", "--out"),
     "verify": ("--max-brute-rank", "--max-closed-rank", "--seed", "--format", "--out"),

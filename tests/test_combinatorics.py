@@ -91,9 +91,9 @@ def test_identity_rejects_negative():
 
 
 def test_subsets_ground_cap():
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="fixed cap of 25"):
         nonconsecutive_subsets(26)
-    assert len(nonconsecutive_subsets(26, max_ground=26)) == fibonacci(28)
+    assert len(nonconsecutive_subsets(25)) == fibonacci(27)
     with pytest.raises(ValueError):
         nonconsecutive_subsets(-1)
 

@@ -5,7 +5,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kostant.alternation
+import kostant.multiplicity
 from kostant import (
+    CapacityError,
     MultiplicityReport,
     QPolynomial,
     RootInterval,
@@ -99,6 +102,29 @@ def test_zero_weight_q_multiplicity_is_qsum():
         assert rep.q_multiplicity.coeffs == (0,) + (1,) * r
 
 
+def test_full_sum_past_the_old_rank_cap():
+    # no cap argument: only the search's node budget bounds the full sum
+    for r in range(1, 17):
+        rep = q_multiplicity(r, highest_root(r), zero_weight(r))
+        assert rep.q_multiplicity.coeffs == (0,) + (1,) * r, r
+    for r in range(9, 14):
+        lam = highest_root(r)
+        for iv in _all_intervals(r):
+            rep = q_multiplicity(r, lam, interval_root(iv))
+            assert rep.q_multiplicity == predicted_q_multiplicity(iv), iv
+            assert rep.term_count == alt_cardinality(iv)
+
+
+def test_a_refused_full_sum_computes_no_partition_polynomial(monkeypatch):
+    # the search runs to the end before the DP, so a refusal wastes no DP work
+    monkeypatch.setattr(kostant.alternation, "SEARCH_NODE_BUDGET", 100)
+    calls = []
+    monkeypatch.setattr(kostant.multiplicity, "kostant_q", lambda *args: calls.append(args))
+    with pytest.raises(CapacityError, match="more than 100 nodes"):
+        q_multiplicity(12, highest_root(12), zero_weight(12))  # 520 nodes
+    assert calls == []
+
+
 def _lam_mu_pairs():
     return st.integers(min_value=1, max_value=5).flatmap(
         lambda r: st.tuples(
@@ -129,7 +155,7 @@ def test_survivor_filter_matches_the_literal_weyl_sum(case):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(min_value=1, max_value=12).flatmap(
+    st.integers(min_value=1, max_value=16).flatmap(
         lambda r: st.tuples(st.just(r), st.integers(1, r)).flatmap(
             lambda ri: st.tuples(st.just(ri[0]), st.just(ri[1]), st.integers(ri[1], ri[0]))
         )
@@ -138,7 +164,7 @@ def test_survivor_filter_matches_the_literal_weyl_sum(case):
 def test_every_route_agrees_on_random_intervals(rij):
     iv = RootInterval(*rij)
     r, lam, mu = iv.rank, highest_root(iv.rank), interval_root(iv)
-    full = q_multiplicity(r, lam, mu, "kwmf_full", max_rank=r)
+    full = q_multiplicity(r, lam, mu, "kwmf_full")
     restricted = q_multiplicity(r, lam, mu, "kwmf_altset")
     expected = predicted_q_multiplicity(iv)
     assert full.q_multiplicity == restricted.q_multiplicity == expected

@@ -1,5 +1,6 @@
 """Partition q-analog: polynomial type, DP evaluator, exhaustive oracle."""
 
+import random
 from itertools import product
 
 import pytest
@@ -17,7 +18,6 @@ from kostant import (
     interval_root,
     kostant_q,
     kostant_q_oracle,
-    set_partition_memo_limit,
     simple_root,
     two_rho,
     zero_weight,
@@ -184,22 +184,40 @@ def test_rank_mismatch_errors():
         kostant_q_oracle(2, zero_weight(3))
 
 
-def test_memo_limit_flush_keeps_results_correct():
+def test_memo_limit_flush_keeps_results_correct(monkeypatch):
     xi = Weight(3, (1, 2, 1))
     expected = kostant_q(3, xi)
+    monkeypatch.setattr(partition, "PARTITION_MEMO_BOUND", 2)
+    clear_partition_memo()
     try:
-        set_partition_memo_limit(2)
-        clear_partition_memo()
         assert kostant_q(3, xi) == expected
-        assert len(partition._MEMO[3]) <= 2
+        assert len(partition._MEMO) <= 2
         assert kostant_q(3, highest_root(3)) == consecutive_closed_form(3)
-        assert len(partition._MEMO[3]) <= 2
+        assert len(partition._MEMO) <= 2
     finally:
-        set_partition_memo_limit(None)
+        monkeypatch.undo()
         clear_partition_memo()
-    with pytest.raises(ValueError):
-        set_partition_memo_limit(0)
     assert kostant_q(3, xi) == expected
+
+
+def test_memo_stays_bounded_across_many_calls(monkeypatch):
+    # a long-lived process: 200 seeded calls across ranks 3-7 under a small bound
+    bound = 300
+    monkeypatch.setattr(partition, "PARTITION_MEMO_BOUND", bound)
+    rng = random.Random(7)
+    clear_partition_memo()
+    flushed = 0
+    try:
+        for _ in range(200):
+            rank = rng.randint(3, 7)
+            xi = Weight(rank, tuple(rng.randint(0, 3) for _ in range(rank)))
+            before = len(partition._MEMO)
+            assert kostant_q(rank, xi) == kostant_q_oracle(rank, xi), xi.coords
+            assert len(partition._MEMO) <= bound
+            flushed += len(partition._MEMO) < before
+    finally:
+        clear_partition_memo()
+    assert flushed  # the bound was really reached
 
 
 def test_memo_keeps_only_block_boundary_states():
@@ -209,11 +227,15 @@ def test_memo_keeps_only_block_boundary_states():
     clear_partition_memo()
     try:
         assert kostant_q(7, two_rho(7)).evaluate(1) == 244868962698
-        memo = partition._MEMO[7]
+        memo = partition._MEMO
         assert len(memo) == 11892
         for key in memo:
             assert type(key) is tuple and len(key) == 7
             assert all(type(c) is int and c >= 0 for c in key) and any(key)
+        # the states of another rank share the dict, told apart by the key's length
+        kostant_q(3, two_rho(3))
+        assert {len(key) for key in memo} == {3, 7}
+        assert sum(len(key) == 7 for key in memo) == 11892
     finally:
         clear_partition_memo()
 
