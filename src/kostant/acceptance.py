@@ -13,7 +13,9 @@ here, so the entry points cannot drift apart.
 Rank bounds default to the largest sizes the guarantees are advertised at.
 ``run_all`` takes two knobs. ``max_brute_rank`` bounds two criteria: brute
 vs characterized sets, which scans the full symmetric group, and
-multiplicity one (intervals, and Weyl images up to rank 12).
+multiplicity one (intervals, and Weyl images up to rank 12). It may not
+exceed the literal scan's rank cap of 8: ``run_all`` raises CapacityError
+for a larger value before any criterion runs.
 ``max_closed_rank`` bounds the closed-form route. The other eight criteria,
 the pruned full-sum power of q (rank 12) and zero-weight sum (rank 10)
 among them, run at their function defaults.
@@ -41,6 +43,7 @@ from .combinatorics import (
     nonconsecutive_count_k,
     nonconsecutive_subsets,
 )
+from .errors import DEFAULT_BRUTE_RANK_CAP, CapacityError
 from .multiplicity import (
     closed_form_term,
     predicted_q_multiplicity,
@@ -85,7 +88,7 @@ def check_alt_sets_agree(max_rank: int = DEFAULT_BRUTE_RANK) -> str:
     for r in range(1, max_rank + 1):
         lam = highest_root(r)
         for iv in _intervals(r):
-            brute = alt_set_bruteforce(r, lam, interval_root(iv), max_rank=max_rank)
+            brute = alt_set_bruteforce(r, lam, interval_root(iv))
             if brute.elements != alt_set_characterized(iv).elements:
                 raise CriterionFailed(f"sets differ at {iv}")
             checked += 1
@@ -266,7 +269,17 @@ def run_all(
     seed: int = DEFAULT_SEED,
     stream=None,
 ) -> list[CriterionResult]:
-    """Run every criterion, print one line each, return the results in order."""
+    """Run every criterion, print one line each, return the results in order.
+
+    A max_brute_rank above the literal scan's rank cap raises CapacityError
+    before any criterion runs.
+    """
+    if max_brute_rank > DEFAULT_BRUTE_RANK_CAP:
+        raise CapacityError(
+            f"a brute-force rank bound of {max_brute_rank} is above the literal scan's "
+            f"rank cap of {DEFAULT_BRUTE_RANK_CAP}: the brute-vs-characterized criterion "
+            f"scans all (rank+1)! elements at every rank up to it; no flag raises the cap"
+        )
     out = stream if stream is not None else sys.stdout
     checks = [
         ("alternation-brute-vs-characterized", lambda: check_alt_sets_agree(max_brute_rank)),

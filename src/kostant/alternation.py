@@ -19,14 +19,22 @@ multiplicity sum. Two constructions are provided:
   pairwise nonconsecutive generators drawn from {2..i-1} and {j+1..r-1}.
   Nonconsecutive subsets of an n-set are Fibonacci-counted, so the set has
   exactly F_i * F_{r-j+1} elements and is cheap to generate at ranks far
-  beyond brute force reach. Each side's choices are validated once, F_i
-  and F_{r-j+1} of them; a left letter moves only slots 1..i and a right
-  letter only slots j+1..r+1, so a product's one-line notation is glued as
-  left[:i] + (i+1, ..., j) + right[j:] and its reduced word as the left
-  letters then the right ones. The set is materialized, so it is refused
-  with CapacityError, before anything is built, when it would exceed
+  beyond brute force reach. `characterized_sides` builds each side's
+  choices once, F_i and F_{r-j+1} of them, as factors (word, one-line
+  slice): a left letter moves only slots 1..i and a right letter only
+  slots j+1..r+1, so a product's one-line notation is the left slice
+  (slots 1..j) then the right one (slots j+1..r+1), and its reduced word
+  the left letters then the right ones. The canonical order, by length and
+  then by reduced word, is a nested loop over the factors
+  (`canonical_blocks`), so no product is sorted: the left factors are
+  sorted once by word + (r+1,), since every right letter exceeds every
+  left letter and so, within one total length, a left word that is a
+  proper prefix of another sorts after it; the right factors are grouped
+  by length, in `nonconsecutive_subsets`' order. The set is refused with
+  CapacityError, before anything is built, when it would exceed
   F_27 = 196,418 elements, the most one side of 25 free letters gives (at
-  rank 30, [15, 15] has 602,070); so it also bounds each side.
+  rank 30, [15, 15] has 602,070); so it also bounds each side. The CLI
+  renders its rows from the factors, without building the set.
 
 The two constructions carry a provenance tag so tests can compare them
 without one silently standing in for the other.
@@ -47,6 +55,7 @@ telescopes to the Fibonacci cardinality.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .combinatorics import fibonacci, nonconsecutive_count_k, nonconsecutive_subsets
@@ -65,7 +74,6 @@ from .weyl import (
     _halved,
     _with_reduced_word,
     enumerate_all,
-    from_nonconsecutive_letters,
     shifted_action,
 )
 
@@ -76,6 +84,10 @@ PROVENANCE_CHARACTERIZED = "characterized"
 # by the brute-force sign test at construction time.
 _SPOT_CHECK = 8
 
+# One side's factor of a characterized product: its reduced word and its
+# slice of the product's one-line notation.
+Factor = tuple[tuple[int, ...], list[int]]
+
 
 @dataclass(frozen=True)
 class AlternationSet:
@@ -85,8 +97,8 @@ class AlternationSet:
     by length and then by reduced word. `provenance` records which
     construction produced the set.
 
-    That order is built once. `alt_set_characterized` sorts its products
-    before it builds them and passes the order in as `_order`; a set built
+    That order is built once. `alt_set_characterized` builds its products
+    in that order and passes it in as `_order`; a set built
     without one sorts its elements on its first iteration and keeps the
     result, so a set that is never iterated never computes a reduced word.
     The order takes no part in equality, hashing or repr.
@@ -208,16 +220,35 @@ def alt_set_characterized(iv: RootInterval) -> AlternationSet:
     """Generate A(highest root, interval root [i, j]) from its description.
 
     Elements are the products of pairwise nonconsecutive generators taken
-    from the free ranges of the two `sides`; the gap between the two ranges
-    is at least 2, so any choice on one side combines freely with any choice
-    on the other. Each side's choices are validated once, and every product
-    is glued from its two factors, in the set's iteration order: the glued
-    (length, word, perm) triples are sorted before any element is built.
-    The set is refused with CapacityError, before anything is built, when
-    it would hold more than F_27 elements, what 25 free letters on one side
-    give; the cap is fixed. The longest few elements, which carry letters
-    from both sides whenever both sides have free letters, are re-verified
-    against the brute-force membership test.
+    from the free ranges of the two `sides`, glued from the factors of
+    `characterized_sides` in the canonical order of `canonical_blocks`.
+    """
+    left, right = characterized_sides(iv)
+    r = iv.rank
+    members = tuple([
+        _with_reduced_word(r, tuple(lp + rp), lw + rw)
+        for (lw, lp), group in canonical_blocks(left, right)
+        for rw, rp in group
+    ])
+    return AlternationSet(
+        r, highest_root(r), interval_root(iv), frozenset(members), PROVENANCE_CHARACTERIZED,
+        _order=members,
+    )
+
+
+def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[list[Factor]]]:
+    """The factors (word, one-line slice) of A(highest root, iv): left, then right by length.
+
+    A product's reduced word is a left word then a right word, and its
+    one-line notation the left slice (slots 1..j) then the right slice
+    (slots j+1..r+1). The F_i left factors come sorted by word + (r+1,) and
+    the F_{r-j+1} right factors grouped by length, each group in
+    `nonconsecutive_subsets`' order, so `canonical_blocks` reads the
+    canonical order off them. The set is refused with CapacityError, before
+    any side is built, past F_27 elements, what 25 free letters on one side
+    give; the cap is fixed. The longest products, which carry letters from
+    both sides whenever both sides have free letters, are glued as elements
+    and re-verified against the brute-force membership test.
     """
     r, i, j = iv.rank, iv.i, iv.j
     cap = DEFAULT_SUBSET_GROUND_CAP
@@ -227,28 +258,68 @@ def alt_set_characterized(iv: RootInterval) -> AlternationSet:
             f"the alternation set of {iv} has {size} elements, more than F_{cap + 2} = "
             f"{bound}, the most {cap} free letters on one side give; the cap is fixed"
         )
-    lam = highest_root(r)
-    mu = interval_root(iv)
     left_side, right_side = sides(iv)
     # Left letters (< i) move only slots 1..i, right letters (> j) only j+1..r+1.
-    middle = tuple(range(i + 1, j + 1))
-    left = [(el.perm[:i] + middle, el.reduced_word()) for el in _side_factors(r, left_side)]
-    right = [(el.perm[j:], el.reduced_word()) for el in _side_factors(r, right_side)]
-    # Distinct elements have distinct words, so the sort never compares perms.
-    glued = [(len(ls) + len(rs), ls + rs, lp + rp) for lp, ls in left for rp, rs in right]
-    glued.sort()
-    members = tuple([_with_reduced_word(r, perm, word) for _, word, perm in glued])
-    spot = members[-_SPOT_CHECK:]
-    if sum(1 for _ in survivors(lam, mu, spot)) != len(spot):
+    left = _side_factors(left_side, 1, j)
+    # Every right letter exceeds every left letter, so a left word that is a
+    # proper prefix of another sorts after it within one total length.
+    left.sort(key=lambda f: f[0] + (r + 1,))
+    right: list[list[Factor]] = []
+    for factor in _side_factors(right_side, j + 1, r + 1):  # by length, then lexicographic
+        if len(factor[0]) == len(right):
+            right.append([])
+        right[-1].append(factor)
+    longest = (
+        (tuple(lp + rp), lw + rw)
+        for (lw, lp), group in canonical_blocks(left, right, longest_first=True)
+        for rw, rp in group
+    )
+    spot = [_with_reduced_word(r, perm, word) for perm, word in islice(longest, _SPOT_CHECK)]
+    if sum(1 for _ in survivors(highest_root(r), interval_root(iv), spot)) != len(spot):
         raise RuntimeError(f"a characterized element of {iv} fails the membership test")
-    return AlternationSet(r, lam, mu, frozenset(members), PROVENANCE_CHARACTERIZED, _order=members)
+    return left, right
 
 
-def _side_factors(rank: int, side: "Side") -> list[WeylElement]:
-    """Each choice of letters on one side, validated once, as an element."""
+def canonical_blocks(left: list, right: list[list], longest_first: bool = False) -> Iterator:
+    """(left factor, right group) blocks whose products run in the canonical order.
+
+    The canonical order is by length, then by reduced word. For each total
+    length, each left factor in turn is followed by the right group that
+    makes up that length, so the blocks' products, in order, are the set's
+    canonical order; with longest_first, the blocks and the groups (as
+    reversed iterators) run backwards. Only a factor's first entry, its
+    word, is read, so factors may carry anything after it.
+    """
+    top = max(len(f[0]) for f in left) + len(right) - 1
+    totals = range(top, -1, -1) if longest_first else range(top + 1)
+    lefts = left[::-1] if longest_first else left
+    for total in totals:
+        for factor in lefts:
+            k = total - len(factor[0])
+            if 0 <= k < len(right):
+                yield factor, (reversed(right[k]) if longest_first else right[k])
+
+
+def _side_factors(side: "Side", lo: int, hi: int) -> list[Factor]:
+    """(word, slots lo..hi of the one-line notation) for each choice of letters on one side.
+
+    The choices are `nonconsecutive_subsets` of the side's free range, so
+    their letters commute and each word is reduced; a letter x swaps the
+    entries of slots x and x+1, both in lo..hi. No group element is built.
+    A slice is a list: a tuple of at most 20 entries, once freed, waits on
+    CPython's tuple free list until the next full garbage collection, and
+    slices kept that way raised a cli-mix benchmark session's peak memory
+    by about 1 MB.
+    """
     shift = side.letters.start - 1  # {1..m} onto the free range
-    return [from_nonconsecutive_letters(rank, tuple(x + shift for x in s))
-            for s in nonconsecutive_subsets(len(side.letters))]
+    factors = []
+    for s in nonconsecutive_subsets(len(side.letters)):
+        word = tuple(x + shift for x in s)
+        slots = list(range(lo, hi + 1))
+        for x in word:
+            slots[x - lo], slots[x + 1 - lo] = slots[x + 1 - lo], slots[x - lo]
+        factors.append((word, slots))
+    return factors
 
 
 def alt_cardinality(iv: RootInterval) -> int:

@@ -14,14 +14,20 @@ lines (plus a ``verdict:`` line when there is a verdict) and maps the
 verdict to the exit code. ``verify`` streams its table as each criterion
 finishes, so its table view is None. The envelope is written by
 ``_json_indented``, which gives the bytes of ``json.dumps(..., indent=2)``
-while leaving every scalar to the stdlib's C encoder. ``alt-set`` rows
-come in the alternation set's own iteration order (by length, then by
-reduced word), which the set builds once; the CLI does not sort.
+while leaving every scalar to the stdlib's C encoder; a callable in a view
+renders its own text at its indent. ``alt-set`` rows come in the
+alternation set's canonical order (by length, then by reduced word) and
+are joined from text rendered once per factor: the theorem route takes
+the side factors of ``characterized_sides`` and never builds the set, and
+a brute-force element is a left factor with an empty right factor. The
+JSON word lists, the CSV word and perm fields and the table's word and
+``perm (...)`` text are each a left factor's text then a right factor's.
 
 Exit codes: 0 success or all-pass, 1 a comparison or verification failed,
 2 usage error (including an ``--out`` that cannot be written), 3 a capacity
 cap was hit. Only the rank cap of ``alt-set --method brute``, the literal
-scan of the whole Weyl group, can be raised, with --brute-cap. The node
+scan of the whole Weyl group, can be raised, with --brute-cap; ``verify
+--max-brute-rank`` above it exits 3 before any criterion runs. The node
 budget of ``qmult --method kwmf``'s pruned search and the cap on the
 theorem's alternation sets (25 free letters per side, so at most F_27 =
 196418 elements) are fixed; see ``errors``.
@@ -41,7 +47,14 @@ import json
 import sys
 
 from .acceptance import DEFAULT_BRUTE_RANK, DEFAULT_CLOSED_RANK, DEFAULT_SEED, run_all
-from .alternation import alt_cardinality, alt_set_bruteforce, alt_set_characterized
+from .alternation import (
+    PROVENANCE_BRUTE,
+    PROVENANCE_CHARACTERIZED,
+    alt_cardinality,
+    alt_set_bruteforce,
+    canonical_blocks,
+    characterized_sides,
+)
 from .combinatorics import fibonacci, nonconsecutive_count_k
 from .errors import DEFAULT_SUBSET_GROUND_CAP, CapacityError
 from .multiplicity import predicted_q_multiplicity, q_multiplicity, q_multiplicity_closed
@@ -89,22 +102,21 @@ def _parse_mu(text: str, rank: int) -> RootInterval | None:
     return RootInterval(rank, i, j)
 
 
-def _word_str(word) -> str:
-    return "e" if not word else " ".join(f"s{x}" for x in word)
-
-
 def _cmd_alt_set(args):
     iv = _parse_mu(args.mu, args.rank)
     if iv is None:
         raise UsageError("--mu 0 is only supported by qmult with --method kwmf")
-    sets = {}
+    sets = {}  # name -> (provenance, count, left factors, right groups)
     if args.method in ("brute", "both"):
-        sets["brute"] = alt_set_bruteforce(
+        brute = alt_set_bruteforce(
             args.rank, highest_root(args.rank), interval_root(iv), max_rank=args.brute_cap
         )
+        # each element is a product with the empty right factor
+        sets["brute"] = (PROVENANCE_BRUTE, len(brute),
+                         [(el.reduced_word(), el.perm) for el in brute], [[((), ())]])
     if args.method in ("theorem", "both"):
         try:
-            sets["theorem"] = alt_set_characterized(iv)
+            left, right = characterized_sides(iv)
         except CapacityError:
             cap = DEFAULT_SUBSET_GROUND_CAP
             raise CapacityError(
@@ -112,32 +124,90 @@ def _cmd_alt_set(args):
                 f"elements; the theorem route has a fixed cap of {cap} free letters per side "
                 f"(at most F_{cap + 2} = {fibonacci(cap + 2)} elements) and no flag raises it"
             ) from None
+        sets["theorem"] = (PROVENANCE_CHARACTERIZED, alt_cardinality(iv), left, right)
     verdict = None
     if args.method == "both":
-        verdict = sets["brute"].elements == sets["theorem"].elements
+        verdict = {el.perm for el in brute.elements} == {
+            tuple(lp + rp) for (_, lp), group in canonical_blocks(left, right) for _, rp in group
+        }
     query = {"command": "alt-set", "rank": args.rank, "mu": [iv.i, iv.j], "method": args.method}
     if args.format == "json":
         view = {
-            "sets": {name: s.to_json() for name, s in sets.items()},
+            "sets": {
+                name: {"rank": args.rank, "mu": [iv.i, iv.j], "count": count,
+                       "elements": functools.partial(_json_words, left, right),
+                       "provenance": provenance}
+                for name, (provenance, count, left, right) in sets.items()
+            },
             "predicted_count": alt_cardinality(iv),
         }
     elif args.format == "csv":
-        rows = [
-            [name, " ".join(map(str, el.reduced_word())), " ".join(map(str, el.perm)),
-             el.length, el.sign]
-            for name, s in sets.items()
-            for el in s
-        ]
+        rows = [row for name, (_, _, left, right) in sets.items()
+                for row in _csv_rows(name, left, right)]
         view = (["method", "word", "perm", "length", "sign"], rows)
     else:
         view = [
             f"alternation set, rank {args.rank}, interval weight [{iv.i}, {iv.j}]",
             f"predicted count: {alt_cardinality(iv)}",
         ]
-        for name, s in sets.items():
-            view.append(f"{name}: {len(s)} elements")
-            view += [f"  {_word_str(el.reduced_word()):<20} perm {el.perm}" for el in s]
+        for name, (_, count, left, right) in sets.items():
+            view.append(f"{name}: {count} elements")
+            view += _table_lines(left, right)
     return query, verdict, view
+
+
+def _blocks(left, right, sep: str, perm_sep: str, letter: str = ""):
+    """(length, word head, perm head, right factors) for each block of a set, in order.
+
+    `canonical_blocks` pairs each left factor with the group of right
+    factors that follows it in the set's canonical order. Each factor is
+    rendered once: its letters, each after `letter`, joined by `sep`, and
+    its slice joined by `perm_sep` (an empty one renders no perm). A row's
+    word is the block's word head then a right factor's word text, and its
+    perm the perm head then the right factor's perm text, which carries its
+    leading separator, so the empty right factor of a brute-force element
+    adds nothing. The word head ends in `sep` only when both words have
+    letters.
+    """
+
+    def texts(w, p, lead):
+        word = letter + (sep + letter).join(map(str, w)) if w else ""
+        perm = lead + perm_sep.join(map(str, p)) if p and perm_sep else ""
+        return w, word, perm
+
+    lefts = [texts(w, p, "") for w, p in left]
+    rights = [[texts(w, p, perm_sep) for w, p in group] for group in right]
+    for (lw, lws, lps), group in canonical_blocks(lefts, rights):
+        k = len(group[0][0])
+        yield len(lw) + k, lws + (sep if lw and k else ""), lps, group
+
+
+def _json_words(left, right, pad: str) -> str:
+    """The JSON list of the element words, as _json_indented writes it at `pad`."""
+    inner, deeper = pad + "  ", pad + "    "
+    end = inner + "]"
+    items = []
+    for length, head, _, group in _blocks(left, right, "," + deeper, ""):
+        start = "[" + deeper + head
+        items += [start + rws + end for _, rws, _ in group] if length else ["[]"]
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
+def _csv_rows(name: str, left, right) -> list:
+    """The CSV rows (method, word, perm, length, sign) of one set."""
+    rows = []
+    for length, head, lps, group in _blocks(left, right, " ", " "):
+        sign = -1 if length % 2 else 1
+        rows += [[name, head + rws, lps + rps, length, sign] for _, rws, rps in group]
+    return rows
+
+
+def _table_lines(left, right) -> list[str]:
+    """The table lines (word, then `perm (...)`) of one set."""
+    lines = []
+    for _, head, lps, group in _blocks(left, right, " ", ", ", "s"):
+        lines += [f"  {head + rws or 'e':<20} perm ({lps}{rps})" for _, rws, rps in group]
+    return lines
 
 
 def _cmd_qmult(args):
@@ -286,7 +356,8 @@ def _json_indented(value, pad: str = "\n") -> str:
     through the C encoder of a plain json.dumps, so escaping, true/false/
     null, float repr and key stringifying are the stdlib's own, and so is
     the TypeError for a key or value it cannot encode. `pad` is the newline
-    and indent of the value's own line.
+    and indent of the value's own line. A callable is not JSON data: it is
+    called with `pad` and returns its own text, as alt-set's word lists do.
     """
     if isinstance(value, dict) and value:
         inner = pad + "  "
@@ -306,6 +377,8 @@ def _json_indented(value, pad: str = "\n") -> str:
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if type(value) is int:
         return int.__repr__(value)
+    if callable(value):  # text rendered by the view itself, at this indent
+        return value(pad)
     return json.dumps(value)
 
 

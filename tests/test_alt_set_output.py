@@ -1,0 +1,150 @@
+"""alt-set's theorem rows, glued from side factors, against an element-by-element renderer.
+
+The golden file stops at rank 7. Here every interval at ranks 8-12, and a
+seeded sample at ranks 13-22, is rendered in json, csv and table by the CLI
+and by `_reference_stdouts`, which walks the elements of the characterized
+set one by one, rebuilds each from its one-line notation alone, sorts them
+and formats them the way the CLI formatted one element at a time. The
+counter tests pin that a theorem query glues no element per product.
+"""
+
+import csv
+import io
+import json
+import random
+
+import pytest
+
+import kostant.alternation as alternation
+import kostant.weyl as weyl
+from kostant import RootInterval, WeylElement, alt_cardinality, alt_set_characterized, fibonacci
+from kostant.cli import EXIT_OK, run
+
+FORMATS = ("json", "csv", "table")
+
+
+def _reference_stdouts(iv: RootInterval) -> dict[str, str]:
+    """What `alt-set --method theorem` prints for iv in each format, one element at a time."""
+    # word, length and sign re-derived from the perm, nothing taken from the gluing
+    elements = sorted(
+        (WeylElement(iv.rank, el.perm) for el in alt_set_characterized(iv).elements),
+        key=lambda el: (el.length, el.reduced_word()),
+    )
+    return {fmt: _render(iv, elements, fmt) for fmt in FORMATS}
+
+
+def _render(iv: RootInterval, elements: list[WeylElement], fmt: str) -> str:
+    r = iv.rank
+    if fmt == "json":
+        theorem = {
+            "rank": r,
+            "mu": [iv.i, iv.j],
+            "count": len(elements),
+            "elements": [list(el.reduced_word()) for el in elements],
+            "provenance": "characterized",
+        }
+        envelope = {
+            "query": {"command": "alt-set", "rank": r, "mu": [iv.i, iv.j], "method": "theorem"},
+            "result": {"sets": {"theorem": theorem}, "predicted_count": alt_cardinality(iv)},
+            "verdict": None,
+        }
+        return json.dumps(envelope, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["method", "word", "perm", "length", "sign"])
+        for el in elements:
+            writer.writerow(["theorem", " ".join(map(str, el.reduced_word())),
+                             " ".join(map(str, el.perm)), el.length, el.sign])
+        return buf.getvalue()
+    lines = [
+        f"alternation set, rank {r}, interval weight [{iv.i}, {iv.j}]",
+        f"predicted count: {alt_cardinality(iv)}",
+        f"theorem: {len(elements)} elements",
+    ]
+    for el in elements:
+        word = " ".join(f"s{x}" for x in el.reduced_word()) or "e"
+        lines.append(f"  {word:<20} perm {el.perm}")
+    return "\n".join(lines) + "\n"
+
+
+def _cli_stdout(capsys, iv: RootInterval, fmt: str) -> str:
+    argv = ["alt-set", "--rank", str(iv.rank), "--mu", f"{iv.i}..{iv.j}",
+            "--method", "theorem", "--format", fmt]
+    assert run(argv) == EXIT_OK
+    return capsys.readouterr().out
+
+
+def _intervals(r):
+    return [RootInterval(r, i, j) for i in range(1, r + 1) for j in range(i, r + 1)]
+
+
+def _sample_13_to_22():
+    rng = random.Random(22013)
+    sample = []
+    for r in range(13, 23):
+        # both ends (an empty side) at every rank, and two drawn intervals
+        sample += [RootInterval(r, 1, rng.randint(1, r)), RootInterval(r, rng.randint(1, r), r)]
+        i = rng.randint(1, r)
+        sample.append(RootInterval(r, i, rng.randint(i, r)))
+    return sample
+
+
+def test_theorem_rows_equal_the_element_renderer_at_ranks_8_to_12(capsys):
+    for r in range(8, 13):
+        for iv in _intervals(r):
+            for fmt, expected in _reference_stdouts(iv).items():
+                assert _cli_stdout(capsys, iv, fmt) == expected, (iv, fmt)
+
+
+@pytest.mark.parametrize("iv", _sample_13_to_22(), ids=str)
+def test_theorem_rows_equal_the_element_renderer_at_ranks_13_to_22(capsys, iv):
+    for fmt, expected in _reference_stdouts(iv).items():
+        assert _cli_stdout(capsys, iv, fmt) == expected, fmt
+
+
+@pytest.fixture
+def counters(monkeypatch):
+    """Counts of glued elements, side factors built and WeylElement.__init__ calls."""
+    counts = {"glued": 0, "factors": [], "init": 0}
+    glue, side_factors, init = (
+        alternation._with_reduced_word, alternation._side_factors, WeylElement.__init__
+    )
+
+    def counted_glue(*args):
+        counts["glued"] += 1
+        return glue(*args)
+
+    def counted_factors(*args):
+        factors = side_factors(*args)
+        counts["factors"].append(len(factors))
+        return factors
+
+    def counted_init(self, *args, **kwargs):
+        counts["init"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(alternation, "_with_reduced_word", counted_glue)
+    monkeypatch.setattr(alternation, "_side_factors", counted_factors)
+    monkeypatch.setattr(weyl.WeylElement, "__init__", counted_init)
+    return counts
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_theorem_query_glues_only_the_spot_check(capsys, counters, fmt):
+    # sizes 5168, 1 (i = 1, j = r: both sides empty), 6, 2584 (i = 1) and 3 * 89 = 267
+    for r, i, j in ((20, 3, 3), (12, 1, 12), (7, 3, 4), (18, 1, 1), (14, 4, 4)):
+        counters.update(glued=0, factors=[], init=0)
+        assert run(["alt-set", "--rank", str(r), "--mu", f"{i}..{j}", "--format", fmt]) == EXIT_OK
+        capsys.readouterr()
+        size = alt_cardinality(RootInterval(r, i, j))
+        assert counters["glued"] == min(8, size)
+        assert counters["factors"] == [fibonacci(i), fibonacci(r - j + 1)]
+        assert counters["init"] == 0  # no element is built from a perm either
+
+
+def test_method_both_builds_the_theorem_side_once(capsys, counters):
+    assert run(["alt-set", "--rank", "7", "--mu", "3..4", "--method", "both"]) == EXIT_OK
+    assert "verdict: pass" in capsys.readouterr().out
+    assert counters["factors"] == [fibonacci(3), fibonacci(4)]
+    assert counters["glued"] == 6  # the spot check of a 6-element set

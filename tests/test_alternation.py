@@ -26,7 +26,13 @@ from kostant import (
     simple_root,
     zero_weight,
 )
-from kostant.alternation import pruned_survivors, survivors
+from kostant.alternation import (
+    canonical_blocks,
+    characterized_sides,
+    pruned_survivors,
+    sides,
+    survivors,
+)
 from kostant.weyl import enumerate_all
 
 
@@ -405,6 +411,64 @@ def test_characterized_spot_check_raises(monkeypatch):
     monkeypatch.setattr(kostant.alternation, "survivors", lambda lam, mu, sigmas: iter(()))
     with pytest.raises(RuntimeError):
         alt_set_characterized(RootInterval(7, 3, 4))
+
+
+def test_factor_blocks_run_in_the_sorted_order_through_rank_22():
+    # every interval through rank 22 (2,024 of them, up to 17,711 elements):
+    # i = 1, j = r and the one-letter and empty free ranges among them
+    for r in range(1, 23):
+        for iv in _all_intervals(r):
+            left, right = characterized_sides(iv)
+            assert len(left) == fibonacci(iv.i)
+            assert sum(map(len, right)) == fibonacci(r - iv.j + 1)
+            keys = [
+                (len(lw) + len(rw), lw + rw)
+                for (lw, _), group in canonical_blocks(left, right)
+                for rw, _ in group
+            ]
+            # strictly increasing: sorted(..., key=(length, reduced word)), no repeats
+            assert all(a < b for a, b in zip(keys, keys[1:])), iv
+            assert len(keys) == alt_cardinality(iv)
+            if r <= 9:
+                backwards = [
+                    (len(lw) + len(rw), lw + rw)
+                    for (lw, _), group in canonical_blocks(left, right, longest_first=True)
+                    for rw, _ in group
+                ]
+                assert backwards == keys[::-1]
+
+
+def test_side_factors_are_the_side_elements_on_their_slots():
+    for r in range(1, 11):
+        for iv in _all_intervals(r):
+            left, right = characterized_sides(iv)
+            left_side, right_side = sides(iv)
+            for (word, slots), lo in [(f, 1) for f in left] + [
+                (f, iv.j + 1) for group in right for f in group
+            ]:
+                assert set(word) <= set(left_side.letters if lo == 1 else right_side.letters)
+                perm = from_nonconsecutive_letters(r, word).perm
+                assert tuple(slots) == perm[lo - 1: lo - 1 + len(slots)]
+                # the factor moves nothing outside its slots
+                outside = perm[:lo - 1] + perm[lo - 1 + len(slots):]
+                assert outside == tuple(x for x in range(1, r + 2) if not lo <= x < lo + len(slots))
+
+
+def test_spot_check_verifies_the_longest_products(monkeypatch):
+    checked = []
+    real = kostant.alternation.survivors
+
+    def spy(lam, mu, sigmas):
+        checked.append(list(sigmas))
+        return real(lam, mu, checked[-1])
+
+    monkeypatch.setattr(kostant.alternation, "survivors", spy)
+    for iv in (RootInterval(12, 5, 6), RootInterval(9, 1, 1), RootInterval(6, 3, 4)):
+        checked.clear()
+        characterized_sides(iv)
+        order = _canonical(alt_set_characterized(iv))
+        # longest first; a set of fewer than 8 elements is checked whole
+        assert checked[0] == order[::-1][:8]
 
 
 def test_from_word_membership_check():

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import kostant.acceptance as acceptance
 from kostant import (
+    CapacityError,
+    alt_set_bruteforce,
     fibonacci,
     highest_root,
     interval_root,
@@ -225,6 +228,37 @@ def test_capacity_exit_3(capsys):
     assert run(["alt-set", "--rank", "3", "--mu", "1..2", "--method", "brute",
                 "--brute-cap", "3"]) == EXIT_OK
     capsys.readouterr()
+
+
+def test_verify_refuses_a_brute_rank_past_the_scan_cap(capsys, tmp_path):
+    # rank 9 would scan 10! elements for each of 45 intervals; refused before any criterion
+    for fmt in ("table", "json", "csv"):
+        t0 = time.perf_counter()
+        assert run(["verify", "--max-brute-rank", "9", "--format", fmt]) == EXIT_CAPACITY
+        assert time.perf_counter() - t0 < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("capacity: a brute-force rank bound of 9 is above")
+        assert "rank cap of 8" in captured.err
+    target = tmp_path / "verify.txt"
+    assert run(["verify", "--max-brute-rank", "12", "--out", str(target)]) == EXIT_CAPACITY
+    assert target.read_text() == ""
+    capsys.readouterr()
+    with pytest.raises(CapacityError, match="rank cap of 8"):
+        acceptance.run_all(max_brute_rank=9, stream=io.StringIO())
+
+
+def test_brute_criterion_keeps_the_scan_cap(monkeypatch):
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        return alt_set_bruteforce(*args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "alt_set_bruteforce", recorded)
+    acceptance.check_alt_sets_agree(3)
+    assert len(calls) == 1 + 3 + 6
+    assert all(kwargs == {} for kwargs in calls)  # no max_rank: the scan's own cap holds
 
 
 def test_kwmf_past_the_old_rank_cap(capsys):
