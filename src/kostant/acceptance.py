@@ -11,14 +11,14 @@ subcommand and the acceptance test module both route through the functions
 here, so the entry points cannot drift apart.
 
 Rank bounds default to the largest sizes the guarantees are advertised at.
-``run_all`` takes two knobs. ``max_brute_rank`` bounds two criteria: brute
-vs characterized sets, which scans the full symmetric group, and
-multiplicity one (intervals, and Weyl images up to rank 12). It may not
-exceed the literal scan's rank cap of 8: ``run_all`` raises CapacityError
-for a larger value before any criterion runs.
-``max_closed_rank`` bounds the closed-form route. The other eight criteria,
-the pruned full-sum power of q (rank 12) and zero-weight sum (rank 10)
-among them, run at their function defaults.
+``run_all`` takes two knobs, each bounding one criterion.
+``max_brute_rank`` bounds brute vs characterized sets, which scans the full
+symmetric group. It may not exceed the literal scan's rank cap of 8:
+``run_all`` raises CapacityError for a larger value before any criterion
+runs. ``max_closed_rank`` bounds the closed-form route. The other nine
+criteria run at their function defaults, among them the pruned full-sum
+power of q (rank 12), the zero-weight sum (rank 10) and multiplicity one
+(intervals through rank 12, Weyl images through rank 10).
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def check_power_of_q_closed(max_rank: int = DEFAULT_CLOSED_RANK) -> str:
     return f"{checked} intervals through rank {max_rank}"
 
 
-def check_multiplicity_one(max_rank: int = DEFAULT_BRUTE_RANK, image_rank: int = 12) -> str:
+def check_multiplicity_one(max_rank: int = 12, image_rank: int = 10) -> str:
     """Interval weights carry multiplicity 1, and so does every reflected image.
 
     The Weyl orbit of an interval root is the set of all r(r+1) roots of A_r,
@@ -147,8 +147,7 @@ def check_multiplicity_one(max_rank: int = DEFAULT_BRUTE_RANK, image_rank: int =
                 raise CriterionFailed(f"{iv}: multiplicity != 1")
             intervals += 1
     images = 0
-    top = min(image_rank, max_rank)
-    for r in range(1, top + 1):
+    for r in range(1, image_rank + 1):
         lam = highest_root(r)
         for iv in _intervals(r):
             for img in (interval_root(iv), -interval_root(iv)):
@@ -156,7 +155,10 @@ def check_multiplicity_one(max_rank: int = DEFAULT_BRUTE_RANK, image_rank: int =
                 if rep.multiplicity_at_one != 1:
                     raise CriterionFailed(f"rank {r} image {img.coords}: multiplicity != 1")
                 images += 1
-    return f"{intervals} intervals (rank <= {max_rank}), {images} distinct images (rank <= {top})"
+    return (
+        f"{intervals} intervals (rank <= {max_rank}), {images} distinct images "
+        f"(rank <= {image_rank})"
+    )
 
 
 def check_interval_partition_closed(max_rank: int = 10) -> str:
@@ -278,7 +280,7 @@ def run_all(
         raise CapacityError(
             f"a brute-force rank bound of {max_brute_rank} is above the literal scan's "
             f"rank cap of {DEFAULT_BRUTE_RANK_CAP}: the brute-vs-characterized criterion "
-            f"scans all (rank+1)! elements at every rank up to it; no flag raises the cap"
+            f"scans all (rank+1)! elements at every rank up to it; no flag raises it"
         )
     out = stream if stream is not None else sys.stdout
     checks = [
@@ -286,7 +288,7 @@ def run_all(
         ("alternation-cardinality-fibonacci", check_cardinality_fibonacci),
         ("qmult-power-of-q-full-sum", check_power_of_q_full),
         ("qmult-power-of-q-closed-form", lambda: check_power_of_q_closed(max_closed_rank)),
-        ("multiplicity-one-at-q1", lambda: check_multiplicity_one(max_brute_rank)),
+        ("multiplicity-one-at-q1", check_multiplicity_one),
         ("interval-root-partition-closed-form", check_interval_partition_closed),
         ("per-element-terms-match-dp", check_per_element_terms),
         ("partition-dp-vs-oracle", lambda: check_dp_vs_oracle(seed)),

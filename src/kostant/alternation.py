@@ -8,11 +8,12 @@ multiplicity sum. Two constructions are provided:
 * `alt_set_bruteforce` scans every group element. In type A a weight has a
   partition into positive roots exactly when its simple-root coordinates
   are all nonnegative, so membership is that sign test, run by
-  `survivors`. It works for any lam and mu but is capped by rank. It stays
-  a literal scan on purpose: it is the reference for `pruned_survivors`,
-  which finds the same members by a search that drops a branch as soon as
-  one coordinate goes negative (the full alternating sum uses it) and is
-  bounded by a fixed budget of visited nodes, not by rank.
+  `survivors`. It works for any lam and mu up to a fixed rank cap of 8.
+  It stays a literal scan on purpose: it is the reference for
+  `pruned_survivors`, which finds the same members by a search that drops
+  a branch as soon as one coordinate goes negative (the full alternating
+  sum uses it) and is bounded by a fixed budget of visited nodes, not by
+  rank.
 
 * `alt_set_characterized` is specific to lam = highest root and mu an
   interval root [i, j]: there the set consists exactly of the products of
@@ -200,19 +201,17 @@ def pruned_survivors(lam: Weight, mu: Weight) -> Iterator[tuple[WeylElement, tup
     return fill(tuple(range(rank + 1)), 0)
 
 
-def alt_set_bruteforce(
-    rank: int, lam: Weight, mu: Weight, max_rank: int | None = None
-) -> AlternationSet:
+def alt_set_bruteforce(rank: int, lam: Weight, mu: Weight) -> AlternationSet:
     """Filter the full Weyl group by sigma(lam + rho) - rho - mu >= 0.
 
-    Rank is capped like enumerate_all (default 8); lam and mu may be any
+    Rank is capped like enumerate_all (fixed at 8); lam and mu may be any
     root-lattice weights of matching rank.
     """
     if lam.rank != rank or mu.rank != rank:
         raise ValueError(
             f"rank mismatch: rank={rank}, lam rank {lam.rank}, mu rank {mu.rank}"
         )
-    members = frozenset(sigma for sigma, _ in survivors(lam, mu, enumerate_all(rank, max_rank)))
+    members = frozenset(sigma for sigma, _ in survivors(lam, mu, enumerate_all(rank)))
     return AlternationSet(rank, lam, mu, members, PROVENANCE_BRUTE)
 
 
@@ -246,7 +245,8 @@ def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[list[Facto
     `nonconsecutive_subsets`' order, so `canonical_blocks` reads the
     canonical order off them. The set is refused with CapacityError, before
     any side is built, past F_27 elements, what 25 free letters on one side
-    give; the cap is fixed. The longest products, which carry letters from
+    give; the cap is fixed, and the message names the interval and the rank
+    as the CLI takes them. The longest products, which carry letters from
     both sides whenever both sides have free letters, are glued as elements
     and re-verified against the brute-force membership test.
     """
@@ -255,8 +255,9 @@ def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[list[Facto
     size, bound = alt_cardinality(iv), fibonacci(cap + 2)
     if size > bound:
         raise CapacityError(
-            f"the alternation set of {iv} has {size} elements, more than F_{cap + 2} = "
-            f"{bound}, the most {cap} free letters on one side give; the cap is fixed"
+            f"the alternation set of the interval [{i}, {j}] at rank {r} has {size} "
+            f"elements, more than F_{cap + 2} = {bound}, the most {cap} free letters a "
+            f"side give; the cap is fixed and no flag raises it"
         )
     left_side, right_side = sides(iv)
     # Left letters (< i) move only slots 1..i, right letters (> j) only j+1..r+1.

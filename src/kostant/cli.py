@@ -25,12 +25,13 @@ JSON word lists, the CSV word and perm fields and the table's word and
 
 Exit codes: 0 success or all-pass, 1 a comparison or verification failed,
 2 usage error (including an ``--out`` that cannot be written), 3 a capacity
-cap was hit. Only the rank cap of ``alt-set --method brute``, the literal
-scan of the whole Weyl group, can be raised, with --brute-cap; ``verify
---max-brute-rank`` above it exits 3 before any criterion runs. The node
+cap was hit. Every cap is fixed, and its message, raised where the limit
+lives, says that no flag raises it: the rank cap of 8 on ``alt-set
+--method brute``'s literal scan of the whole Weyl group (``verify
+--max-brute-rank`` above it exits 3 before any criterion runs), the node
 budget of ``qmult --method kwmf``'s pruned search and the cap on the
-theorem's alternation sets (25 free letters per side, so at most F_27 =
-196418 elements) are fixed; see ``errors``.
+theorem's alternation sets (25 free letters a side, so at most F_27 =
+196418 elements); see ``errors``.
 
 The parser is built once per process and reused by every ``run`` call;
 each call parses into a fresh Namespace.
@@ -56,7 +57,7 @@ from .alternation import (
     characterized_sides,
 )
 from .combinatorics import fibonacci, nonconsecutive_count_k
-from .errors import DEFAULT_SUBSET_GROUND_CAP, CapacityError
+from .errors import CapacityError
 from .multiplicity import predicted_q_multiplicity, q_multiplicity, q_multiplicity_closed
 from .partition import kostant_q, kostant_q_oracle
 from .weights import RootInterval, Weight, highest_root, interval_root, zero_weight
@@ -108,22 +109,12 @@ def _cmd_alt_set(args):
         raise UsageError("--mu 0 is only supported by qmult with --method kwmf")
     sets = {}  # name -> (provenance, count, left factors, right groups)
     if args.method in ("brute", "both"):
-        brute = alt_set_bruteforce(
-            args.rank, highest_root(args.rank), interval_root(iv), max_rank=args.brute_cap
-        )
+        brute = alt_set_bruteforce(args.rank, highest_root(args.rank), interval_root(iv))
         # each element is a product with the empty right factor
         sets["brute"] = (PROVENANCE_BRUTE, len(brute),
                          [(el.reduced_word(), el.perm) for el in brute], [[((), ())]])
     if args.method in ("theorem", "both"):
-        try:
-            left, right = characterized_sides(iv)
-        except CapacityError:
-            cap = DEFAULT_SUBSET_GROUND_CAP
-            raise CapacityError(
-                f"alt-set --mu {iv.i}..{iv.j} at rank {args.rank} has {alt_cardinality(iv)} "
-                f"elements; the theorem route has a fixed cap of {cap} free letters per side "
-                f"(at most F_{cap + 2} = {fibonacci(cap + 2)} elements) and no flag raises it"
-            ) from None
+        left, right = characterized_sides(iv)
         sets["theorem"] = (PROVENANCE_CHARACTERIZED, alt_cardinality(iv), left, right)
     verdict = None
     if args.method == "both":
@@ -426,7 +417,6 @@ def _build_parser() -> argparse.ArgumentParser:
     alt.add_argument("--rank", type=positive, required=True)
     alt.add_argument("--mu", required=True, help="interval i..j")
     alt.add_argument("--method", choices=("brute", "theorem", "both"), default="theorem")
-    alt.add_argument("--brute-cap", type=positive, default=None)
     _add_output_flags(alt)
     alt.set_defaults(handler=_cmd_alt_set)
 

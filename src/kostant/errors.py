@@ -1,7 +1,7 @@
 """Every limit of the package, and the exception raised when one is hit.
 
-Only the literal scan of the whole Weyl group and the enumeration oracle
-take a per-call override; the other limits are fixed.
+Only the enumeration oracle, a checking tool, takes a per-call override
+(its max_height); the other limits are fixed.
 """
 
 # The literal scan of all (rank+1)! elements: rank 8 is 362,880 of them.
@@ -24,6 +24,6 @@ class CapacityError(RuntimeError):
     """A computation was asked to exceed one of the limits above.
 
     Distinct from ValueError: the request is mathematically valid, just too big.
-    The message names the limit, and how to raise it where a caller can;
-    the fixed limits have no override.
+    The message names the limit. A fixed limit's message says that no flag
+    raises it; the oracle's names its max_height.
     """

@@ -18,6 +18,7 @@ end; a parity check guards the halving. One tuple-level kernel computes
 the permuted prefix sums behind both `apply` and `shifted_action`.
 """
 
+from bisect import bisect_left
 from itertools import accumulate, permutations
 from typing import Iterator
 
@@ -77,35 +78,24 @@ class WeylElement:
 
     @property
     def length(self) -> int:
-        """Coxeter length: the number of inversions of the one-line notation."""
+        """Coxeter length: the number of inversions of the one-line notation.
+
+        Each entry adds the count of later, smaller entries, found by bisection.
+        """
         if self._length is None:
-            p = self.perm
-            n = len(p)
-            self._length = sum(
-                1 for a in range(n) for b in range(a + 1, n) if p[a] > p[b]
-            )
+            later: list[int] = []
+            count = 0
+            for v in reversed(self.perm):
+                k = bisect_left(later, v)
+                count += k
+                later.insert(k, v)
+            self._length = count
         return self._length
 
     @property
     def sign(self) -> int:
-        """(-1) ** length.
-
-        Read off the parity of the length when it is already known (as for
-        every element built from a reduced word); otherwise counted from the
-        cycle parity in linear time, without computing the length.
-        """
-        if self._length is not None:
-            return -1 if self._length % 2 else 1
-        seen = [False] * len(self.perm)
-        cycles = 0
-        for start in range(len(self.perm)):
-            if not seen[start]:
-                cycles += 1
-                x = start
-                while not seen[x]:
-                    seen[x] = True
-                    x = self.perm[x] - 1
-        return -1 if (len(self.perm) - cycles) % 2 else 1
+        """(-1) ** length."""
+        return -1 if self.length % 2 else 1
 
     def reduced_word(self) -> tuple[int, ...]:
         """One reduced word for this element, deterministic.
@@ -251,23 +241,19 @@ def shifted_action(sigma: WeylElement, lam: Weight) -> Weight:
     return Weight(lam.rank, tuple(_halved(_moved_prefix_sums(sigma.perm, eps), tr)))
 
 
-def enumerate_all(rank: int, max_rank: int | None = None) -> Iterator[WeylElement]:
+def enumerate_all(rank: int) -> Iterator[WeylElement]:
     """All (rank+1)! Weyl group elements, lexicographic by one-line notation.
 
-    The rank cap defaults to 8 (at most 362880 elements); override it with
-    the max_rank argument or the CLI's alt-set --brute-cap. It is checked
+    The rank cap of 8 (at most 362,880 elements) is fixed. It is checked
     eagerly, before the first element is produced, and a rank above it
-    raises CapacityError naming both.
+    raises CapacityError.
     """
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    cap = DEFAULT_BRUTE_RANK_CAP if max_rank is None else max_rank
-    if cap < 1:
-        raise ValueError(f"brute-force rank cap must be >= 1, got {cap}")
+    cap = DEFAULT_BRUTE_RANK_CAP
     if rank > cap:
         raise CapacityError(
-            f"full Weyl group enumeration at rank {rank} exceeds the cap of {cap}; "
-            f"raise it with --brute-cap or max_rank if you really want "
-            f"{rank + 1}! elements"
+            f"the literal scan of the Weyl group at rank {rank} would visit {rank + 1}! "
+            f"elements; its rank cap of {cap} is fixed and no flag raises it"
         )
     return (WeylElement(rank, perm, check=False) for perm in permutations(range(1, rank + 2)))

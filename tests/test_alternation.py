@@ -187,7 +187,7 @@ def test_bruteforce_json_uses_coords_for_non_interval_mu():
 
 
 def test_bruteforce_cap_and_validation():
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="rank cap of 8 is fixed and no flag raises it"):
         alt_set_bruteforce(9, highest_root(9), simple_root(9, 1))
     with pytest.raises(ValueError):
         alt_set_bruteforce(3, highest_root(2), simple_root(3, 1))

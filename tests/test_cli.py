@@ -204,8 +204,11 @@ def test_usage_errors_exit_2(capsys):
     assert run(["partition", "--rank", "3", "--weight", "1,2"]) == EXIT_USAGE
     assert run(["partition", "--rank", "2", "--weight", "a,b"]) == EXIT_USAGE
     assert run(["identity", "--max-n", "-1"]) == EXIT_USAGE
-    assert run(["alt-set", "--rank", "3", "--mu", "1..2", "--brute-cap", "0"]) == EXIT_USAGE
-    # only alt-set's literal scan takes a cap; qmult's search has a fixed budget
+    capsys.readouterr()
+    # every limit is fixed: no subcommand takes a cap
+    assert run(["alt-set", "--rank", "3", "--mu", "1..2", "--method", "brute",
+                "--brute-cap", "3"]) == EXIT_USAGE
+    assert "unrecognized arguments: --brute-cap 3" in capsys.readouterr().err
     assert run(["qmult", "--rank", "9", "--mu", "1..1", "--method", "kwmf",
                 "--brute-cap", "9"]) == EXIT_USAGE
     assert run(["alt-set", "--rank", "3", "--mu", "0"]) == EXIT_USAGE
@@ -216,18 +219,14 @@ def test_usage_errors_exit_2(capsys):
 def test_capacity_exit_3(capsys):
     assert run(["alt-set", "--rank", "9", "--mu", "1..2", "--method", "brute"]) == EXIT_CAPACITY
     err = capsys.readouterr().err
-    assert "--brute-cap" in err
+    assert err.startswith("capacity: the literal scan of the Weyl group at rank 9")
+    assert "its rank cap of 8 is fixed and no flag raises it" in err
     # mu = 0 at rank 30 needs F_30 = 832,040 terms; the search stops at its node budget
     assert run(["qmult", "--rank", "30", "--mu", "0", "--method", "kwmf"]) == EXIT_CAPACITY
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("capacity: the pruned search at rank 30 visited more than")
     assert "its fixed budget; no flag raises it" in captured.err
-    assert "--brute-cap" not in captured.err
-    # an explicit cap at least the rank lets the query through
-    assert run(["alt-set", "--rank", "3", "--mu", "1..2", "--method", "brute",
-                "--brute-cap", "3"]) == EXIT_OK
-    capsys.readouterr()
 
 
 def test_verify_refuses_a_brute_rank_past_the_scan_cap(capsys, tmp_path):
@@ -258,7 +257,7 @@ def test_brute_criterion_keeps_the_scan_cap(monkeypatch):
     monkeypatch.setattr(acceptance, "alt_set_bruteforce", recorded)
     acceptance.check_alt_sets_agree(3)
     assert len(calls) == 1 + 3 + 6
-    assert all(kwargs == {} for kwargs in calls)  # no max_rank: the scan's own cap holds
+    assert all(kwargs == {} for kwargs in calls)  # the scan's own fixed cap holds
 
 
 def test_kwmf_past_the_old_rank_cap(capsys):
@@ -277,9 +276,11 @@ def test_ground_cap_exit_3_names_no_flag(capsys):
     assert run(["alt-set", "--rank", "30", "--mu", "1..1"]) == EXIT_CAPACITY
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("capacity: alt-set --mu 1..1 at rank 30 has 832040 elements")
-    assert "fixed cap of 25 free letters per side" in captured.err
-    assert "no flag raises it" in captured.err
+    assert captured.err.startswith(
+        "capacity: the alternation set of the interval [1, 1] at rank 30 has 832040 elements"
+    )
+    assert "more than F_27 = 196418, the most 25 free letters a side give" in captured.err
+    assert captured.err.endswith("the cap is fixed and no flag raises it\n")
     assert "max_ground" not in captured.err
     # each side within 25 letters, but F_27^2 elements together
     assert run(["alt-set", "--rank", "53", "--mu", "27..27", "--format", "json"]) == EXIT_CAPACITY
@@ -292,10 +293,11 @@ def test_reused_parser_keeps_no_state_between_calls(capsys):
     assert cli._build_parser() is cli._build_parser()
     assert run(["qmult", "--rank", "x", "--mu", "1..1"]) == EXIT_USAGE
     assert run(["--help"]) == EXIT_OK
+    capsys.readouterr()
     argv = ["alt-set", "--rank", "3", "--mu", "1..2", "--method", "brute"]
-    assert run(argv + ["--brute-cap", "2"]) == EXIT_CAPACITY
-    assert "--brute-cap" in capsys.readouterr().err
-    assert run(argv) == EXIT_OK  # the --brute-cap of the last call is gone
+    assert run(argv + ["--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["result"]["sets"]["brute"]["count"] == 1
+    assert run(argv) == EXIT_OK  # the --format of the last call is gone
     assert "brute: 1 elements" in capsys.readouterr().out
     golden = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
     repeated = ["alt-set", "--rank", "7", "--mu", "4..4", "--method", "theorem", "--format", "csv"]
@@ -381,7 +383,6 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
 
 
 _VALID = {
-    "--brute-cap": st.integers(1, 6),
     "--max-n": st.integers(0, 6),
     "--seed": st.integers(-2, 6),
     "--max-brute-rank": st.integers(1, 2),
@@ -395,7 +396,7 @@ _INVALID = st.one_of(
     st.sampled_from(["brute", "kwmf", "all", "6..1", "0..0", "1,x", "x", ""]),
 )
 _GRAMMAR = {
-    "alt-set": ("--rank", "--mu", "--method", "--brute-cap", "--format", "--out"),
+    "alt-set": ("--rank", "--mu", "--method", "--format", "--out"),
     "qmult": ("--rank", "--mu", "--method", "--format", "--out"),
     "partition": ("--rank", "--weight", "--oracle", "--format", "--out"),
     "identity": ("--max-n", "--format", "--out"),

@@ -117,9 +117,7 @@ def test_sign_is_cycle_parity_with_and_without_a_cached_length():
             expected = _cycle_parity(sigma.perm)
             fresh = WeylElement(r, sigma.perm)
             assert fresh._length is None
-            assert fresh.sign == expected  # counted from cycles
-            assert fresh._length is None  # the sign did not compute the length
-            fresh.length
+            assert fresh.sign == expected  # computes the length
             assert fresh.sign == expected  # read off the cached length
     for r, letters in [(5, (2, 4)), (7, (1, 3, 5, 7)), (6, ()), (8, (3, 8))]:
         sigma = from_nonconsecutive_letters(r, letters)
@@ -284,12 +282,7 @@ def test_enumerate_all_counts_and_order():
 def test_enumerate_cap_and_overrides():
     with pytest.raises(CapacityError) as exc:
         enumerate_all(9)
-    assert "--brute-cap" in str(exc.value)
-    # explicit argument lifts the cap without enumerating everything
-    gen = enumerate_all(9, max_rank=9)
-    assert next(gen).is_identity
-    with pytest.raises(ValueError):
-        enumerate_all(3, max_rank=0)
+    assert "its rank cap of 8 is fixed and no flag raises it" in str(exc.value)
 
 
 def test_element_validation_and_equality():
