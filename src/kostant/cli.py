@@ -19,19 +19,21 @@ renders its own text at its indent. ``alt-set`` rows come in the
 alternation set's canonical order (by length, then by reduced word) and
 are joined from text rendered once per factor: the theorem route takes
 the side factors of ``characterized_sides`` and never builds the set, and
-a brute-force element is a left factor with an empty right factor. The
-JSON word lists, the CSV word and perm fields and the table's word and
-``perm (...)`` text are each a left factor's text then a right factor's.
+a brute-force element, a member by the sign test read off
+``pruned_survivors`` (no subcommand runs the literal scan of the group),
+is a left factor with an empty right factor. The JSON word lists, the CSV
+word and perm fields and the table's word and ``perm (...)`` text are each
+a left factor's text then a right factor's.
 
-Exit codes: 0 success or all-pass, 1 a comparison or verification failed,
-2 usage error (including an ``--out`` that cannot be written), 3 a capacity
+Exit codes: 0 success or all-pass, 1 a comparison or verification failed
+(or stdout closed before the output was written, as under ``| head``), 2
+usage error (including an ``--out`` that cannot be written), 3 a capacity
 cap was hit. Every cap is fixed, and its message, raised where the limit
-lives, says that no flag raises it: the rank cap of 8 on ``alt-set
---method brute``'s literal scan of the whole Weyl group (``verify
---max-brute-rank`` above it exits 3 before any criterion runs), the node
-budget of ``qmult --method kwmf``'s pruned search and the cap on the
-theorem's alternation sets (25 free letters a side, so at most F_27 =
-196418 elements); see ``errors``.
+lives, says that no flag raises it: the node budget of the pruned search
+behind ``alt-set --method brute`` and ``qmult --method kwmf``, the cap on
+the theorem's alternation sets (25 free letters a side, so at most F_27 =
+196418 elements) and the height cap of ``partition --oracle``; see
+``errors``.
 
 The parser is built once per process and reused by every ``run`` call;
 each call parses into a fresh Namespace.
@@ -45,16 +47,18 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 
-from .acceptance import DEFAULT_BRUTE_RANK, DEFAULT_CLOSED_RANK, DEFAULT_SEED, run_all
+from .acceptance import DEFAULT_CLOSED_RANK, run_all
 from .alternation import (
     PROVENANCE_BRUTE,
     PROVENANCE_CHARACTERIZED,
+    AlternationSet,
     alt_cardinality,
-    alt_set_bruteforce,
     canonical_blocks,
     characterized_sides,
+    pruned_survivors,
 )
 from .combinatorics import fibonacci, nonconsecutive_count_k
 from .errors import CapacityError
@@ -109,7 +113,9 @@ def _cmd_alt_set(args):
         raise UsageError("--mu 0 is only supported by qmult with --method kwmf")
     sets = {}  # name -> (provenance, count, left factors, right groups)
     if args.method in ("brute", "both"):
-        brute = alt_set_bruteforce(args.rank, highest_root(args.rank), interval_root(iv))
+        lam, mu = highest_root(args.rank), interval_root(iv)
+        members = frozenset(sigma for sigma, _ in pruned_survivors(lam, mu))
+        brute = AlternationSet(args.rank, lam, mu, members, PROVENANCE_BRUTE)
         # each element is a product with the empty right factor
         sets["brute"] = (PROVENANCE_BRUTE, len(brute),
                          [(el.reduced_word(), el.perm) for el in brute], [[((), ())]])
@@ -303,15 +309,12 @@ def _cmd_identity(args):
 
 
 def _cmd_verify(args):
-    bounds = dict(
-        max_brute_rank=args.max_brute_rank, max_closed_rank=args.max_closed_rank, seed=args.seed
-    )
-    query = {"command": "verify", **bounds}
+    query = {"command": "verify", "max_closed_rank": args.max_closed_rank}
     if args.format == "table":
         with _output(args.out) as stream:
-            results = run_all(**bounds, stream=stream)
+            results = run_all(max_closed_rank=args.max_closed_rank, stream=stream)
         return query, all(r.passed for r in results), None
-    results = run_all(**bounds, stream=io.StringIO())
+    results = run_all(max_closed_rank=args.max_closed_rank, stream=io.StringIO())
     if args.format == "json":
         crits = [
             {"name": r.name, "passed": r.passed, "detail": r.detail, "seconds": r.seconds}
@@ -440,9 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
     idn.set_defaults(handler=_cmd_identity)
 
     ver = sub.add_parser("verify", help="run the full verification suite")
-    ver.add_argument("--max-brute-rank", type=positive, default=DEFAULT_BRUTE_RANK)
     ver.add_argument("--max-closed-rank", type=positive, default=DEFAULT_CLOSED_RANK)
-    ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_output_flags(ver)
     ver.set_defaults(handler=_cmd_verify)
 
@@ -466,4 +467,11 @@ def run(argv=None) -> int:
 
 
 def console_entry() -> None:
-    raise SystemExit(run())
+    """The ``kostant`` script; a stdout closed by its reader ends the run quietly."""
+    try:
+        code = run()
+        sys.stdout.flush()  # a broken pipe raises here, not at interpreter exit
+    except BrokenPipeError:  # as the Python docs advise, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_FAIL
+    raise SystemExit(code)

@@ -1,10 +1,11 @@
 """Every limit of the package, and the exception raised when one is hit.
 
-Only the enumeration oracle, a checking tool, takes a per-call override
-(its max_height); the other limits are fixed.
+No flag raises any of them; only the enumeration oracle, a checking tool,
+takes a per-call override (its max_height), and only from the library.
 """
 
 # The literal scan of all (rank+1)! elements: rank 8 is 362,880 of them.
+# No CLI subcommand runs it; tests and perfbench keep it as the pruned search's reference.
 DEFAULT_BRUTE_RANK_CAP = 8
 # The enumeration oracle for partition polynomials, by height.
 DEFAULT_ORACLE_HEIGHT_CAP = 24
@@ -24,6 +25,6 @@ class CapacityError(RuntimeError):
     """A computation was asked to exceed one of the limits above.
 
     Distinct from ValueError: the request is mathematically valid, just too big.
-    The message names the limit. A fixed limit's message says that no flag
-    raises it; the oracle's names its max_height.
+    The message names the limit and says that no flag raises it; the
+    oracle's also names its max_height.
     """

@@ -256,7 +256,7 @@ def kostant_q_oracle(rank: int, xi: Weight, max_height: int | None = None) -> QP
     if h > cap:
         raise CapacityError(
             f"oracle enumeration for a weight of height {h} exceeds the cap of {cap}; "
-            f"pass max_height to override"
+            f"no flag raises it, but a library caller may pass max_height"
         )
     spans = _spans(rank)
     counts = [0] * (h + 1)

@@ -108,11 +108,13 @@ def test_supports_live_in_the_two_generator_ranges():
 
 
 def test_generator_one_never_appears():
-    for r in range(1, 8):
+    # the sign test over the whole group, read off the pruned search
+    for r in range(1, 15):
         lam = highest_root(r)
         for iv in _all_intervals(r):
-            brute = alt_set_bruteforce(r, lam, interval_root(iv))
-            assert all(1 not in sigma.support for sigma in brute.elements)
+            members = [sigma for sigma, _ in pruned_survivors(lam, interval_root(iv))]
+            assert len(members) == alt_cardinality(iv), iv
+            assert all(1 not in sigma.support for sigma in members)
 
 
 def test_bruteforce_with_general_mu():

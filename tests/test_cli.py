@@ -6,16 +6,15 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import kostant.acceptance as acceptance
+import kostant.alternation
+import kostant.weyl
 from kostant import (
-    CapacityError,
-    alt_set_bruteforce,
     fibonacci,
     highest_root,
     interval_root,
@@ -217,10 +216,16 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_capacity_exit_3(capsys):
-    assert run(["alt-set", "--rank", "9", "--mu", "1..2", "--method", "brute"]) == EXIT_CAPACITY
-    err = capsys.readouterr().err
-    assert err.startswith("capacity: the literal scan of the Weyl group at rank 9")
-    assert "its rank cap of 8 is fixed and no flag raises it" in err
+    # the brute route reads the pruned search: rank 9 answers, rank 30 [15, 15] hits the budget
+    assert run(["alt-set", "--rank", "9", "--mu", "1..2", "--method", "brute"]) == EXIT_OK
+    assert "brute: 21 elements" in capsys.readouterr().out
+    assert run(["alt-set", "--rank", "30", "--mu", "15..15", "--method", "brute"]) == EXIT_CAPACITY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "capacity: the pruned search at rank 30 visited more than 131072 nodes, "
+        "its fixed budget; no flag raises it\n"
+    )
     # mu = 0 at rank 30 needs F_30 = 832,040 terms; the search stops at its node budget
     assert run(["qmult", "--rank", "30", "--mu", "0", "--method", "kwmf"]) == EXIT_CAPACITY
     captured = capsys.readouterr()
@@ -229,35 +234,35 @@ def test_capacity_exit_3(capsys):
     assert "its fixed budget; no flag raises it" in captured.err
 
 
-def test_verify_refuses_a_brute_rank_past_the_scan_cap(capsys, tmp_path):
-    # rank 9 would scan 10! elements for each of 45 intervals; refused before any criterion
-    for fmt in ("table", "json", "csv"):
-        t0 = time.perf_counter()
-        assert run(["verify", "--max-brute-rank", "9", "--format", fmt]) == EXIT_CAPACITY
-        assert time.perf_counter() - t0 < 1.0
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("capacity: a brute-force rank bound of 9 is above")
-        assert "rank cap of 8" in captured.err
-    target = tmp_path / "verify.txt"
-    assert run(["verify", "--max-brute-rank", "12", "--out", str(target)]) == EXIT_CAPACITY
-    assert target.read_text() == ""
-    capsys.readouterr()
-    with pytest.raises(CapacityError, match="rank cap of 8"):
-        acceptance.run_all(max_brute_rank=9, stream=io.StringIO())
+def test_no_subcommand_reaches_the_literal_scan(capsys, monkeypatch):
+    def refuse(rank):
+        raise AssertionError(f"the literal scan of rank {rank} was reached")
+
+    monkeypatch.setattr(kostant.alternation, "enumerate_all", refuse)
+    monkeypatch.setattr(kostant.weyl, "enumerate_all", refuse)
+    for fmt in ("json", "csv", "table"):
+        argv = ["alt-set", "--rank", "7", "--mu", "4..4", "--method", "both", "--format", fmt]
+        assert run(argv) == EXIT_OK  # the brute and theorem sets agree
+        capsys.readouterr()
+    assert run(["verify", "--max-closed-rank", "3"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert sum(ln.startswith("PASS") for ln in out.splitlines()) == 11
+    assert "560 interval sets equal through rank 14" in out
+    assert out.endswith("all 11 criteria passed\n")
 
 
-def test_brute_criterion_keeps_the_scan_cap(monkeypatch):
-    calls = []
-
-    def recorded(*args, **kwargs):
-        calls.append(kwargs)
-        return alt_set_bruteforce(*args, **kwargs)
-
-    monkeypatch.setattr(acceptance, "alt_set_bruteforce", recorded)
-    acceptance.check_alt_sets_agree(3)
-    assert len(calls) == 1 + 3 + 6
-    assert all(kwargs == {} for kwargs in calls)  # the scan's own fixed cap holds
+def test_a_closed_stdout_ends_the_script_quietly():
+    # about 300 kB of table, far more than a pipe buffers: the write meets the closed pipe
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kostant", "alt-set", "--rank", "20", "--mu", "10..10"],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"alternation set, rank 20, interval weight [10, 10]\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == EXIT_FAIL
+    assert err == ""  # no BrokenPipeError traceback, and no warning at exit
 
 
 def test_kwmf_past_the_old_rank_cap(capsys):
@@ -320,7 +325,7 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_verify_small_bounds(capsys):
-    code = run(["verify", "--max-brute-rank", "3", "--max-closed-rank", "5"])
+    code = run(["verify", "--max-closed-rank", "5"])
     out = capsys.readouterr().out
     assert code == EXIT_OK
     lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
@@ -329,9 +334,8 @@ def test_verify_small_bounds(capsys):
     assert "all 11 criteria passed" in out
 
 
-def test_verify_json_deterministic_for_seed(capsys):
-    argv = ["verify", "--max-brute-rank", "2", "--max-closed-rank", "4",
-            "--seed", "7", "--format", "json"]
+def test_verify_json_is_deterministic(capsys):
+    argv = ["verify", "--max-closed-rank", "4", "--format", "json"]
     code1, data1 = _run_json(capsys, argv)
     code2, data2 = _run_json(capsys, argv)
     assert code1 == code2 == EXIT_OK
@@ -340,7 +344,7 @@ def test_verify_json_deterministic_for_seed(capsys):
     ]
     assert strip(data1) == strip(data2)
     assert data1["verdict"] == "pass"
-    assert data1["query"]["seed"] == 7
+    assert data1["query"] == {"command": "verify", "max_closed_rank": 4}  # no seed
 
 
 def test_help_exits_zero(capsys):
@@ -378,14 +382,12 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     # verify opens its --out before it runs any criterion
-    assert run(["verify", "--max-brute-rank", "1", "--out", target]) == EXIT_USAGE
+    assert run(["verify", "--out", target]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
 
 
 _VALID = {
     "--max-n": st.integers(0, 6),
-    "--seed": st.integers(-2, 6),
-    "--max-brute-rank": st.integers(1, 2),
     "--max-closed-rank": st.integers(1, 3),
     "--format": st.sampled_from(["json", "csv", "table"]),
     "--method:alt-set": st.sampled_from(["brute", "theorem", "both"]),
@@ -400,7 +402,7 @@ _GRAMMAR = {
     "qmult": ("--rank", "--mu", "--method", "--format", "--out"),
     "partition": ("--rank", "--weight", "--oracle", "--format", "--out"),
     "identity": ("--max-n", "--format", "--out"),
-    "verify": ("--max-brute-rank", "--max-closed-rank", "--seed", "--format", "--out"),
+    "verify": ("--max-closed-rank", "--format", "--out"),
 }
 _JUNK = st.one_of(
     st.sampled_from(["", "x", "..", "1..", "-", "--", "--bogus", "1,a", "2.5", "--rank"]),

@@ -40,10 +40,10 @@ def test_the_oracle_height_is_the_only_limit_parameter():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["alt-set", "--rank", "9", "--mu", "1..2", "--method", "brute"],
+        ["alt-set", "--rank", "30", "--mu", "15..15", "--method", "brute"],
         ["alt-set", "--rank", "30", "--mu", "1..1"],
         ["qmult", "--rank", "30", "--mu", "0", "--method", "kwmf"],
-        ["verify", "--max-brute-rank", "9"],
+        ["partition", "--rank", "2", "--weight", "13,13", "--oracle"],
     ],
 )
 def test_each_refusal_exits_3_and_names_only_real_flags(argv, capsys):

@@ -46,9 +46,18 @@ def golden_argvs() -> list[list[str]]:
                           "--oracle", "--format", fmt])
     for fmt in FORMATS:
         argvs.append(["identity", "--max-n", "12", "--format", fmt])
-    argvs.append(["verify", "--max-brute-rank", "3", "--max-closed-rank", "5",
-                  "--format", "json"])
+    argvs.append(["verify", "--max-closed-rank", "5", "--format", "json"])
     return argvs
+
+
+def _recorded(argv: list[str], text: str) -> str:
+    """stdout as recorded: verify's JSON without its per-criterion timings."""
+    if argv[0] != "verify":
+        return text
+    doc = json.loads(text)
+    for crit in doc["result"]["criteria"]:
+        del crit["seconds"]
+    return json.dumps(doc, indent=2)
 
 
 def call(argv: list[str]) -> dict:
@@ -56,13 +65,7 @@ def call(argv: list[str]) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = run(argv)
-    text = out.getvalue()
-    if argv[0] == "verify":
-        doc = json.loads(text)
-        for crit in doc["result"]["criteria"]:
-            del crit["seconds"]
-        text = json.dumps(doc, indent=2)
-    return {"argv": argv, "exit": code, "stdout": text}
+    return {"argv": argv, "exit": code, "stdout": _recorded(argv, out.getvalue())}
 
 
 def test_cli_output_matches_golden():
@@ -76,7 +79,9 @@ def test_python_dash_O_replays_one_golden_call_per_format():
     """`python -O -m kostant` strips asserts; the output must not change.
 
     The theorem route runs in every format: its membership spot check
-    raises RuntimeError, never asserts, so -O keeps it.
+    raises RuntimeError, never asserts, so -O keeps it. The verify record
+    runs all eleven criteria, each of which raises CriterionFailed, never
+    asserts, on a mismatch.
     """
     records = {json.dumps(rec["argv"]): rec for rec in json.loads(GOLDEN.read_text())}
     argvs = (
@@ -85,6 +90,7 @@ def test_python_dash_O_replays_one_golden_call_per_format():
         ["alt-set", "--rank", "7", "--mu", "4..4", "--method", "theorem", "--format", "table"],
         ["alt-set", "--rank", "7", "--mu", "1..1", "--method", "both", "--format", "csv"],
         ["qmult", "--rank", "6", "--mu", "2..6", "--method", "all", "--format", "table"],
+        ["verify", "--max-closed-rank", "5", "--format", "json"],
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     for argv in argvs:
@@ -93,7 +99,8 @@ def test_python_dash_O_replays_one_golden_call_per_format():
             [sys.executable, "-O", "-m", "kostant", *argv],
             env=env, capture_output=True, timeout=120,
         )  # bytes, so the CSV's \r\n line ends are compared as written
-        assert (done.returncode, done.stdout.decode()) == (record["exit"], record["stdout"]), (
+        stdout = _recorded(argv, done.stdout.decode())
+        assert (done.returncode, stdout) == (record["exit"], record["stdout"]), (
             done.stderr.decode()
         )
 
