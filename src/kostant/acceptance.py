@@ -4,11 +4,12 @@ Each criterion re-derives one advertised guarantee from scratch. A check
 returns a one-line detail of what it covered, or raises ``CriterionFailed``
 with the detail of the first mismatch; it knows neither its own name nor
 its timing, and never signals failure with ``assert`` (which ``python -O``
-strips). ``run_all`` owns the names, times each check, turns a return into
-a PASS line, a ``CriterionFailed`` into a FAIL line with its message, and
-any other exception into a FAIL line with its repr. The CLI ``verify``
-subcommand and the acceptance test module both route through the functions
-here, so the entry points cannot drift apart.
+strips). ``run_all`` owns the names, times each check and yields one
+``CriterionResult`` as each check returns: a return passes with its detail,
+a ``CriterionFailed`` fails with its message, and any other exception fails
+with its repr. It writes nothing; the CLI ``verify`` subcommand renders the
+results, and it and the acceptance test module both route through the
+functions here, so the entry points cannot drift apart.
 
 Rank bounds default to the largest sizes the guarantees are advertised at.
 ``run_all`` takes one knob, ``max_closed_rank``, which bounds the
@@ -22,10 +23,10 @@ multiplicity one (intervals through rank 12, Weyl images through rank 10).
 from __future__ import annotations
 
 import random
-import sys
 import time
 from dataclasses import dataclass
 from itertools import product
+from typing import Iterator
 
 from .alternation import (
     alt_cardinality,
@@ -65,11 +66,6 @@ class CriterionResult:
     passed: bool
     detail: str
     seconds: float
-
-
-def format_line(res: CriterionResult) -> str:
-    mark = "PASS" if res.passed else "FAIL"
-    return f"{mark}  {res.name:<36} {res.seconds:7.2f}s  {res.detail}"
 
 
 def _intervals(rank):
@@ -261,9 +257,8 @@ def check_zero_weight_sum(max_rank: int = 10) -> str:
     return f"ranks 1..{max_rank}"
 
 
-def run_all(max_closed_rank: int = DEFAULT_CLOSED_RANK, stream=None) -> list[CriterionResult]:
-    """Run every criterion, print one line each, return the results in order."""
-    out = stream if stream is not None else sys.stdout
+def run_all(max_closed_rank: int = DEFAULT_CLOSED_RANK) -> Iterator[CriterionResult]:
+    """Run every criterion in order, yielding each result as its check returns."""
     checks = [
         ("alternation-brute-vs-characterized", check_alt_sets_agree),
         ("alternation-cardinality-fibonacci", check_cardinality_fibonacci),
@@ -277,21 +272,12 @@ def run_all(max_closed_rank: int = DEFAULT_CLOSED_RANK, stream=None) -> list[Cri
         ("boundary-letter-length-counts", check_boundary_length_counts),
         ("zero-weight-qmult-sum", check_zero_weight_sum),
     ]
-    results = []
     for name, check in checks:
         t0 = time.perf_counter()
         try:
             passed, detail = True, check()
         except CriterionFailed as exc:
             passed, detail = False, str(exc)
-        except Exception as exc:  # report the crash as a failed line, keep going
+        except Exception as exc:  # report the crash as a failed result, keep going
             passed, detail = False, repr(exc)
-        res = CriterionResult(name, passed, detail, time.perf_counter() - t0)
-        results.append(res)
-        print(format_line(res), file=out)
-    if all(r.passed for r in results):
-        print(f"all {len(results)} criteria passed", file=out)
-    else:
-        failed = sum(1 for r in results if not r.passed)
-        print(f"{failed} of {len(results)} criteria FAILED", file=out)
-    return results
+        yield CriterionResult(name, passed, detail, time.perf_counter() - t0)

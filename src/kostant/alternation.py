@@ -65,7 +65,6 @@ from .weights import (
     RootInterval,
     Weight,
     _two_rho_coords,
-    as_interval,
     highest_root,
     interval_root,
 )
@@ -123,16 +122,6 @@ class AlternationSet:
             order = sorted(self.elements, key=lambda s: (s.length, s.reduced_word()))
             object.__setattr__(self, "_order", tuple(order))
         return iter(self._order)
-
-    def to_json(self) -> dict:
-        iv = as_interval(self.mu)
-        return {
-            "rank": self.rank,
-            "mu": [iv.i, iv.j] if iv is not None else list(self.mu.coords),
-            "count": len(self.elements),
-            "elements": [list(s.reduced_word()) for s in self],
-            "provenance": self.provenance,
-        }
 
 
 def survivors(lam: Weight, mu: Weight, sigmas) -> Iterator[tuple[WeylElement, tuple[int, ...]]]:
@@ -246,18 +235,22 @@ def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[list[Facto
     canonical order off them. The set is refused with CapacityError, before
     any side is built, past F_27 elements, what 25 free letters on one side
     give; the cap is fixed, and the message names the interval and the rank
-    as the CLI takes them. The longest products, which carry letters from
-    both sides whenever both sides have free letters, are glued as elements
-    and re-verified against the brute-force membership test.
+    as the CLI takes them. A side alone past F_27 is refused before its
+    Fibonacci number is computed, so the message gives the size as the
+    product F_i * F_(r-j+1), not its value. The longest products, which
+    carry letters from both sides whenever both sides have free letters,
+    are glued as elements and re-verified against the brute-force
+    membership test.
     """
     r, i, j = iv.rank, iv.i, iv.j
     cap = DEFAULT_SUBSET_GROUND_CAP
-    size, bound = alt_cardinality(iv), fibonacci(cap + 2)
-    if size > bound:
+    bound = fibonacci(cap + 2)
+    # one side alone past the bound is refused before its Fibonacci number is computed
+    if max(i, r - j + 1) > cap + 2 or alt_cardinality(iv) > bound:
         raise CapacityError(
-            f"the alternation set of the interval [{i}, {j}] at rank {r} has {size} "
-            f"elements, more than F_{cap + 2} = {bound}, the most {cap} free letters a "
-            f"side give; the cap is fixed and no flag raises it"
+            f"the alternation set of the interval [{i}, {j}] at rank {r} has "
+            f"F_{i} * F_{r - j + 1} elements, more than F_{cap + 2} = {bound}, the most "
+            f"{cap} free letters a side give; the cap is fixed and no flag raises it"
         )
     left_side, right_side = sides(iv)
     # Left letters (< i) move only slots 1..i, right letters (> j) only j+1..r+1.

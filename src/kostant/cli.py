@@ -6,13 +6,18 @@ machines; the JSON envelope is always ``{"query": ..., "result": ...,
 "verdict": "pass" | "fail" | null}`` where the verdict is null unless the
 subcommand compared independent routes.
 
-Each subcommand handler validates and computes, then returns ``(query,
-verdict, view)``, with the view built for the requested format only: the
-JSON result dict, a CSV ``(header, rows)`` pair, or the table's lines.
-``_render`` is the one output path: it writes the envelope, the CSV or the
-lines (plus a ``verdict:`` line when there is a verdict) and maps the
-verdict to the exit code. ``verify`` streams its table as each criterion
-finishes, so its table view is None. The envelope is written by
+The CLI is the package's only writer: the library returns values and
+prints nothing. ``run`` opens the output once, before the handler runs,
+as a shell redirection would, so a call that fails leaves ``--out``
+empty and an unwritable ``--out`` exits 2 before any work. Each
+subcommand handler takes the parsed args and that stream, validates and
+computes, then returns ``(query, verdict, view)``, with the view built for
+the requested format only: the JSON result dict, a CSV ``(header, rows)``
+pair, or the table's lines. ``_render`` writes the envelope, the CSV or
+the lines (plus a ``verdict:`` line when there is a verdict) to the stream
+and maps the verdict to the exit code. ``verify`` writes its table itself,
+one line per criterion as ``acceptance.run_all`` yields its result and
+then the summary line, so its table view is None. The envelope is written by
 ``_json_indented``, which gives the bytes of ``json.dumps(..., indent=2)``
 while leaving every scalar to the stdlib's C encoder; a callable in a view
 renders its own text at its indent. ``alt-set`` rows come in the
@@ -45,7 +50,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -107,7 +111,7 @@ def _parse_mu(text: str, rank: int) -> RootInterval | None:
     return RootInterval(rank, i, j)
 
 
-def _cmd_alt_set(args):
+def _cmd_alt_set(args, out):
     iv = _parse_mu(args.mu, args.rank)
     if iv is None:
         raise UsageError("--mu 0 is only supported by qmult with --method kwmf")
@@ -207,7 +211,7 @@ def _table_lines(left, right) -> list[str]:
     return lines
 
 
-def _cmd_qmult(args):
+def _cmd_qmult(args, out):
     iv = _parse_mu(args.mu, args.rank)
     if iv is None:
         if args.method != "kwmf":
@@ -255,7 +259,7 @@ def _cmd_qmult(args):
     return query, verdict, view
 
 
-def _cmd_partition(args):
+def _cmd_partition(args, out):
     try:
         coords = tuple(int(x) for x in args.weight.split(","))
     except ValueError:
@@ -286,7 +290,7 @@ def _cmd_partition(args):
     return query, verdict, view
 
 
-def _cmd_identity(args):
+def _cmd_identity(args, out):
     rows = []
     for n in range(args.max_n + 1):
         total = sum(nonconsecutive_count_k(n, k) for k in range(n + 2))
@@ -308,13 +312,19 @@ def _cmd_identity(args):
     return query, verdict, view
 
 
-def _cmd_verify(args):
+def _cmd_verify(args, out):
     query = {"command": "verify", "max_closed_rank": args.max_closed_rank}
+    results = []
+    for res in run_all(args.max_closed_rank):
+        results.append(res)
+        if args.format == "table":  # each line as soon as its criterion returns
+            mark = "PASS" if res.passed else "FAIL"
+            print(f"{mark}  {res.name:<36} {res.seconds:7.2f}s  {res.detail}", file=out)
+    failed = sum(not r.passed for r in results)
     if args.format == "table":
-        with _output(args.out) as stream:
-            results = run_all(max_closed_rank=args.max_closed_rank, stream=stream)
-        return query, all(r.passed for r in results), None
-    results = run_all(max_closed_rank=args.max_closed_rank, stream=io.StringIO())
+        print(f"{failed} of {len(results)} criteria FAILED" if failed
+              else f"all {len(results)} criteria passed", file=out)
+        return query, not failed, None
     if args.format == "json":
         crits = [
             {"name": r.name, "passed": r.passed, "detail": r.detail, "seconds": r.seconds}
@@ -324,12 +334,16 @@ def _cmd_verify(args):
     else:
         rows = [[r.name, r.passed, f"{r.seconds:.2f}", r.detail] for r in results]
         view = (["criterion", "passed", "seconds", "detail"], rows)
-    return query, all(r.passed for r in results), view
+    return query, not failed, view
 
 
 @contextlib.contextmanager
 def _output(path: str | None):
-    """stdout, or the --out file; an OSError while opening or writing it is a usage error."""
+    """stdout, or the --out file; an OSError while opening or writing it is a usage error.
+
+    The file is opened, and so emptied, before the command runs, as a shell
+    redirection would open it.
+    """
     if path is None:
         yield sys.stdout
         return
@@ -376,28 +390,21 @@ def _json_indented(value, pad: str = "\n") -> str:
     return json.dumps(value)
 
 
-def _render(args, query: dict, verdict: bool | None, view) -> int:
-    """Write one handler's view in args.format and return the exit code."""
-    exit_code = EXIT_FAIL if verdict is False else EXIT_OK
-    if view is None:  # verify has streamed its table already
-        return exit_code
+def _render(args, out, query: dict, verdict: bool | None, view) -> int:
+    """Write one handler's view in args.format to out and return the exit code."""
     if args.format == "json":
         v = None if verdict is None else ("pass" if verdict else "fail")
-        text = _json_indented({"query": query, "result": view, "verdict": v})
+        print(_json_indented({"query": query, "result": view, "verdict": v}), file=out)
     elif args.format == "csv":
         header, rows = view
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(out)
         writer.writerow(header)
         writer.writerows(rows)
-        text = buf.getvalue().rstrip("\n")
-    else:
+    elif view is not None:  # verify has written its table already
         if verdict is not None:
             view.append(f"verdict: {'pass' if verdict else 'fail'}")
-        text = "\n".join(view)
-    with _output(args.out) as fh:
-        print(text, file=fh)
-    return exit_code
+        print("\n".join(view), file=out)
+    return EXIT_FAIL if verdict is False else EXIT_OK
 
 
 def _add_output_flags(sp) -> None:
@@ -457,7 +464,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        return _render(args, *args.handler(args))
+        with _output(args.out) as out:
+            return _render(args, out, *args.handler(args, out))
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

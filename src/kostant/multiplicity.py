@@ -49,13 +49,11 @@ from .weyl import WeylElement
 class MultiplicityReport:
     """A q-multiplicity together with how it was computed.
 
+    method names the route that produced it, "kwmf_full" or "kwmf_altset".
     term_count is the number of group elements that contributed a nonzero
     summand (for lam = highest root this is the alternation set size).
     """
 
-    rank: int
-    lam: Weight
-    mu: Weight
     q_multiplicity: QPolynomial
     method: str
     term_count: int
@@ -63,18 +61,6 @@ class MultiplicityReport:
     @property
     def multiplicity_at_one(self) -> int:
         return self.q_multiplicity.evaluate(1)
-
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "lambda": self.lam.to_json(),
-            "mu": self.mu.to_json(),
-            "coeffs": list(self.q_multiplicity.coeffs),
-            "pretty": self.q_multiplicity.pretty(),
-            "multiplicity_at_one": self.multiplicity_at_one,
-            "method": self.method,
-            "term_count": self.term_count,
-        }
 
 
 def _signed_sum(rank: int, pairs) -> tuple[QPolynomial, int]:
@@ -114,7 +100,7 @@ def q_multiplicity(
     else:
         raise ValueError(f"method must be 'kwmf_full' or 'kwmf_altset', got {method!r}")
     poly, terms = _signed_sum(rank, pairs)
-    return MultiplicityReport(rank, lam, mu, poly, method, terms)
+    return MultiplicityReport(poly, method, terms)
 
 
 def _exponents(r: int, h: int, length: int, absent: int) -> tuple[int, int]:

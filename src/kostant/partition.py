@@ -145,9 +145,6 @@ class QPolynomial:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
 
-    def to_json(self) -> dict:
-        return {"coeffs": list(self.coeffs)}
-
     def __repr__(self) -> str:
         return f"QPolynomial({self.pretty()})"
 

@@ -58,9 +58,6 @@ class Weight:
     def is_zero(self) -> bool:
         return not any(self.coords)
 
-    def to_json(self) -> list[int]:
-        return list(self.coords)
-
 
 @dataclass(frozen=True)
 class RootInterval:

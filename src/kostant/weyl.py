@@ -130,9 +130,6 @@ class WeylElement:
             self._support = frozenset(self.reduced_word())
         return self._support
 
-    def to_json(self) -> dict:
-        return {"word": list(self.reduced_word()), "perm": list(self.perm)}
-
 
 def identity(rank: int) -> WeylElement:
     if rank < 1:

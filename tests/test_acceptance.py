@@ -103,6 +103,28 @@ def test_verify_reports_a_mismatch_and_a_crash(capsys, monkeypatch, tmp_path):
     assert target.read_text() == text
 
 
+def test_verify_writes_each_line_as_its_criterion_returns(capsys, monkeypatch):
+    # run_all yields each result as its check returns, and the CLI writes its line at once
+    seen = []
+
+    def stub(*args, **kwargs):
+        seen.append(capsys.readouterr().out)
+        return "stub"
+
+    for name in dir(acceptance):
+        if name.startswith("check_"):
+            monkeypatch.setattr(acceptance, name, stub)
+    results = acceptance.run_all(3)
+    assert next(results).detail == "stub" and len(seen) == 1  # one check per result drawn
+    seen.clear()
+    assert run(["verify"]) == 0
+    assert len(seen) == 11
+    assert seen[0] == ""  # nothing is written before the first criterion returns
+    assert all(s.startswith("PASS") and s.count("\n") == 1 for s in seen[1:])
+    last, summary = capsys.readouterr().out.splitlines()
+    assert last.startswith("PASS  zero-weight-qmult-sum") and summary == "all 11 criteria passed"
+
+
 def test_no_assert_statements_in_the_package():
     # `python -O` strips asserts, so a check written as one would pass silently.
     found = [
@@ -112,3 +134,29 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_the_cli_is_the_only_writer():
+    # The library returns values; only cli.py renders JSON or CSV, and run_all prints nothing.
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    writers = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "to_json"
+    ]
+    assert writers == []
+    importers = sorted(
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and {a.name for a in node.names} & {"json", "csv"}
+        or isinstance(node, ast.ImportFrom) and node.module in ("json", "csv")
+    )
+    assert set(importers) == {"cli.py"}
+    prints = [
+        node.lineno
+        for node in ast.walk(trees["acceptance.py"])
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+    ]
+    assert prints == []

@@ -129,18 +129,10 @@ def test_bruteforce_with_general_mu():
     assert _words(a) == [(), (2,)]
 
 
-def test_set_iteration_order_and_json():
+def test_set_iteration_order():
     aset = alt_set_characterized(RootInterval(7, 3, 4))
     words = [tuple(s.reduced_word()) for s in aset]
     assert words == [(), (2,), (5,), (6,), (2, 5), (2, 6)]
-    js = aset.to_json()
-    assert js == {
-        "rank": 7,
-        "mu": [3, 4],
-        "count": 6,
-        "elements": [[], [2], [5], [6], [2, 5], [2, 6]],
-        "provenance": "characterized",
-    }
 
 
 def _canonical(aset):
@@ -181,11 +173,6 @@ def test_a_brute_force_set_computes_no_word_until_it_is_iterated():
     assert all(s._word is not None for s in aset.elements)
     assert aset._order == tuple(first)  # kept for the next iteration
     assert list(aset) == first == _canonical(aset)
-
-
-def test_bruteforce_json_uses_coords_for_non_interval_mu():
-    aset = alt_set_bruteforce(2, highest_root(2), zero_weight(2))
-    assert aset.to_json()["mu"] == [0, 0]
 
 
 def test_bruteforce_cap_and_validation():
@@ -346,7 +333,7 @@ def test_characterized_bounds_the_product_not_only_each_side(monkeypatch):
     monkeypatch.setattr(kostant.alternation, "nonconsecutive_subsets", no_subsets)
     iv = RootInterval(53, 27, 27)
     assert [len(side.letters) for side in kostant.alternation.sides(iv)] == [25, 25]
-    with pytest.raises(CapacityError, match="38580030724 elements"):
+    with pytest.raises(CapacityError, match=r"F_27 \* F_27 elements"):
         alt_set_characterized(iv)
     monkeypatch.undo()
     # the bound is F_(cap + 2): at cap 5, F_7 = 13 elements pass and 15 do not

@@ -282,14 +282,31 @@ def test_ground_cap_exit_3_names_no_flag(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(
-        "capacity: the alternation set of the interval [1, 1] at rank 30 has 832040 elements"
+        "capacity: the alternation set of the interval [1, 1] at rank 30 has F_1 * F_30 elements"
     )
     assert "more than F_27 = 196418, the most 25 free letters a side give" in captured.err
     assert captured.err.endswith("the cap is fixed and no flag raises it\n")
     assert "max_ground" not in captured.err
     # each side within 25 letters, but F_27^2 elements together
     assert run(["alt-set", "--rank", "53", "--mu", "27..27", "--format", "json"]) == EXIT_CAPACITY
-    assert "38580030724 elements" in capsys.readouterr().err
+    assert "F_27 * F_27 elements" in capsys.readouterr().err
+
+
+def test_a_side_past_the_cap_is_refused_before_its_fibonacci_number(capsys, monkeypatch):
+    # F_25000 has over 5,000 digits: formatting it once exited 2, and computing it held the memory
+    asked = []
+
+    def recording(n):
+        asked.append(n)
+        return fibonacci(n)
+
+    monkeypatch.setattr(kostant.alternation, "fibonacci", recording)
+    assert run(["alt-set", "--rank", "50000", "--mu", "25000..25000"]) == EXIT_CAPACITY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "has F_25000 * F_25001 elements" in captured.err
+    assert captured.err.endswith("no flag raises it\n")
+    assert all(n <= 27 for n in asked), asked
 
 
 def test_reused_parser_keeps_no_state_between_calls(capsys):
@@ -324,29 +341,6 @@ def test_out_file(tmp_path, capsys):
     assert data["verdict"] == "pass"
 
 
-def test_verify_small_bounds(capsys):
-    code = run(["verify", "--max-closed-rank", "5"])
-    out = capsys.readouterr().out
-    assert code == EXIT_OK
-    lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
-    assert len(lines) == 11
-    assert all(ln.startswith("PASS") for ln in lines)
-    assert "all 11 criteria passed" in out
-
-
-def test_verify_json_is_deterministic(capsys):
-    argv = ["verify", "--max-closed-rank", "4", "--format", "json"]
-    code1, data1 = _run_json(capsys, argv)
-    code2, data2 = _run_json(capsys, argv)
-    assert code1 == code2 == EXIT_OK
-    strip = lambda d: [
-        {k: v for k, v in c.items() if k != "seconds"} for c in d["result"]["criteria"]
-    ]
-    assert strip(data1) == strip(data2)
-    assert data1["verdict"] == "pass"
-    assert data1["query"] == {"command": "verify", "max_closed_rank": 4}  # no seed
-
-
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == EXIT_OK
     assert "alt-set" in capsys.readouterr().out
@@ -367,23 +361,41 @@ def test_verify_maps_failure_to_exit_1(capsys, monkeypatch):
     import kostant.cli as cli
     from kostant.acceptance import CriterionResult
 
-    def forced_failure(**kwargs):
-        return [CriterionResult("stub", False, "forced failure", 0.0)]
+    def forced_failure(max_closed_rank):
+        return iter([CriterionResult("stub", False, "forced failure", 0.0)])
 
     monkeypatch.setattr(cli, "run_all", forced_failure)
     assert run(["verify"]) == EXIT_FAIL
     capsys.readouterr()
 
 
-def test_unwritable_out_exits_2(tmp_path, capsys):
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
+    import kostant.cli as cli
+
     target = str(tmp_path / "missing" / "x")
     assert run(["identity", "--max-n", "3", "--out", target]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    # verify opens its --out before it runs any criterion
-    assert run(["verify", "--out", target]) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error: ")
+    assert captured.err.startswith("error: cannot write --out: ")
+
+    def unreachable(max_closed_rank):
+        raise AssertionError("a criterion ran before --out was opened")
+
+    # --out is opened before any handler runs, so no criterion runs in any format
+    monkeypatch.setattr(cli, "run_all", unreachable)
+    for fmt in ("json", "csv", "table"):
+        assert run(["verify", "--format", fmt, "--out", target]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write --out: ")
+
+
+def test_failed_call_leaves_out_empty(tmp_path, capsys):
+    # as a shell redirection would: the file is opened first, and nothing is written to it
+    target = tmp_path / "f"
+    assert run(["alt-set", "--rank", "30", "--mu", "1..1", "--out", str(target)]) == EXIT_CAPACITY
+    assert target.read_text() == ""
+    assert capsys.readouterr().out == ""
 
 
 _VALID = {

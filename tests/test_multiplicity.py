@@ -1,6 +1,7 @@
 """q-multiplicities: alternating sums, per-element closed forms, the q-power law."""
 
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,18 +63,13 @@ def test_multiplicity_at_one_examples():
     assert q_multiplicity(3, highest_root(3), mu).multiplicity_at_one == 1
 
 
-def test_report_fields_and_json():
+def test_report_fields():
     rep = q_multiplicity(3, highest_root(3), simple_root(3, 2))
     assert isinstance(rep, MultiplicityReport)
+    assert [f.name for f in fields(rep)] == ["q_multiplicity", "method", "term_count"]
     assert rep.method == "kwmf_full"
     assert rep.multiplicity_at_one == rep.q_multiplicity.evaluate(1) == 1
     assert rep.term_count == alt_cardinality(RootInterval(3, 2, 2))
-    js = rep.to_json()
-    assert js["coeffs"] == [0, 0, 1]
-    assert js["pretty"] == "q^2"
-    assert js["lambda"] == [1, 1, 1]
-    assert js["mu"] == [0, 1, 0]
-    assert QPolynomial(js["coeffs"]) == rep.q_multiplicity
 
 
 def test_full_and_altset_methods_agree_through_rank_5():

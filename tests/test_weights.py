@@ -107,10 +107,6 @@ def test_weight_stores_the_coerced_rank():
         Weight(2.0, (1, 2))
 
 
-def test_weight_json():
-    assert Weight(3, (1, 0, -2)).to_json() == [1, 0, -2]
-
-
 def test_as_interval_roundtrip():
     for r in range(1, 9):
         for i in range(1, r + 1):

@@ -303,9 +303,10 @@ def test_element_validation_and_equality():
         from_word(3, [4])
 
 
-def test_element_json():
+def test_element_word_and_perm():
     sigma = from_word(4, [2, 4])
-    assert sigma.to_json() == {"word": [2, 4], "perm": [1, 3, 2, 5, 4]}
+    assert sigma.reduced_word() == (2, 4)
+    assert sigma.perm == (1, 3, 2, 5, 4)
 
 
 def test_two_rho_shifted_by_longest_element():
