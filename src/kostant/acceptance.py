@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
@@ -49,7 +48,7 @@ from .multiplicity import (
     q_multiplicity_closed,
 )
 from .partition import QPolynomial, consecutive_closed_form, kostant_q, kostant_q_oracle
-from .weights import Weight, RootInterval, highest_root, interval_root, zero_weight
+from .weights import Value, Weight, RootInterval, highest_root, interval_root, zero_weight
 from .weyl import shifted_action
 
 DEFAULT_CLOSED_RANK = 60
@@ -60,12 +59,11 @@ class CriterionFailed(Exception):
     """A criterion found a mismatch; the message is the detail of its FAIL line."""
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+class CriterionResult(Value):
+    __slots__ = _fields = ("name", "passed", "detail", "seconds")
+
+    def __init__(self, name: str, passed: bool, detail: str, seconds: float):
+        self._fill(name, passed, detail, seconds)
 
 
 def _intervals(rank):

@@ -55,21 +55,24 @@ under which the counts are plain zero-padded binomials and their total
 telescopes to the Fibonacci cardinality.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import islice
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .combinatorics import fibonacci, nonconsecutive_count_k, nonconsecutive_subsets
 from .errors import DEFAULT_SUBSET_GROUND_CAP, SEARCH_NODE_BUDGET, CapacityError
 from .weights import (
     RootInterval,
+    Value,
     Weight,
+    _set,
     _two_rho_coords,
     highest_root,
     interval_root,
 )
 from .weyl import (
     WeylElement,
+    _element,
     _eps,
     _halved,
     _with_reduced_word,
@@ -89,8 +92,7 @@ _SPOT_CHECK = 8
 Factor = tuple[tuple[int, ...], list[int]]
 
 
-@dataclass(frozen=True)
-class AlternationSet:
+class AlternationSet(Value):
     """The elements sigma with a nonzero partition count after the shifted action.
 
     `elements` is a frozenset of WeylElements; iteration is deterministic,
@@ -104,12 +106,12 @@ class AlternationSet:
     The order takes no part in equality, hashing or repr.
     """
 
-    rank: int
-    lam: Weight
-    mu: Weight
-    elements: frozenset[WeylElement]
-    provenance: str
-    _order: tuple[WeylElement, ...] | None = field(default=None, compare=False, repr=False)
+    _fields = ("rank", "lam", "mu", "elements", "provenance")
+    __slots__ = _fields + ("_order",)
+
+    def __init__(self, rank: int, lam: Weight, mu: Weight, elements: frozenset[WeylElement],
+                 provenance: str, _order: tuple[WeylElement, ...] | None = None):
+        self._fill(rank, lam, mu, elements, provenance, _order)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -120,7 +122,7 @@ class AlternationSet:
     def __iter__(self):
         if self._order is None:
             order = sorted(self.elements, key=lambda s: (s.length, s.reduced_word()))
-            object.__setattr__(self, "_order", tuple(order))
+            _set(self, "_order", tuple(order))
         return iter(self._order)
 
 
@@ -153,7 +155,8 @@ def pruned_survivors(lam: Weight, mu: Weight) -> Iterator[tuple[WeylElement, tup
     sign test there. The last slot is forced, since the entries sum to 0.
     The pairs come in no particular order. Each prefix the search enters is
     a node; past SEARCH_NODE_BUDGET nodes it raises CapacityError, so what
-    is refused is a search that really explodes, not a rank.
+    is refused is a search that really explodes, not a rank. Open prefixes
+    live on a list, not on the call stack, so no depth hits the recursion limit.
     """
     if lam.rank != mu.rank:
         raise ValueError(f"rank mismatch: lam rank {lam.rank} vs mu rank {mu.rank}")
@@ -162,32 +165,41 @@ def pruned_survivors(lam: Weight, mu: Weight) -> Iterator[tuple[WeylElement, tup
     eps = _eps([2 * c + t for c, t in zip(lam.coords, tr)])
     floors = [t + 2 * m for t, m in zip(tr, mu.coords)]
     perm = [0] * (rank + 1)  # perm[x] = sigma(x + 1), set as slots fill
-    prefixes: list[int] = []
-    nodes = 0
 
-    def fill(unused: tuple[int, ...], total: int):
-        nonlocal nodes
-        nodes += 1
-        if nodes > SEARCH_NODE_BUDGET:
-            raise CapacityError(
-                f"the pruned search at rank {rank} visited more than {SEARCH_NODE_BUDGET} "
-                f"nodes, its fixed budget; no flag raises it"
-            )
-        slot = len(prefixes) + 1
-        if slot > rank:
-            perm[unused[0]] = slot
-            xi = tuple(h - m for h, m in zip(_halved(prefixes, tr), mu.coords))
-            yield WeylElement(rank, tuple(perm), check=False), xi
-            return
+    def children(total: int, unused: tuple[int, ...], slot: int):
+        """(prefix sum, entries left) for each unused entry that may fill `slot`, in order."""
         for n, x in enumerate(unused):
             s = total + eps[x]
             if s >= floors[slot - 1]:
                 perm[x] = slot
-                prefixes.append(s)
-                yield from fill(unused[:n] + unused[n + 1:], s)
-                prefixes.pop()
+                yield s, unused[:n] + unused[n + 1:]
 
-    return fill(tuple(range(rank + 1)), 0)
+    def search():
+        nodes = 0
+        prefixes: list[int] = []  # the prefix sums along the path, the root's 0 first
+        frames = [iter([(0, tuple(range(rank + 1)))])]  # the nodes still to enter, by depth
+        while frames:
+            node = next(frames[-1], None)
+            if node is None:
+                frames.pop()
+                continue
+            nodes += 1
+            if nodes > SEARCH_NODE_BUDGET:
+                raise CapacityError(
+                    f"the pruned search at rank {rank} visited more than {SEARCH_NODE_BUDGET} "
+                    f"nodes, its fixed budget; no flag raises it"
+                )
+            total, unused = node
+            del prefixes[len(frames) - 1:]
+            prefixes.append(total)
+            if len(unused) > 1:
+                frames.append(children(total, unused, len(prefixes)))
+                continue
+            perm[unused[0]] = rank + 1
+            xi = tuple(h - m for h, m in zip(_halved(prefixes[1:], tr), mu.coords))
+            yield _element(rank, tuple(perm)), xi
+
+    return search()
 
 
 def alt_set_bruteforce(rank: int, lam: Weight, mu: Weight) -> AlternationSet:
@@ -321,16 +333,13 @@ def alt_cardinality(iv: RootInterval) -> int:
     return fibonacci(iv.i) * fibonacci(iv.rank - iv.j + 1)
 
 
-class Side(NamedTuple):
-    """One side of A(highest root, [i, j]): its free letter range and boundary letter.
+Side = namedtuple("Side", "letters boundary")
+Side.__doc__ = """One side of A(highest root, [i, j]): its free letter range and boundary letter.
 
-    The ranges are {2..i-1} (left) and {j+1..r-1} (right); the boundary
-    letters are s_{i-1} and s_{j+1}, None when i = 1 or j = r. At i = 2 or
-    j = r-1 the range is empty, so the boundary letter is always absent.
-    """
-
-    letters: range
-    boundary: int | None
+The ranges are {2..i-1} (left) and {j+1..r-1} (right); the boundary
+letters are s_{i-1} and s_{j+1}, None when i = 1 or j = r. At i = 2 or
+j = r-1 the range is empty, so the boundary letter is always absent.
+"""
 
 
 def sides(iv: RootInterval) -> tuple[Side, Side]:

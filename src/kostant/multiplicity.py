@@ -36,17 +36,15 @@ j < r), as `alternation.sides` describes them. Both exponents are provably
 nonnegative on valid input; a negative one raises RuntimeError.
 """
 
-from dataclasses import dataclass
 from math import comb
 
 from .alternation import alt_set_characterized, pruned_survivors, side_tally, sides, survivors
 from .partition import QPolynomial, kostant_q
-from .weights import RootInterval, Weight, as_interval, highest_root
+from .weights import RootInterval, Value, Weight, as_interval, highest_root
 from .weyl import WeylElement
 
 
-@dataclass(frozen=True)
-class MultiplicityReport:
+class MultiplicityReport(Value):
     """A q-multiplicity together with how it was computed.
 
     method names the route that produced it, "kwmf_full" or "kwmf_altset".
@@ -54,9 +52,10 @@ class MultiplicityReport:
     summand (for lam = highest root this is the alternation set size).
     """
 
-    q_multiplicity: QPolynomial
-    method: str
-    term_count: int
+    __slots__ = _fields = ("q_multiplicity", "method", "term_count")
+
+    def __init__(self, q_multiplicity: QPolynomial, method: str, term_count: int):
+        self._fill(q_multiplicity, method, term_count)
 
     @property
     def multiplicity_at_one(self) -> int:

@@ -9,27 +9,69 @@ interval [i, j]. The highest root is the full interval [1, r].
 All arithmetic is exact on Python integers; nothing here can overflow.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import index
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Weight:
-    """An element of the rank-`rank` root lattice; coords[k-1] multiplies alpha_k."""
 
-    rank: int
-    coords: tuple[int, ...]
+class Value:
+    """Base of the package's immutable records, each a class with __slots__.
 
-    def __post_init__(self):
-        rank = index(self.rank)
+    The fields named in `_fields` decide ==, hash and repr, in that order, as
+    a frozen dataclass's would, and assigning or deleting an attribute raises
+    AttributeError. A slot that is not a field is a cache, set through
+    object.__setattr__, and takes no part in ==, hash or repr.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+
+class Weight(Value):
+    """An element of the rank-`rank` root lattice; coords[k-1] multiplies alpha_k.
+
+    `_eps2` caches the epsilon coordinates of 2*self + 2*rho for `weyl.shifted_action`.
+    """
+
+    _fields = ("rank", "coords")
+    __slots__ = _fields + ("_eps2",)
+
+    def __init__(self, rank: int, coords: tuple[int, ...]):
+        rank = index(rank)
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
-        coords = tuple(index(c) for c in self.coords)
+        coords = tuple(index(c) for c in coords)
         if len(coords) != rank:
             raise ValueError(f"rank {rank} weight needs {rank} coordinates, got {len(coords)}")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "coords", coords)
+        self._fill(rank, coords, None)
 
     def _check_rank(self, other: "Weight") -> None:
         if not isinstance(other, Weight):
@@ -59,17 +101,13 @@ class Weight:
         return not any(self.coords)
 
 
-@dataclass(frozen=True)
-class RootInterval:
+class RootInterval(Value):
     """The positive root alpha_i + ... + alpha_j of A_rank, as the index pair."""
 
-    rank: int
-    i: int
-    j: int
+    __slots__ = _fields = ("rank", "i", "j")
 
-    def __post_init__(self):
-        for field in ("rank", "i", "j"):
-            object.__setattr__(self, field, index(getattr(self, field)))
+    def __init__(self, rank: int, i: int, j: int):
+        self._fill(index(rank), index(i), index(j))
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if not 1 <= self.i <= self.j <= self.rank:
@@ -80,6 +118,15 @@ class RootInterval:
     @property
     def height(self) -> int:
         return self.j - self.i + 1
+
+
+def _weight(rank: int, coords: tuple[int, ...]) -> Weight:
+    """The weight (rank, coords), unchecked: the caller vouches for `rank` ints."""
+    w = Weight.__new__(Weight)
+    _set(w, "rank", rank)
+    _set(w, "coords", coords)
+    _set(w, "_eps2", None)
+    return w
 
 
 def simple_root(rank: int, i: int) -> Weight:

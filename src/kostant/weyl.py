@@ -19,31 +19,30 @@ the permuted prefix sums behind both `apply` and `shifted_action`.
 """
 
 from bisect import bisect_left
-from itertools import accumulate, permutations
+from itertools import accumulate, permutations, repeat
 from typing import Iterator
 
 from .errors import DEFAULT_BRUTE_RANK_CAP, CapacityError
-from .weights import Weight, _two_rho_coords
+from .weights import Weight, _set, _two_rho_coords, _weight
 
 
 class WeylElement:
     """A permutation of {1, ..., rank+1} acting on the rank-r root lattice.
 
-    Immutable; equality and hashing use only (rank, perm). Length, support
-    and a reduced word are computed lazily and cached.
+    Immutable; equality uses (rank, perm) and hashing perm alone, which fixes
+    the rank. Length, support and a reduced word are computed lazily and cached.
     """
 
     __slots__ = ("rank", "perm", "_length", "_word", "_support")
 
-    def __init__(self, rank: int, perm: tuple[int, ...], check: bool = True):
+    def __init__(self, rank: int, perm: tuple[int, ...]):
         perm = tuple(perm)
-        if check:
-            if rank < 1:
-                raise ValueError(f"rank must be >= 1, got {rank}")
-            if sorted(perm) != list(range(1, rank + 2)):
-                raise ValueError(
-                    f"one-line notation for rank {rank} must permute 1..{rank + 1}, got {perm}"
-                )
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        if sorted(perm) != list(range(1, rank + 2)):
+            raise ValueError(
+                f"one-line notation for rank {rank} must permute 1..{rank + 1}, got {perm}"
+            )
         self.rank = rank
         self.perm = perm
         self._length: int | None = None
@@ -58,7 +57,7 @@ class WeylElement:
         )
 
     def __hash__(self) -> int:
-        return hash((self.rank, self.perm))
+        return hash(self.perm)
 
     def __repr__(self) -> str:
         return f"WeylElement(rank={self.rank}, perm={self.perm})"
@@ -70,7 +69,7 @@ class WeylElement:
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
         sp, op = self.perm, other.perm
-        return WeylElement(self.rank, tuple(sp[op[x] - 1] for x in range(len(sp))), check=False)
+        return _element(self.rank, tuple(sp[op[x] - 1] for x in range(len(sp))))
 
     @property
     def is_identity(self) -> bool:
@@ -134,7 +133,7 @@ class WeylElement:
 def identity(rank: int) -> WeylElement:
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    return WeylElement(rank, tuple(range(1, rank + 2)), check=False)
+    return _element(rank, tuple(range(1, rank + 2)))
 
 
 def simple_reflection(rank: int, i: int) -> WeylElement:
@@ -143,7 +142,7 @@ def simple_reflection(rank: int, i: int) -> WeylElement:
         raise ValueError(f"generator index must satisfy 1 <= i <= {rank}, got {i}")
     perm = list(range(1, rank + 2))
     perm[i - 1], perm[i] = perm[i], perm[i - 1]
-    return WeylElement(rank, tuple(perm), check=False)
+    return _element(rank, tuple(perm))
 
 
 def from_word(rank: int, word) -> WeylElement:
@@ -159,7 +158,7 @@ def from_word(rank: int, word) -> WeylElement:
         if not 1 <= letter <= rank:
             raise ValueError(f"letter {letter} out of range 1..{rank}")
         perm[letter - 1], perm[letter] = perm[letter], perm[letter - 1]
-    return WeylElement(rank, tuple(perm), check=False)
+    return _element(rank, tuple(perm))
 
 
 def from_nonconsecutive_letters(rank: int, letters) -> WeylElement:
@@ -185,15 +184,20 @@ def from_nonconsecutive_letters(rank: int, letters) -> WeylElement:
 
 
 def _with_reduced_word(rank: int, perm: tuple[int, ...], word: tuple[int, ...]) -> WeylElement:
-    """The element with one-line notation `perm`, whose reduced word `word` is known.
+    """The element `perm`, unchecked, with its reduced word `word` and length cached.
 
-    Nothing is checked: the caller vouches that `word` is the reduced word
-    that `reduced_word` would find for `perm`. The word and the length are
-    cached; the support stays lazy.
+    The caller vouches that `word` is what `reduced_word` would find for `perm`.
     """
+    el = _element(rank, perm)
+    el._length, el._word = len(word), word
+    return el
+
+
+def _element(rank: int, perm: tuple[int, ...]) -> WeylElement:
+    """The element with one-line notation `perm`, unchecked; its caches start empty."""
     el = WeylElement.__new__(WeylElement)
     el.rank, el.perm = rank, perm
-    el._length, el._word, el._support = len(word), word, None
+    el._length = el._word = el._support = None
     return el
 
 
@@ -226,16 +230,25 @@ def apply(sigma: WeylElement, w: Weight) -> Weight:
     """sigma acting linearly on a root-lattice weight, via epsilon coordinates."""
     if sigma.rank != w.rank:
         raise ValueError(f"rank mismatch: element {sigma.rank} vs weight {w.rank}")
-    return Weight(w.rank, tuple(_moved_prefix_sums(sigma.perm, _eps(w.coords))))
+    return _weight(w.rank, tuple(_moved_prefix_sums(sigma.perm, _eps(w.coords))))
 
 
 def shifted_action(sigma: WeylElement, lam: Weight) -> Weight:
-    """sigma(lam + rho) - rho, computed exactly on doubled weights."""
-    if sigma.rank != lam.rank:
-        raise ValueError(f"rank mismatch: element {sigma.rank} vs weight {lam.rank}")
-    tr = _two_rho_coords(lam.rank)
-    eps = _eps([2 * c + t for c, t in zip(lam.coords, tr)])
-    return Weight(lam.rank, tuple(_halved(_moved_prefix_sums(sigma.perm, eps), tr)))
+    """sigma(lam + rho) - rho, computed exactly on doubled weights.
+
+    The epsilon coordinates of 2 lam + 2 rho are computed through `_eps` on
+    lam's first shifted action and kept in its `_eps2` slot; every call still
+    moves them by sigma, checks each doubled coordinate's parity and halves it.
+    """
+    rank = lam.rank
+    if sigma.rank != rank:
+        raise ValueError(f"rank mismatch: element {sigma.rank} vs weight {rank}")
+    tr = _two_rho_coords(rank)
+    eps = lam._eps2
+    if eps is None:
+        eps = _eps([2 * c + t for c, t in zip(lam.coords, tr)])
+        _set(lam, "_eps2", eps)
+    return _weight(rank, tuple(_halved(_moved_prefix_sums(sigma.perm, eps), tr)))
 
 
 def enumerate_all(rank: int) -> Iterator[WeylElement]:
@@ -253,4 +266,4 @@ def enumerate_all(rank: int) -> Iterator[WeylElement]:
             f"the literal scan of the Weyl group at rank {rank} would visit {rank + 1}! "
             f"elements; its rank cap of {cap} is fixed and no flag raises it"
         )
-    return (WeylElement(rank, perm, check=False) for perm in permutations(range(1, rank + 2)))
+    return map(_element, repeat(rank), permutations(range(1, rank + 2)))

@@ -223,6 +223,13 @@ def test_pruned_search_guards(monkeypatch):
     assert len(list(pruned_survivors(highest_root(9), simple_root(9, 1)))) == fibonacci(9)
 
 
+def test_pruned_search_reaches_a_deep_leaf_within_the_real_budget():
+    # the identity's prefixes pass every floor, so it is the first leaf, 1,201 nodes deep
+    sigma, xi = next(pruned_survivors(highest_root(1200), zero_weight(1200)))
+    assert sigma.is_identity
+    assert xi == (1,) * 1200
+
+
 def test_pruned_search_raises_on_an_odd_doubled_weight(monkeypatch):
     real_eps = kostant.alternation._eps
 

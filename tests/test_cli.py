@@ -234,6 +234,21 @@ def test_capacity_exit_3(capsys):
     assert "its fixed budget; no flag raises it" in captured.err
 
 
+def test_a_deep_search_is_refused_by_its_budget_not_the_recursion_limit(capsys, monkeypatch):
+    # at rank 1200 every search path is deeper than Python's default recursion limit
+    monkeypatch.setattr(kostant.alternation, "SEARCH_NODE_BUDGET", 2000)
+    assert run(["qmult", "--rank", "1200", "--mu", "0", "--method", "kwmf"]) == EXIT_CAPACITY
+    assert run(["alt-set", "--rank", "1200", "--mu", "600..600", "--method", "brute"]) == (
+        EXIT_CAPACITY
+    )
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == 2 * (
+        "capacity: the pruned search at rank 1200 visited more than 2000 nodes, "
+        "its fixed budget; no flag raises it\n"
+    )
+
+
 def test_no_subcommand_reaches_the_literal_scan(capsys, monkeypatch):
     def refuse(rank):
         raise AssertionError(f"the literal scan of rank {rank} was reached")

@@ -248,6 +248,40 @@ def test_shifted_action_never_exceeds_original_height():
             assert height(shifted_action(sigma, lam)) <= height(lam)
 
 
+def _linear_route(sigma, lam):
+    """(sigma(2 lam + 2 rho) - 2 rho) / 2, by the linear action alone."""
+    tr = two_rho(lam.rank)
+    doubled = [a - t for a, t in zip(apply(sigma, 2 * lam + tr).coords, tr.coords)]
+    assert all(d % 2 == 0 for d in doubled)
+    return Weight(lam.rank, tuple(d // 2 for d in doubled))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda r: st.lists(st.integers(min_value=-4, max_value=4), min_size=r, max_size=r)
+    )
+)
+def test_shifted_action_matches_the_linear_route_on_the_whole_group(coords):
+    import kostant.weyl
+
+    r = len(coords)
+    sigmas = list(enumerate_all(r))
+    expected = [_linear_route(sigma, Weight(r, tuple(coords))) for sigma in sigmas]
+    lam = Weight(r, tuple(coords))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = []
+        real_eps = kostant.weyl._eps
+        mp.setattr(kostant.weyl, "_eps", lambda c: calls.append(c) or real_eps(c))
+        # one Weight through every sigma: its epsilon vector is computed once
+        assert [shifted_action(sigma, lam) for sigma in sigmas] == expected
+        assert len(calls) == 1
+        # a fresh equal Weight for every sigma computes it every time
+        fresh = [shifted_action(sigma, Weight(r, tuple(coords))) for sigma in sigmas]
+        assert fresh == expected
+        assert len(calls) == 1 + len(sigmas)
+
+
 def test_halving_rejects_an_odd_doubled_coordinate():
     from kostant.weyl import _halved
 
@@ -294,7 +328,7 @@ def test_element_validation_and_equality():
         WeylElement(2, (1, 2))
     a = WeylElement(2, (2, 1, 3))
     assert a == simple_reflection(2, 1)
-    assert hash(a) == hash(simple_reflection(2, 1))
+    assert hash(a) == hash(simple_reflection(2, 1)) == hash((2, 1, 3))  # the perm fixes the rank
     with pytest.raises(ValueError):
         a * identity(3)
     with pytest.raises(ValueError):
