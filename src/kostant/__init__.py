@@ -11,8 +11,7 @@ from .alternation import (
     alt_cardinality,
     alt_set_bruteforce,
     alt_set_characterized,
-    count_by_length,
-    max_length,
+    length_counts,
 )
 from .combinatorics import (
     binomial_safe,
@@ -32,7 +31,6 @@ from .multiplicity import (
 from .partition import (
     QPolynomial,
     consecutive_closed_form,
-    clear_partition_memo,
     kostant_q,
     kostant_q_oracle,
 )
@@ -43,8 +41,6 @@ from .weights import (
     height,
     highest_root,
     interval_root,
-    simple_root,
-    two_rho,
     zero_weight,
 )
 from .weyl import (
@@ -55,7 +51,6 @@ from .weyl import (
     from_word,
     identity,
     shifted_action,
-    simple_reflection,
 )
 
 __version__ = "0.1.0"
@@ -74,10 +69,8 @@ __all__ = [
     "apply",
     "as_interval",
     "binomial_safe",
-    "clear_partition_memo",
     "closed_form_term",
     "consecutive_closed_form",
-    "count_by_length",
     "enumerate_all",
     "fib_identity_check",
     "fibonacci",
@@ -89,15 +82,12 @@ __all__ = [
     "interval_root",
     "kostant_q",
     "kostant_q_oracle",
-    "max_length",
+    "length_counts",
     "nonconsecutive_count_k",
     "nonconsecutive_subsets",
     "predicted_q_multiplicity",
     "q_multiplicity",
     "q_multiplicity_closed",
     "shifted_action",
-    "simple_reflection",
-    "simple_root",
-    "two_rho",
     "zero_weight",
 ]

@@ -24,15 +24,14 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from itertools import product
 from typing import Iterator
 
 from .alternation import (
     alt_cardinality,
     alt_set_characterized,
-    count_by_length,
-    max_length,
-    one_side,
+    length_counts,
     pruned_survivors,
 )
 from .combinatorics import (
@@ -225,22 +224,13 @@ def check_boundary_length_counts(max_rank: int = 14) -> str:
         ivs = [RootInterval(r, 1, j) for j in range(1, r)]
         ivs += [RootInterval(r, i, r) for i in range(2, r + 1)]
         for iv in ivs:
-            boundary = one_side(iv).boundary
-            tallies: dict[tuple[bool, int], int] = {}
-            for sigma in alt_set_characterized(iv):
-                word = sigma.reduced_word()
-                has = boundary in word
-                key = (has, len(word) - (1 if has else 0))
-                tallies[key] = tallies.get(key, 0) + 1
-            for contains in (False, True):
-                top = max_length(iv, contains)
-                for k in range(top + 3):
-                    want = tallies.get((contains, k), 0)
-                    if count_by_length(iv, k, contains) != want:
-                        raise CriterionFailed(f"{iv} contains={contains} k={k}")
-                if any(k > top for (has, k) in tallies if has == contains):
-                    raise CriterionFailed(f"{iv}: element longer than the stated bound")
-            if sum(tallies.values()) != alt_cardinality(iv):
+            boundary = iv.j + 1 if iv.i == 1 else iv.i - 1
+            words = [sigma.reduced_word() for sigma in alt_set_characterized(iv)]
+            direct = Counter((len(w) - (boundary in w), boundary in w) for w in words)
+            counts = length_counts(iv)
+            if counts != direct:
+                raise CriterionFailed(f"{iv}: length counts {counts} != direct {dict(direct)}")
+            if sum(counts.values()) != alt_cardinality(iv):
                 raise CriterionFailed(f"{iv}: totals miss the cardinality")
             checked += 1
     return f"{checked} one-sided intervals through rank {max_rank}"

@@ -45,14 +45,14 @@ range and its boundary letter. `side_tally` counts a side's choices by
 binomials. The generated set, the closed route in `multiplicity` and the
 counts below read only these two.
 
-`count_by_length` and `max_length` read the tally of a one-sided interval:
+`length_counts` reads the tally of a one-sided interval as one dict:
 [1, j] with j < r has only the right side, [i, r] with i > 1 only the left,
-and any other interval raises ValueError. Note the index convention: k
-counts the OTHER letters, drawn from the free range away from the boundary;
-an element counted under (k, contains=True) has Coxeter length k + 1, one
-counted under (k, contains=False) has length k. This is the convention
-under which the counts are plain zero-padded binomials and their total
-telescopes to the Fibonacci cardinality.
+and any other interval raises ValueError. Its keys are (k, contains), and
+only nonzero counts appear. Note the index convention: k counts the OTHER
+letters, drawn from the free range away from the boundary; an element
+counted under (k, True) has Coxeter length k + 1, one counted under
+(k, False) has length k. This is the convention under which the counts are
+plain binomials and their total telescopes to the Fibonacci cardinality.
 """
 
 from collections import namedtuple
@@ -368,29 +368,14 @@ def side_tally(side: Side) -> list[tuple[int, bool, int]]:
     return tally
 
 
-def one_side(iv: RootInterval) -> Side:
-    """The only side with a boundary letter: [1, j] with j < r, or [i, r] with i > 1."""
+def length_counts(iv: RootInterval) -> dict[tuple[int, bool], int]:
+    """{(k, contains): count} for the elements of a one-sided interval, nonzero counts only.
+
+    (k, True) counts the elements using the side's boundary letter and k
+    other letters, so of length k + 1; (k, False) those without it, of
+    length k. Every other interval raises ValueError.
+    """
     present = [side for side in sides(iv) if side.boundary is not None]
     if len(present) != 1:
         raise ValueError(f"length counts need [1, j], j < rank, or [i, rank], i > 1; got {iv}")
-    return present[0]
-
-
-def count_by_length(iv: RootInterval, k: int, contains: bool) -> int:
-    """Count characterized elements by free-range letters, split on the boundary letter.
-
-    This is the number of elements of a one-sided interval using exactly k
-    letters besides its boundary letter, with that letter required
-    (contains=True, length k+1) or forbidden (contains=False, length k).
-    Every other interval raises ValueError.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    tally = {(length - has, has): count for length, has, count in side_tally(one_side(iv))}
-    return tally.get((k, contains), 0)
-
-
-def max_length(iv: RootInterval, contains: bool) -> int:
-    """Largest k with count_by_length(iv, k, contains) nonzero, or 0; past it every count is 0."""
-    tally = side_tally(one_side(iv))
-    return max((length - has for length, has, _ in tally if has == contains), default=0)
+    return {(length - has, has): count for length, has, count in side_tally(present[0])}

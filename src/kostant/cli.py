@@ -37,8 +37,8 @@ cap was hit. Every cap is fixed, and its message, raised where the limit
 lives, says that no flag raises it: the node budget of the pruned search
 behind ``alt-set --method brute`` and ``qmult --method kwmf``, the cap on
 the theorem's alternation sets (25 free letters a side, so at most F_27 =
-196418 elements) and the height cap of ``partition --oracle``; see
-``errors``.
+196418 elements), the height cap of ``partition --oracle`` and the
+``identity`` table's cap of n = 1000; see ``errors``.
 
 The parser is built once per process and reused by every ``run`` call;
 each call parses into a fresh Namespace.
@@ -65,7 +65,7 @@ from .alternation import (
     pruned_survivors,
 )
 from .combinatorics import fibonacci, nonconsecutive_count_k
-from .errors import CapacityError
+from .errors import IDENTITY_MAX_N, CapacityError
 from .multiplicity import predicted_q_multiplicity, q_multiplicity, q_multiplicity_closed
 from .partition import kostant_q, kostant_q_oracle
 from .weights import RootInterval, Weight, highest_root, interval_root, zero_weight
@@ -291,6 +291,11 @@ def _cmd_partition(args, out):
 
 
 def _cmd_identity(args, out):
+    if args.max_n > IDENTITY_MAX_N:
+        raise CapacityError(
+            f"the identity table to n = {args.max_n} is past its cap of n = {IDENTITY_MAX_N}; "
+            f"the cap is fixed and no flag raises it"
+        )
     rows = []
     for n in range(args.max_n + 1):
         total = sum(nonconsecutive_count_k(n, k) for k in range(n + 2))

@@ -33,7 +33,8 @@ block states against 106,881 in-block ones), but one large call still
 peaks with its scratch dict, which lives until the call returns. The
 resident dict is checked against PARTITION_MEMO_BOUND (2^16 states) after
 each top-level call, never inside the recursion, and past it is flushed
-wholesale, so a long-lived process keeps bounded memory. Under CPython's
+wholesale, so the memo a long-lived process keeps stays bounded; one
+call's scratch is not (2rho at rank 7 peaks near 110 MB). Under CPython's
 GIL concurrent callers at worst duplicate work, and since every entry is a
 pure function of its key the results are identical either way.
 """
@@ -157,10 +158,6 @@ def _spans(rank: int) -> tuple[tuple[int, int], ...]:
 
 # Block-boundary states of every rank; a flush only costs recomputation.
 _MEMO: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-
-def clear_partition_memo() -> None:
-    _MEMO.clear()
 
 
 def _block_coeffs(blocks, scratch, last: int, rem: tuple[int, ...]):

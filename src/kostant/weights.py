@@ -129,13 +129,6 @@ def _weight(rank: int, coords: tuple[int, ...]) -> Weight:
     return w
 
 
-def simple_root(rank: int, i: int) -> Weight:
-    """alpha_i as a rank-`rank` weight."""
-    if not 1 <= i <= rank:
-        raise ValueError(f"simple root index must satisfy 1 <= i <= {rank}, got {i}")
-    return Weight(rank, tuple(1 if k == i else 0 for k in range(1, rank + 1)))
-
-
 def interval_root(iv: RootInterval) -> Weight:
     """The positive root alpha_i + ... + alpha_j as a weight."""
     return Weight(iv.rank, tuple(1 if iv.i <= k <= iv.j else 0 for k in range(1, iv.rank + 1)))
@@ -157,19 +150,9 @@ def height(w: Weight) -> int:
 
 @lru_cache(maxsize=None)
 def _two_rho_coords(rank: int) -> tuple[int, ...]:
-    # Coefficient of alpha_k in the sum of all positive roots: the number of
-    # intervals [i, j] containing k, which is k * (rank + 1 - k).
+    # 2 rho, the sum of all positive roots, kept doubled so the shifted action stays
+    # integral: alpha_k's coefficient counts the intervals [i, j] containing k.
     return tuple(k * (rank + 1 - k) for k in range(1, rank + 1))
-
-
-def two_rho(rank: int) -> Weight:
-    """The sum of all positive roots of A_rank (twice the Weyl vector).
-
-    Kept doubled so that shifted Weyl actions stay in integer arithmetic.
-    """
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-    return Weight(rank, _two_rho_coords(rank))
 
 
 def as_interval(w: Weight) -> RootInterval | None:

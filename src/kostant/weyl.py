@@ -72,10 +72,6 @@ class WeylElement:
         return _element(self.rank, tuple(sp[op[x] - 1] for x in range(len(sp))))
 
     @property
-    def is_identity(self) -> bool:
-        return all(v == x for x, v in enumerate(self.perm, start=1))
-
-    @property
     def length(self) -> int:
         """Coxeter length: the number of inversions of the one-line notation.
 
@@ -131,18 +127,8 @@ class WeylElement:
 
 
 def identity(rank: int) -> WeylElement:
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-    return _element(rank, tuple(range(1, rank + 2)))
-
-
-def simple_reflection(rank: int, i: int) -> WeylElement:
-    """s_i, the adjacent transposition (i, i+1)."""
-    if not 1 <= i <= rank:
-        raise ValueError(f"generator index must satisfy 1 <= i <= {rank}, got {i}")
-    perm = list(range(1, rank + 2))
-    perm[i - 1], perm[i] = perm[i], perm[i - 1]
-    return _element(rank, tuple(perm))
+    """The identity element, the empty word's product."""
+    return from_word(rank, ())
 
 
 def from_word(rank: int, word) -> WeylElement:
@@ -166,21 +152,12 @@ def from_nonconsecutive_letters(rank: int, letters) -> WeylElement:
 
     Letters must be strictly increasing with gaps >= 2, so they pairwise
     commute and the word is reduced; the word, and with it the length, is
-    known up front and cached, which is what makes materializing large
-    alternation sets cheap.
+    known up front and cached.
     """
     letters = tuple(letters)
-    prev = None
-    for letter in letters:
-        if not 1 <= letter <= rank:
-            raise ValueError(f"letter {letter} out of range 1..{rank}")
-        if prev is not None and letter - prev < 2:
-            raise ValueError(f"letters must be nonconsecutive and increasing, got {letters}")
-        prev = letter
-    perm = list(range(1, rank + 2))
-    for letter in letters:
-        perm[letter - 1], perm[letter] = perm[letter], perm[letter - 1]
-    return _with_reduced_word(rank, tuple(perm), letters)
+    if any(b - a < 2 for a, b in zip(letters, letters[1:])):
+        raise ValueError(f"letters must be nonconsecutive and increasing, got {letters}")
+    return _with_reduced_word(rank, from_word(rank, letters).perm, letters)
 
 
 def _with_reduced_word(rank: int, perm: tuple[int, ...], word: tuple[int, ...]) -> WeylElement:

@@ -15,15 +15,13 @@ from kostant import (
     alt_cardinality,
     alt_set_bruteforce,
     alt_set_characterized,
-    count_by_length,
     fibonacci,
     from_nonconsecutive_letters,
     from_word,
     highest_root,
     identity,
     interval_root,
-    max_length,
-    simple_root,
+    length_counts,
     zero_weight,
 )
 from kostant.alternation import (
@@ -47,11 +45,11 @@ def _all_intervals(r):
 
 
 def test_bruteforce_small_examples():
-    a = alt_set_bruteforce(2, highest_root(2), simple_root(2, 1))
+    a = alt_set_bruteforce(2, highest_root(2), interval_root(RootInterval(2, 1, 1)))
     assert _words(a) == [()]
     a = alt_set_bruteforce(2, highest_root(2), highest_root(2))
     assert _words(a) == [()]
-    a = alt_set_bruteforce(3, highest_root(3), simple_root(3, 1))
+    a = alt_set_bruteforce(3, highest_root(3), interval_root(RootInterval(3, 1, 1)))
     assert _words(a) == [(), (2,)]
 
 
@@ -177,18 +175,18 @@ def test_a_brute_force_set_computes_no_word_until_it_is_iterated():
 
 def test_bruteforce_cap_and_validation():
     with pytest.raises(CapacityError, match="rank cap of 8 is fixed and no flag raises it"):
-        alt_set_bruteforce(9, highest_root(9), simple_root(9, 1))
+        alt_set_bruteforce(9, highest_root(9), interval_root(RootInterval(9, 1, 1)))
     with pytest.raises(ValueError):
-        alt_set_bruteforce(3, highest_root(2), simple_root(3, 1))
+        alt_set_bruteforce(3, highest_root(2), interval_root(RootInterval(3, 1, 1)))
     with pytest.raises(ValueError):
-        alt_set_bruteforce(3, highest_root(3), simple_root(2, 1))
+        alt_set_bruteforce(3, highest_root(3), interval_root(RootInterval(2, 1, 1)))
 
 
 def test_survivors_rejects_rank_mismatch():
     with pytest.raises(ValueError):
-        survivors(highest_root(3), simple_root(2, 1), [identity(3)])
+        survivors(highest_root(3), interval_root(RootInterval(2, 1, 1)), [identity(3)])
     with pytest.raises(ValueError):  # sigma of the wrong rank
-        list(survivors(highest_root(3), simple_root(3, 1), [identity(2)]))
+        list(survivors(highest_root(3), interval_root(RootInterval(3, 1, 1)), [identity(2)]))
 
 
 # ------------------------------------------------------- the pruned search
@@ -208,7 +206,7 @@ def test_pruned_search_keeps_the_whole_group_when_nothing_is_pruned():
 
 def test_pruned_search_guards(monkeypatch):
     with pytest.raises(ValueError):
-        pruned_survivors(highest_root(3), simple_root(2, 1))
+        pruned_survivors(highest_root(3), interval_root(RootInterval(2, 1, 1)))
     # nothing pruned at rank 3: prefixes of 0, 1, 2 and 3 slots, 1 + 4 + 12 + 24 nodes
     lam, mu = zero_weight(3), Weight(3, (-10, -10, -10))
     monkeypatch.setattr(kostant.alternation, "SEARCH_NODE_BUDGET", 41)
@@ -220,13 +218,13 @@ def test_pruned_search_guards(monkeypatch):
     assert len(found) == 23  # the budget trips on the last leaf
     # rank alone is no longer refused: at rank 9 the search stays small
     monkeypatch.undo()
-    assert len(list(pruned_survivors(highest_root(9), simple_root(9, 1)))) == fibonacci(9)
+    assert len(list(pruned_survivors(highest_root(9), interval_root(RootInterval(9, 1, 1))))) == fibonacci(9)
 
 
 def test_pruned_search_reaches_a_deep_leaf_within_the_real_budget():
     # the identity's prefixes pass every floor, so it is the first leaf, 1,201 nodes deep
     sigma, xi = next(pruned_survivors(highest_root(1200), zero_weight(1200)))
-    assert sigma.is_identity
+    assert sigma == identity(1200)
     assert xi == (1,) * 1200
 
 
@@ -245,84 +243,60 @@ def test_pruned_search_raises_on_an_odd_doubled_weight(monkeypatch):
 # ------------------------------------------------------- counts by length
 
 
-def test_count_by_length_known_values():
+def test_length_counts_known_values():
     iv = RootInterval(10, 1, 3)
-    assert count_by_length(iv, 2, True) == 3
-    assert count_by_length(iv, 2, False) == 6
-    assert count_by_length(iv, 0, False) == 1  # the identity
+    counts = length_counts(iv)
+    assert counts[(2, True)] == 3
+    assert counts[(2, False)] == 6
+    assert counts[(0, False)] == 1  # the identity
+    assert max(k for k, contains in counts if contains) == 2
+    # s_4 alone is (0, True), s_2 s_4 is (1, True)
     left = RootInterval(5, 5, 5)
-    assert count_by_length(left, 0, True) == 1  # s_4 alone
-    assert count_by_length(left, 1, True) == 1  # s_2 s_4
+    assert length_counts(left) == {(0, False): 1, (1, False): 2, (0, True): 1, (1, True): 1}
 
 
-def test_max_length_known_values():
-    assert max_length(RootInterval(10, 1, 3), True) == 2
-    assert max_length(RootInterval(5, 5, 5), True) == 1
-    # clamped at zero when the range cannot even hold the boundary letter
-    assert max_length(RootInterval(6, 1, 5), True) == 0
-    assert max_length(RootInterval(6, 1, 5), False) == 0
+def test_length_counts_keep_only_nonzero_counts():
+    # [1, 5] at rank 6: the range cannot even hold the boundary letter s_6
+    assert length_counts(RootInterval(6, 1, 5)) == {(0, False): 1}
 
 
 def _filtered_counts(iv, side):
-    """Group the generated set by boundary presence and free-letter count."""
-    r = iv.rank
+    """{(k, contains): count} of the generated set, by boundary presence and other letters."""
     boundary = iv.j + 1 if side == "right_boundary" else iv.i - 1
     tally = Counter()
     for sigma in alt_set_characterized(iv):
         has = boundary in sigma.support
-        free = sigma.length - (1 if has else 0)
-        tally[(has, free)] += 1
+        tally[(sigma.length - has, has)] += 1
     return tally
 
 
+def _one_sided(r, side):
+    if side == "right_boundary":
+        return [RootInterval(r, 1, j) for j in range(1, r)]
+    return [RootInterval(r, i, r) for i in range(2, r + 1)]
+
+
 @pytest.mark.parametrize("side", ["right_boundary", "left_boundary"])
-def test_count_by_length_matches_direct_filter_through_rank_9(side):
+def test_length_counts_match_direct_filter_through_rank_9(side):
     for r in range(2, 10):
-        ivs = (
-            [RootInterval(r, 1, j) for j in range(1, r)]
-            if side == "right_boundary"
-            else [RootInterval(r, i, r) for i in range(2, r + 1)]
-        )
-        for iv in ivs:
-            tally = _filtered_counts(iv, side)
-            for contains in (True, False):
-                for k in range(0, r + 2):
-                    assert count_by_length(iv, k, contains) == tally.get(
-                        (contains, k), 0
-                    ), (iv, k, contains)
+        for iv in _one_sided(r, side):
+            assert length_counts(iv) == dict(_filtered_counts(iv, side)), iv
 
 
 @pytest.mark.parametrize("side", ["right_boundary", "left_boundary"])
-def test_counts_total_to_cardinality_and_vanish_past_max(side):
+def test_length_counts_total_to_cardinality(side):
     for r in range(2, 15):
-        ivs = (
-            [RootInterval(r, 1, j) for j in range(1, r)]
-            if side == "right_boundary"
-            else [RootInterval(r, i, r) for i in range(2, r + 1)]
-        )
-        for iv in ivs:
-            total = 0
-            for contains in (True, False):
-                bound = max_length(iv, contains)
-                for k in range(0, bound + 1):
-                    total += count_by_length(iv, k, contains)
-                for k in range(bound + 1, bound + 5):
-                    assert count_by_length(iv, k, contains) == 0
-            assert total == alt_cardinality(iv), iv
+        for iv in _one_sided(r, side):
+            counts = length_counts(iv)
+            assert 0 not in counts.values(), iv
+            assert sum(counts.values()) == alt_cardinality(iv), iv
 
 
-def test_count_by_length_validation():
-    iv = RootInterval(6, 2, 4)  # two-sided: neither side applies
+def test_length_counts_validation():
     with pytest.raises(ValueError):
-        count_by_length(iv, 0, True)
+        length_counts(RootInterval(6, 2, 4))  # two-sided: neither side applies
     with pytest.raises(ValueError):
-        count_by_length(iv, 0, False)
-    with pytest.raises(ValueError):
-        count_by_length(RootInterval(6, 1, 6), 0, True)  # [1, r]: no side at all
-    with pytest.raises(ValueError):
-        count_by_length(RootInterval(6, 1, 3), -1, True)
-    with pytest.raises(ValueError):
-        max_length(RootInterval(6, 1, 6), True)  # j = rank
+        length_counts(RootInterval(6, 1, 6))  # [1, r]: no side at all
 
 
 def test_characterized_rejects_oversized_ground_set():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import kostant
+from kostant import cli
 from kostant.cli import EXIT_CAPACITY, _build_parser, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -44,6 +45,7 @@ def test_the_oracle_height_is_the_only_limit_parameter():
         ["alt-set", "--rank", "30", "--mu", "1..1"],
         ["qmult", "--rank", "30", "--mu", "0", "--method", "kwmf"],
         ["partition", "--rank", "2", "--weight", "13,13", "--oracle"],
+        ["identity", "--max-n", "1001"],
     ],
 )
 def test_each_refusal_exits_3_and_names_only_real_flags(argv, capsys):
@@ -53,6 +55,27 @@ def test_each_refusal_exits_3_and_names_only_real_flags(argv, capsys):
     assert captured.err.startswith("capacity: ")
     assert "no flag raises it" in captured.err
     assert set(_FLAG.findall(captured.err)) <= _subparser_flags()[argv[0]]
+
+
+def test_the_identity_cap_admits_its_value_and_refuses_past_it_before_any_row(
+    capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "IDENTITY_MAX_N", 5)
+    assert run(["identity", "--max-n", "5", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "5,13,13,True"
+
+    def no_rows(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(cli, "nonconsecutive_count_k", no_rows)
+    monkeypatch.setattr(cli, "fibonacci", no_rows)
+    assert run(["identity", "--max-n", "6"]) == EXIT_CAPACITY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "capacity: the identity table to n = 6 is past its cap of n = 5; "
+        "the cap is fixed and no flag raises it\n"
+    )
 
 
 def test_readme_names_exactly_the_cli_flags():

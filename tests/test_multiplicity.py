@@ -28,8 +28,6 @@ from kostant import (
     q_multiplicity,
     q_multiplicity_closed,
     shifted_action,
-    simple_reflection,
-    simple_root,
     zero_weight,
 )
 from kostant.alternation import pruned_survivors, survivors
@@ -44,7 +42,7 @@ def _all_intervals(r):
 
 
 def test_known_q_multiplicities():
-    rep = q_multiplicity(3, highest_root(3), simple_root(3, 2))
+    rep = q_multiplicity(3, highest_root(3), interval_root(RootInterval(3, 2, 2)))
     assert rep.q_multiplicity.coeffs == (0, 0, 1)  # q^2
     rep = q_multiplicity(2, highest_root(2), highest_root(2))
     assert rep.q_multiplicity == QPolynomial.one()
@@ -57,13 +55,13 @@ def test_multiplicity_at_one_examples():
     assert q_multiplicity(4, highest_root(4), iv).multiplicity_at_one == 1
     assert q_multiplicity(3, highest_root(3), highest_root(3)).multiplicity_at_one == 1
     # a non-dominant Weyl image of a root has the same multiplicity
-    mu = apply(simple_reflection(3, 1), simple_root(3, 1))  # -alpha_1
+    mu = apply(from_word(3, (1,)), interval_root(RootInterval(3, 1, 1)))  # -alpha_1
     assert mu.coords == (-1, 0, 0)
     assert q_multiplicity(3, highest_root(3), mu).multiplicity_at_one == 1
 
 
 def test_report_fields():
-    rep = q_multiplicity(3, highest_root(3), simple_root(3, 2))
+    rep = q_multiplicity(3, highest_root(3), interval_root(RootInterval(3, 2, 2)))
     assert isinstance(rep, MultiplicityReport)
     assert list(type(rep)._fields) == ["q_multiplicity", "method", "term_count"]
     assert rep.method == "kwmf_full"
@@ -182,7 +180,7 @@ def test_pruned_search_matches_the_literal_scan(case):
 def test_closed_form_term_known_values():
     iv = RootInterval(5, 1, 2)
     assert closed_form_term(iv, identity(5)).coeffs == (0, 1, 2, 1)  # q(1+q)^2
-    assert closed_form_term(iv, simple_reflection(5, 3)).coeffs == (0, 1, 1)  # q(1+q)
+    assert closed_form_term(iv, from_word(5, (3,))).coeffs == (0, 1, 1)  # q(1+q)
     iv = RootInterval(7, 3, 4)
     assert closed_form_term(iv, from_word(7, [2, 5])).coeffs == (0, 0, 1, 1)  # q^2(1+q)
     assert closed_form_term(iv, identity(7)).coeffs == (0, 0, 1, 3, 3, 1)  # q^2(1+q)^3
@@ -216,9 +214,9 @@ def test_closed_form_term_degree_bookkeeping():
 def test_closed_form_term_rejects_non_members():
     iv = RootInterval(7, 3, 4)
     with pytest.raises(ValueError):
-        closed_form_term(iv, simple_reflection(7, 3))  # inside the interval
+        closed_form_term(iv, from_word(7, (3,)))  # inside the interval
     with pytest.raises(ValueError):
-        closed_form_term(iv, simple_reflection(7, 1))  # generator 1 never occurs
+        closed_form_term(iv, from_word(7, (1,)))  # generator 1 never occurs
     with pytest.raises(ValueError):
         closed_form_term(iv, from_word(7, [5, 6]))  # consecutive support
     with pytest.raises(ValueError):
@@ -285,12 +283,12 @@ def test_closed_form_report(capsys):
 
 
 def test_method_validation():
-    lam, mu = highest_root(3), simple_root(3, 2)
+    lam, mu = highest_root(3), interval_root(RootInterval(3, 2, 2))
     with pytest.raises(ValueError):
         q_multiplicity(3, lam, mu, method="nope")
     with pytest.raises(ValueError):
-        q_multiplicity(3, simple_root(3, 1), mu, method="kwmf_altset")
+        q_multiplicity(3, interval_root(RootInterval(3, 1, 1)), mu, method="kwmf_altset")
     with pytest.raises(ValueError):
         q_multiplicity(3, lam, zero_weight(3), method="kwmf_altset")
     with pytest.raises(ValueError):
-        q_multiplicity(3, lam, simple_root(2, 1))
+        q_multiplicity(3, lam, interval_root(RootInterval(2, 1, 1)))

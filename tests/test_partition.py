@@ -11,18 +11,16 @@ from kostant import (
     QPolynomial,
     RootInterval,
     Weight,
-    clear_partition_memo,
     consecutive_closed_form,
     height,
     highest_root,
     interval_root,
     kostant_q,
     kostant_q_oracle,
-    simple_root,
-    two_rho,
     zero_weight,
 )
 from kostant import partition
+from kostant.weights import _two_rho_coords
 
 
 # ---------------------------------------------------------------- QPolynomial
@@ -96,7 +94,7 @@ def test_kostant_q_base_cases():
     assert kostant_q(3, zero_weight(3)) == QPolynomial.one()
     assert kostant_q(2, Weight(2, (-1, 0))).is_zero
     assert kostant_q(3, Weight(3, (1, -2, 1))).is_zero
-    assert kostant_q(2, simple_root(2, 1)).coeffs == (0, 1)
+    assert kostant_q(2, interval_root(RootInterval(2, 1, 1))).coeffs == (0, 1)
 
 
 def test_kostant_q_known_values():
@@ -185,7 +183,7 @@ def test_memo_limit_flush_keeps_results_correct(monkeypatch):
     xi = Weight(3, (1, 2, 1))
     expected = kostant_q(3, xi)
     monkeypatch.setattr(partition, "PARTITION_MEMO_BOUND", 2)
-    clear_partition_memo()
+    partition._MEMO.clear()
     try:
         assert kostant_q(3, xi) == expected
         assert len(partition._MEMO) <= 2
@@ -193,7 +191,7 @@ def test_memo_limit_flush_keeps_results_correct(monkeypatch):
         assert len(partition._MEMO) <= 2
     finally:
         monkeypatch.undo()
-        clear_partition_memo()
+        partition._MEMO.clear()
     assert kostant_q(3, xi) == expected
 
 
@@ -202,7 +200,7 @@ def test_memo_stays_bounded_across_many_calls(monkeypatch):
     bound = 300
     monkeypatch.setattr(partition, "PARTITION_MEMO_BOUND", bound)
     rng = random.Random(7)
-    clear_partition_memo()
+    partition._MEMO.clear()
     flushed = 0
     try:
         for _ in range(200):
@@ -213,7 +211,7 @@ def test_memo_stays_bounded_across_many_calls(monkeypatch):
             assert len(partition._MEMO) <= bound
             flushed += len(partition._MEMO) < before
     finally:
-        clear_partition_memo()
+        partition._MEMO.clear()
     assert flushed  # the bound was really reached
 
 
@@ -221,20 +219,20 @@ def test_memo_keeps_only_block_boundary_states():
     # A state whose first nonzero position is f starts at the first root
     # covering f, so the remaining weight alone is its key; the states
     # inside a block live for one call only.
-    clear_partition_memo()
+    partition._MEMO.clear()
     try:
-        assert kostant_q(7, two_rho(7)).evaluate(1) == 244868962698
+        assert kostant_q(7, Weight(7, _two_rho_coords(7))).evaluate(1) == 244868962698
         memo = partition._MEMO
         assert len(memo) == 11892
         for key in memo:
             assert type(key) is tuple and len(key) == 7
             assert all(type(c) is int and c >= 0 for c in key) and any(key)
         # the states of another rank share the dict, told apart by the key's length
-        kostant_q(3, two_rho(3))
+        kostant_q(3, Weight(3, _two_rho_coords(3)))
         assert {len(key) for key in memo} == {3, 7}
         assert sum(len(key) == 7 for key in memo) == 11892
     finally:
-        clear_partition_memo()
+        partition._MEMO.clear()
 
 
 @settings(max_examples=40, deadline=None)
@@ -246,6 +244,6 @@ def test_dp_matches_oracle_in_any_call_order_warm_or_cold(data):
     expected = {xi: kostant_q_oracle(rank, xi) for xi in weights}
     for xi in weights:
         assert kostant_q(rank, xi) == expected[xi]
-    clear_partition_memo()
+    partition._MEMO.clear()
     for xi in data.draw(st.permutations(weights)):
         assert kostant_q(rank, xi) == expected[xi]

@@ -9,18 +9,17 @@ from kostant import (
     height,
     highest_root,
     interval_root,
-    simple_root,
-    two_rho,
     zero_weight,
 )
+from kostant.weights import _two_rho_coords
 
 
 def test_simple_and_interval_roots():
-    assert simple_root(4, 2).coords == (0, 1, 0, 0)
+    assert interval_root(RootInterval(4, 2, 2)).coords == (0, 1, 0, 0)
     assert interval_root(RootInterval(5, 2, 4)).coords == (0, 1, 1, 1, 0)
     assert highest_root(3).coords == (1, 1, 1)
     assert zero_weight(3).coords == (0, 0, 0)
-    assert interval_root(RootInterval(4, 3, 3)) == simple_root(4, 3)
+    assert interval_root(RootInterval(4, 3, 3)) == Weight(4, (0, 0, 1, 0))
 
 
 def test_height():
@@ -28,12 +27,6 @@ def test_height():
     assert height(interval_root(RootInterval(7, 3, 5))) == 3
     assert height(zero_weight(2)) == 0
     assert height(Weight(3, (2, -1, 0))) == 1
-
-
-@pytest.mark.parametrize("rank,i", [(3, 0), (3, 4), (1, 2)])
-def test_simple_root_range_errors(rank, i):
-    with pytest.raises(ValueError):
-        simple_root(rank, i)
 
 
 @pytest.mark.parametrize("rank,i,j", [(3, 2, 1), (3, 0, 2), (3, 1, 4), (0, 1, 1)])
@@ -54,9 +47,9 @@ def test_interval_height_property():
 
 
 def test_two_rho_known_values():
-    assert two_rho(1).coords == (1,)
-    assert two_rho(2).coords == (2, 2)
-    assert two_rho(3).coords == (3, 4, 3)
+    assert _two_rho_coords(1) == (1,)
+    assert _two_rho_coords(2) == (2, 2)
+    assert _two_rho_coords(3) == (3, 4, 3)
 
 
 def test_two_rho_is_sum_of_all_positive_roots():
@@ -65,12 +58,12 @@ def test_two_rho_is_sum_of_all_positive_roots():
         for i in range(1, r + 1):
             for j in range(i, r + 1):
                 total = total + interval_root(RootInterval(r, i, j))
-        assert total == two_rho(r)
+        assert total.coords == _two_rho_coords(r)
 
 
 def test_two_rho_is_palindromic():
     for r in range(1, 13):
-        c = two_rho(r).coords
+        c = _two_rho_coords(r)
         assert c == c[::-1]
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from kostant import (
     CapacityError,
+    RootInterval,
     Weight,
     apply,
     enumerate_all,
@@ -19,12 +20,11 @@ from kostant import (
     height,
     highest_root,
     identity,
+    interval_root,
     shifted_action,
-    simple_reflection,
-    simple_root,
-    two_rho,
     zero_weight,
 )
+from kostant.weights import _two_rho_coords
 
 
 def _reflect_once(i, w):
@@ -53,18 +53,18 @@ def _words(max_rank=5, max_len=8):
 
 def test_identity_and_simple_reflections():
     assert identity(3).perm == (1, 2, 3, 4)
-    assert identity(3).is_identity
-    assert simple_reflection(3, 2).perm == (1, 3, 2, 4)
-    assert simple_reflection(1, 1).perm == (2, 1)
+    assert identity(3) == from_word(3, ())
+    assert from_word(3, (2,)).perm == (1, 3, 2, 4)
+    assert from_word(1, (1,)).perm == (2, 1)
 
 
 def test_from_word_examples():
     assert from_word(3, [2]).perm == (1, 3, 2, 4)
     assert from_word(2, [1, 2, 1]).perm == (3, 2, 1)
-    assert from_word(2, []).is_identity
+    assert from_word(2, []) == identity(2)
     assert from_word(4, [2, 4]) == from_word(4, [4, 2])  # distant letters commute
     assert from_word(2, [1, 2, 1]) == from_word(2, [2, 1, 2])  # braid relation
-    assert from_word(3, [1, 1]).is_identity
+    assert from_word(3, [1, 1]) == identity(3)
 
 
 def test_length_examples():
@@ -174,13 +174,14 @@ def test_from_nonconsecutive_letters_validation():
 
 def test_apply_examples():
     r2 = highest_root(2)
-    assert apply(simple_reflection(2, 1), r2) == simple_root(2, 2)
-    assert apply(simple_reflection(2, 2), r2) == simple_root(2, 1)
+    assert apply(from_word(2, (1,)), r2) == interval_root(RootInterval(2, 2, 2))
+    assert apply(from_word(2, (2,)), r2) == interval_root(RootInterval(2, 1, 1))
     assert apply(identity(4), highest_root(4)) == highest_root(4)
     # s_i negates its own simple root
     for r in range(1, 6):
         for i in range(1, r + 1):
-            assert apply(simple_reflection(r, i), simple_root(r, i)) == -simple_root(r, i)
+            alpha = interval_root(RootInterval(r, i, i))
+            assert apply(from_word(r, (i,)), alpha) == -alpha
 
 
 @settings(max_examples=200)
@@ -220,8 +221,8 @@ def test_apply_permutes_positive_roots():
 
 def test_shifted_action_examples():
     r3 = highest_root(3)
-    assert shifted_action(simple_reflection(3, 1), r3).coords == (-1, 1, 1)
-    assert shifted_action(simple_reflection(5, 3), highest_root(5)).coords == (1, 1, 0, 1, 1)
+    assert shifted_action(from_word(3, (1,)), r3).coords == (-1, 1, 1)
+    assert shifted_action(from_word(5, (3,)), highest_root(5)).coords == (1, 1, 0, 1, 1)
     assert shifted_action(identity(4), highest_root(4)) == highest_root(4)
 
 
@@ -250,8 +251,8 @@ def test_shifted_action_never_exceeds_original_height():
 
 def _linear_route(sigma, lam):
     """(sigma(2 lam + 2 rho) - 2 rho) / 2, by the linear action alone."""
-    tr = two_rho(lam.rank)
-    doubled = [a - t for a, t in zip(apply(sigma, 2 * lam + tr).coords, tr.coords)]
+    tr = _two_rho_coords(lam.rank)
+    doubled = [a - t for a, t in zip(apply(sigma, 2 * lam + Weight(lam.rank, tr)).coords, tr)]
     assert all(d % 2 == 0 for d in doubled)
     return Weight(lam.rank, tuple(d // 2 for d in doubled))
 
@@ -327,8 +328,8 @@ def test_element_validation_and_equality():
     with pytest.raises(ValueError):
         WeylElement(2, (1, 2))
     a = WeylElement(2, (2, 1, 3))
-    assert a == simple_reflection(2, 1)
-    assert hash(a) == hash(simple_reflection(2, 1)) == hash((2, 1, 3))  # the perm fixes the rank
+    assert a == from_word(2, (1,))
+    assert hash(a) == hash(from_word(2, (1,))) == hash((2, 1, 3))  # the perm fixes the rank
     with pytest.raises(ValueError):
         a * identity(3)
     with pytest.raises(ValueError):
@@ -348,4 +349,5 @@ def test_two_rho_shifted_by_longest_element():
     for r in range(1, 5):
         longest = from_word(r, sum(([i for i in range(1, k + 1)] for k in range(r, 0, -1)), []))
         assert longest.perm == tuple(range(r + 1, 0, -1))
-        assert shifted_action(longest, zero_weight(r)) == -two_rho(r)
+        minus_two_rho = tuple(-t for t in _two_rho_coords(r))
+        assert shifted_action(longest, zero_weight(r)).coords == minus_two_rho
