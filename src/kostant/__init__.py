@@ -37,7 +37,6 @@ from .partition import (
 from .weights import (
     RootInterval,
     Weight,
-    as_interval,
     height,
     highest_root,
     interval_root,
@@ -67,7 +66,6 @@ __all__ = [
     "alt_set_bruteforce",
     "alt_set_characterized",
     "apply",
-    "as_interval",
     "binomial_safe",
     "closed_form_term",
     "consecutive_closed_form",

@@ -125,14 +125,15 @@ def check_power_of_q_closed(max_rank: int = DEFAULT_CLOSED_RANK) -> str:
 def check_multiplicity_one(max_rank: int = 12, image_rank: int = 10) -> str:
     """Interval weights carry multiplicity 1, and so does every reflected image.
 
-    The Weyl orbit of an interval root is the set of all r(r+1) roots of A_r,
-    so the images are listed directly as the +-interval roots.
+    The intervals are read off the closed route at q = 1, the paper's
+    corollary; the images go through the full sum. The Weyl orbit of an
+    interval root is the set of all r(r+1) roots of A_r, so the images are
+    listed directly as the +-interval roots.
     """
     intervals = 0
     for r in range(1, max_rank + 1):
-        lam = highest_root(r)
         for iv in _intervals(r):
-            if q_multiplicity(r, lam, interval_root(iv), "kwmf_altset").multiplicity_at_one != 1:
+            if q_multiplicity_closed(iv).evaluate(1) != 1:
                 raise CriterionFailed(f"{iv}: multiplicity != 1")
             intervals += 1
     images = 0

@@ -37,9 +37,6 @@ multiplicity sum. Two constructions are provided:
   rank 30, [15, 15] has 602,070); so it also bounds each side. The CLI
   renders its rows from the factors, without building the set.
 
-The two constructions carry a provenance tag so tests can compare them
-without one silently standing in for the other.
-
 `sides` describes the theorem's two sides once: each side's free letter
 range and its boundary letter. `side_tally` counts a side's choices by
 binomials. The generated set, the closed route in `multiplicity` and the
@@ -80,9 +77,6 @@ from .weyl import (
     shifted_action,
 )
 
-PROVENANCE_BRUTE = "brute_force"
-PROVENANCE_CHARACTERIZED = "characterized"
-
 # How many elements of a characterized set get their membership re-verified
 # by the brute-force sign test at construction time.
 _SPOT_CHECK = 8
@@ -96,8 +90,8 @@ class AlternationSet(Value):
     """The elements sigma with a nonzero partition count after the shifted action.
 
     `elements` is a frozenset of WeylElements; iteration is deterministic,
-    by length and then by reduced word. `provenance` records which
-    construction produced the set.
+    by length and then by reduced word. Two constructions of one set
+    compare equal.
 
     That order is built once. `alt_set_characterized` builds its products
     in that order and passes it in as `_order`; a set built
@@ -106,12 +100,12 @@ class AlternationSet(Value):
     The order takes no part in equality, hashing or repr.
     """
 
-    _fields = ("rank", "lam", "mu", "elements", "provenance")
+    _fields = ("rank", "lam", "mu", "elements")
     __slots__ = _fields + ("_order",)
 
     def __init__(self, rank: int, lam: Weight, mu: Weight, elements: frozenset[WeylElement],
-                 provenance: str, _order: tuple[WeylElement, ...] | None = None):
-        self._fill(rank, lam, mu, elements, provenance, _order)
+                 _order: tuple[WeylElement, ...] | None = None):
+        self._fill(rank, lam, mu, elements, _order)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -213,7 +207,7 @@ def alt_set_bruteforce(rank: int, lam: Weight, mu: Weight) -> AlternationSet:
             f"rank mismatch: rank={rank}, lam rank {lam.rank}, mu rank {mu.rank}"
         )
     members = frozenset(sigma for sigma, _ in survivors(lam, mu, enumerate_all(rank)))
-    return AlternationSet(rank, lam, mu, members, PROVENANCE_BRUTE)
+    return AlternationSet(rank, lam, mu, members)
 
 
 def alt_set_characterized(iv: RootInterval) -> AlternationSet:
@@ -230,10 +224,7 @@ def alt_set_characterized(iv: RootInterval) -> AlternationSet:
         for (lw, lp), group in canonical_blocks(left, right)
         for rw, rp in group
     ])
-    return AlternationSet(
-        r, highest_root(r), interval_root(iv), frozenset(members), PROVENANCE_CHARACTERIZED,
-        _order=members,
-    )
+    return AlternationSet(r, highest_root(r), interval_root(iv), frozenset(members), _order=members)
 
 
 def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[list[Factor]]]:

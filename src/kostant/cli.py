@@ -55,15 +55,7 @@ import os
 import sys
 
 from .acceptance import DEFAULT_CLOSED_RANK, run_all
-from .alternation import (
-    PROVENANCE_BRUTE,
-    PROVENANCE_CHARACTERIZED,
-    AlternationSet,
-    alt_cardinality,
-    canonical_blocks,
-    characterized_sides,
-    pruned_survivors,
-)
+from .alternation import alt_cardinality, canonical_blocks, characterized_sides, pruned_survivors
 from .combinatorics import fibonacci, nonconsecutive_count_k
 from .errors import IDENTITY_MAX_N, CapacityError
 from .multiplicity import predicted_q_multiplicity, q_multiplicity, q_multiplicity_closed
@@ -118,17 +110,17 @@ def _cmd_alt_set(args, out):
     sets = {}  # name -> (provenance, count, left factors, right groups)
     if args.method in ("brute", "both"):
         lam, mu = highest_root(args.rank), interval_root(iv)
-        members = frozenset(sigma for sigma, _ in pruned_survivors(lam, mu))
-        brute = AlternationSet(args.rank, lam, mu, members, PROVENANCE_BRUTE)
+        # each member's (word, perm), in the canonical order: by length, then by word
+        found = sorted(((s.reduced_word(), s.perm) for s, _ in pruned_survivors(lam, mu)),
+                       key=lambda f: (len(f[0]), f[0]))
         # each element is a product with the empty right factor
-        sets["brute"] = (PROVENANCE_BRUTE, len(brute),
-                         [(el.reduced_word(), el.perm) for el in brute], [[((), ())]])
+        sets["brute"] = ("brute_force", len(found), found, [[((), ())]])
     if args.method in ("theorem", "both"):
         left, right = characterized_sides(iv)
-        sets["theorem"] = (PROVENANCE_CHARACTERIZED, alt_cardinality(iv), left, right)
+        sets["theorem"] = ("characterized", alt_cardinality(iv), left, right)
     verdict = None
     if args.method == "both":
-        verdict = {el.perm for el in brute.elements} == {
+        verdict = {perm for _, perm in found} == {
             tuple(lp + rp) for (_, lp), group in canonical_blocks(left, right) for _, rp in group
         }
     query = {"command": "alt-set", "rank": args.rank, "mu": [iv.i, iv.j], "method": args.method}
@@ -221,8 +213,8 @@ def _cmd_qmult(args, out):
         mu_weight, mu_label = interval_root(iv), [iv.i, iv.j]
     routes = {}  # name -> (polynomial, method tag, term count or None)
     if args.method in ("kwmf", "all"):
-        rep = q_multiplicity(args.rank, highest_root(args.rank), mu_weight, "kwmf_full")
-        routes["kwmf"] = (rep.q_multiplicity, rep.method, rep.term_count)
+        rep = q_multiplicity(args.rank, highest_root(args.rank), mu_weight)
+        routes["kwmf"] = (rep.q_multiplicity, "kwmf_full", rep.term_count)
     if args.method in ("closed", "all"):
         routes["closed"] = (q_multiplicity_closed(iv), "closed_form", alt_cardinality(iv))
     if args.method in ("predicted", "all"):

@@ -19,6 +19,9 @@ SEARCH_NODE_BUDGET = 2**17
 # Block-boundary states the partition DP keeps between calls, all ranks
 # together; past it the memo is flushed wholesale.
 PARTITION_MEMO_BOUND = 2**16
+# Ranks whose 2 rho the Weyl kernel keeps, the least recently used dropped
+# first; without a bound, shifted_action at ranks 1..4000 held about 340 MB.
+TWO_RHO_CACHE_RANKS = 64
 # Rows of `kostant identity`: n = 1000 takes about 2 s, n = 2000 about 27 s,
 # and past n = 20,576 Python refuses to print F_(n+2)'s more than 4,300 digits.
 IDENTITY_MAX_N = 1000

@@ -6,28 +6,26 @@ sum over the Weyl group
     m_q(lam, mu) = sum_sigma sign(sigma) * P_q(sigma(lam + rho) - rho - mu),
 
 where P_q is the partition q-analog. Evaluating at q = 1 gives the ordinary
-weight multiplicity. Three evaluation routes are implemented, deliberately
-sharing as little as possible so they can check one another:
+weight multiplicity. Two evaluation routes and a prediction are
+implemented, deliberately sharing as little as possible so they can check
+one another:
 
-* method "kwmf_full": the sum over the whole group, run as a pruned search
+* `q_multiplicity`: the sum over the whole group, run as a pruned search
   that never builds an element whose term is zero; the search, not the
   rank, is bounded, by a fixed budget of visited nodes.
-* method "kwmf_altset": the same sum restricted to the characterized
-  alternation set; only valid for lam = highest root and mu an interval
-  root, where the omitted terms are exactly the zero ones.
 * the closed route: for lam = highest root and mu the interval [i, j], each
   alternation-set element sigma has a partition polynomial in closed form
   q^a (1+q)^b (see `closed_form_term`), and the signed sum of those closed
-  forms telescopes. For every interval the result is the single monomial
+  forms telescopes. No cap refuses the closed route, but its time grows
+  faster than r^3.
+* the prediction: for every interval the result is the single monomial
   q^(r - height(mu)), which `predicted_q_multiplicity` returns directly.
-  No cap refuses the closed route, but its time grows faster than r^3.
 
-Both "kwmf" sums compute P_q only on the nonzero terms: a term is nonzero
-exactly when sigma(lam + rho) - rho - mu is nonnegative. "kwmf_full" finds
-those elements with `alternation.pruned_survivors`, which fixes sigma one
-slot at a time and drops a branch once a coordinate goes negative, so it
-never builds the (r+1)! elements; "kwmf_altset" runs the same sign test,
-`alternation.survivors`, over the characterized set.
+The full sum computes P_q only on the nonzero terms: a term is nonzero
+exactly when sigma(lam + rho) - rho - mu is nonnegative.
+`alternation.pruned_survivors` finds those elements by fixing sigma one
+slot at a time and dropping a branch once a coordinate goes negative, so
+it never builds the (r+1)! elements.
 
 The closed form per element: with h = height(mu) and l the length of sigma,
 the exponents are a = l + (number of ABSENT boundary generators) and
@@ -39,68 +37,50 @@ nonnegative on valid input; a negative one raises RuntimeError.
 
 from math import comb
 
-from .alternation import alt_set_characterized, pruned_survivors, side_tally, sides, survivors
+from .alternation import pruned_survivors, side_tally, sides
 from .partition import QPolynomial, kostant_q
-from .weights import RootInterval, Value, Weight, as_interval, highest_root
+from .weights import RootInterval, Value, Weight
 from .weyl import WeylElement
 
 
 class MultiplicityReport(Value):
-    """A q-multiplicity together with how it was computed.
+    """A q-multiplicity together with the number of its nonzero terms.
 
-    method names the route that produced it, "kwmf_full" or "kwmf_altset".
     term_count is the number of group elements that contributed a nonzero
     summand (for lam = highest root this is the alternation set size).
     """
 
-    __slots__ = _fields = ("q_multiplicity", "method", "term_count")
+    __slots__ = _fields = ("q_multiplicity", "term_count")
 
-    def __init__(self, q_multiplicity: QPolynomial, method: str, term_count: int):
-        self._fill(q_multiplicity, method, term_count)
+    def __init__(self, q_multiplicity: QPolynomial, term_count: int):
+        self._fill(q_multiplicity, term_count)
 
     @property
     def multiplicity_at_one(self) -> int:
         return self.q_multiplicity.evaluate(1)
 
 
-def _signed_sum(rank: int, pairs) -> tuple[QPolynomial, int]:
-    """Sum sign(sigma) * P_q(xi) over the (sigma, xi) pairs of the nonzero terms."""
-    total, terms = QPolynomial.zero(), 0
-    for sigma, xi in pairs:
-        p = kostant_q(rank, Weight(rank, xi))
-        total = total + p if sigma.sign > 0 else total - p
-        terms += 1
-    return total, terms
-
-
 def q_multiplicity(
     rank: int, lam: Weight, mu: Weight, method: str = "kwmf_full"
 ) -> MultiplicityReport:
-    """Alternating Weyl sum for m_q(lam, mu).
+    """Alternating Weyl sum for m_q(lam, mu), for any root-lattice lam and mu.
 
-    "kwmf_full" accepts any root-lattice lam and mu. Its search runs to the
-    end before any partition polynomial is computed, so a query past the
-    search's node budget raises CapacityError having done no DP work.
-    "kwmf_altset" requires lam = highest root and mu an interval root and
-    sums over the characterized alternation set instead.
+    The search runs to the end before any partition polynomial is computed,
+    so a query past the search's node budget raises CapacityError having
+    done no DP work. `method` takes only "kwmf_full".
     """
+    if method != "kwmf_full":
+        raise ValueError(f"method must be 'kwmf_full', got {method!r}")
     if lam.rank != rank or mu.rank != rank:
         raise ValueError(
             f"rank mismatch: rank={rank}, lam rank {lam.rank}, mu rank {mu.rank}"
         )
-    if method == "kwmf_full":
-        pairs = list(pruned_survivors(lam, mu))
-    elif method == "kwmf_altset":
-        if lam != highest_root(rank):
-            raise ValueError("kwmf_altset requires lam to be the highest root")
-        iv = as_interval(mu)
-        if iv is None:
-            raise ValueError(f"kwmf_altset requires mu to be an interval root, got {mu.coords}")
-        pairs = survivors(lam, mu, alt_set_characterized(iv))
-    else:
-        raise ValueError(f"method must be 'kwmf_full' or 'kwmf_altset', got {method!r}")
-    poly, terms = _signed_sum(rank, pairs)
-    return MultiplicityReport(poly, method, terms)
+    pairs = list(pruned_survivors(lam, mu))
+    total = QPolynomial.zero()
+    for sigma, xi in pairs:
+        p = kostant_q(rank, Weight(rank, xi))
+        total = total + p if sigma.sign > 0 else total - p
+    return MultiplicityReport(total, len(pairs))
 
 
 def _exponents(r: int, h: int, length: int, absent: int) -> tuple[int, int]:

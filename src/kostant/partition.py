@@ -39,7 +39,6 @@ GIL concurrent callers at worst duplicate work, and since every entry is a
 pure function of its key the results are identical either way.
 """
 
-from functools import lru_cache
 from math import comb
 from operator import index
 
@@ -150,12 +149,6 @@ class QPolynomial:
         return f"QPolynomial({self.pretty()})"
 
 
-@lru_cache(maxsize=None)
-def _spans(rank: int) -> tuple[tuple[int, int], ...]:
-    """Positive roots of A_rank as (i, j) index pairs, lexicographic."""
-    return tuple((i, j) for i in range(1, rank + 1) for j in range(i, rank + 1))
-
-
 # Block-boundary states of every rank; a flush only costs recomputation.
 _MEMO: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -252,29 +245,36 @@ def kostant_q_oracle(rank: int, xi: Weight, max_height: int | None = None) -> QP
             f"oracle enumeration for a weight of height {h} exceeds the cap of {cap}; "
             f"no flag raises it, but a library caller may pass max_height"
         )
-    spans = _spans(rank)
+    # the positive roots as (i, j) index pairs, lexicographic
+    spans = [(i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
     counts = [0] * (h + 1)
-
-    def dfs(hi: int, rem: tuple[int, ...], depth: int) -> None:
-        for t in range(hi, -1, -1):
-            i0, j0 = spans[t]
-            ok = True
-            for k in range(i0 - 1, j0):
-                if rem[k] == 0:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            nxt = tuple(
-                c - 1 if i0 - 1 <= k < j0 else c for k, c in enumerate(rem)
-            )
-            if any(nxt):
-                dfs(t, nxt, depth + 1)
-            else:
-                counts[depth + 1] += 1
-
-    dfs(len(spans) - 1, xi.coords, 0)
+    _oracle_dfs(spans, counts, len(spans) - 1, xi.coords, 0)
     return QPolynomial(counts)
+
+
+def _oracle_dfs(spans, counts, hi: int, rem: tuple[int, ...], depth: int) -> None:
+    """Count into counts[n] the decompositions of rem into n more roots, from spans[:hi+1].
+
+    A module-level function, not a closure that calls itself: such a closure
+    is a reference cycle, which keeps each call's spans alive until a full
+    garbage collection (the oracle on [1, 1] at ranks 1..300 reached 340 MB).
+    """
+    for t in range(hi, -1, -1):
+        i0, j0 = spans[t]
+        ok = True
+        for k in range(i0 - 1, j0):
+            if rem[k] == 0:
+                ok = False
+                break
+        if not ok:
+            continue
+        nxt = tuple(
+            c - 1 if i0 - 1 <= k < j0 else c for k, c in enumerate(rem)
+        )
+        if any(nxt):
+            _oracle_dfs(spans, counts, t, nxt, depth + 1)
+        else:
+            counts[depth + 1] += 1
 
 
 def consecutive_closed_form(s: int) -> QPolynomial:

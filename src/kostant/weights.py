@@ -12,6 +12,8 @@ All arithmetic is exact on Python integers; nothing here can overflow.
 from functools import lru_cache
 from operator import index
 
+from .errors import TWO_RHO_CACHE_RANKS
+
 _set = object.__setattr__
 
 
@@ -148,19 +150,8 @@ def height(w: Weight) -> int:
     return sum(w.coords)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TWO_RHO_CACHE_RANKS)
 def _two_rho_coords(rank: int) -> tuple[int, ...]:
     # 2 rho, the sum of all positive roots, kept doubled so the shifted action stays
     # integral: alpha_k's coefficient counts the intervals [i, j] containing k.
     return tuple(k * (rank + 1 - k) for k in range(1, rank + 1))
-
-
-def as_interval(w: Weight) -> RootInterval | None:
-    """Recover [i, j] if w is an interval root (0/1 coords, one contiguous run)."""
-    ones = [k for k, c in enumerate(w.coords, start=1) if c == 1]
-    if not ones or len(ones) != sum(1 for c in w.coords if c != 0):
-        return None
-    i, j = ones[0], ones[-1]
-    if j - i + 1 != len(ones):
-        return None
-    return RootInterval(w.rank, i, j)

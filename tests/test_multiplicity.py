@@ -63,22 +63,9 @@ def test_multiplicity_at_one_examples():
 def test_report_fields():
     rep = q_multiplicity(3, highest_root(3), interval_root(RootInterval(3, 2, 2)))
     assert isinstance(rep, MultiplicityReport)
-    assert list(type(rep)._fields) == ["q_multiplicity", "method", "term_count"]
-    assert rep.method == "kwmf_full"
+    assert list(type(rep)._fields) == ["q_multiplicity", "term_count"]
     assert rep.multiplicity_at_one == rep.q_multiplicity.evaluate(1) == 1
     assert rep.term_count == alt_cardinality(RootInterval(3, 2, 2))
-
-
-def test_full_and_altset_methods_agree_through_rank_5():
-    for r in range(1, 6):
-        lam = highest_root(r)
-        for iv in _all_intervals(r):
-            mu = interval_root(iv)
-            full = q_multiplicity(r, lam, mu, method="kwmf_full")
-            restricted = q_multiplicity(r, lam, mu, method="kwmf_altset")
-            assert full.q_multiplicity == restricted.q_multiplicity, iv
-            assert full.term_count == restricted.term_count == alt_cardinality(iv)
-            assert restricted.method == "kwmf_altset"
 
 
 def test_q_power_law_through_rank_5_by_full_sum():
@@ -158,11 +145,9 @@ def test_every_route_agrees_on_random_intervals(rij):
     iv = RootInterval(*rij)
     r, lam, mu = iv.rank, highest_root(iv.rank), interval_root(iv)
     full = q_multiplicity(r, lam, mu, "kwmf_full")
-    restricted = q_multiplicity(r, lam, mu, "kwmf_altset")
     expected = predicted_q_multiplicity(iv)
-    assert full.q_multiplicity == restricted.q_multiplicity == expected
-    assert q_multiplicity_closed(iv) == expected
-    assert full.term_count == restricted.term_count == alt_cardinality(iv)
+    assert full.q_multiplicity == q_multiplicity_closed(iv) == expected
+    assert full.term_count == alt_cardinality(iv)
 
 
 @settings(max_examples=80, deadline=None)
@@ -284,11 +269,9 @@ def test_closed_form_report(capsys):
 
 def test_method_validation():
     lam, mu = highest_root(3), interval_root(RootInterval(3, 2, 2))
-    with pytest.raises(ValueError):
-        q_multiplicity(3, lam, mu, method="nope")
-    with pytest.raises(ValueError):
-        q_multiplicity(3, interval_root(RootInterval(3, 1, 1)), mu, method="kwmf_altset")
-    with pytest.raises(ValueError):
-        q_multiplicity(3, lam, zero_weight(3), method="kwmf_altset")
+    # "kwmf_full" is the only method; any other name, "kwmf_altset" too, is refused
+    for method in ("nope", "kwmf_altset"):
+        with pytest.raises(ValueError, match="method must be 'kwmf_full'"):
+            q_multiplicity(3, lam, mu, method=method)
     with pytest.raises(ValueError):
         q_multiplicity(3, lam, interval_root(RootInterval(2, 1, 1)))

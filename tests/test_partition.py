@@ -1,5 +1,6 @@
 """Partition q-analog: polynomial type, DP evaluator, exhaustive oracle."""
 
+import gc
 import random
 from itertools import product
 
@@ -119,6 +120,18 @@ def test_dp_matches_oracle_exhaustively_in_a3():
     for coords in product(range(3), repeat=3):
         xi = Weight(3, coords)
         assert kostant_q(3, xi) == kostant_q_oracle(3, xi), coords
+
+
+def test_the_oracle_leaves_no_cyclic_garbage():
+    # each call's positive roots are freed on return, not at the next full collection
+    gc.collect()
+    gc.disable()
+    try:
+        for r in range(1, 30):
+            assert kostant_q_oracle(r, interval_root(RootInterval(r, 1, 1))).coeffs == (0, 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=60, deadline=None)

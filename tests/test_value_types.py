@@ -28,15 +28,14 @@ from kostant import (
     zero_weight,
 )
 from kostant.acceptance import CriterionResult
-from kostant.alternation import PROVENANCE_BRUTE
 
 
 RECORDS = [
     (Weight, (3, (1, -2, 0))),
     (RootInterval, (5, 2, 4)),
     (AlternationSet,
-     (2, highest_root(2), zero_weight(2), frozenset([identity(2)]), PROVENANCE_BRUTE)),
-    (MultiplicityReport, (QPolynomial((0, 1, 1)), "kwmf_full", 2)),
+     (2, highest_root(2), zero_weight(2), frozenset([identity(2)]))),
+    (MultiplicityReport, (QPolynomial((0, 1, 1)), 2)),
     (CriterionResult, ("fibonacci", True, "F_1..F_30", 0.25)),
 ]
 
@@ -71,8 +70,8 @@ def test_eq_hash_and_repr_match_a_frozen_dataclass(cls, args):
 def test_the_order_of_an_alternation_set_stays_out_of_eq_hash_and_repr():
     lam, mu = highest_root(2), zero_weight(2)
     members = frozenset([identity(2)])
-    plain = AlternationSet(2, lam, mu, members, PROVENANCE_BRUTE)
-    ordered = AlternationSet(2, lam, mu, members, PROVENANCE_BRUTE, _order=(identity(2),))
+    plain = AlternationSet(2, lam, mu, members)
+    ordered = AlternationSet(2, lam, mu, members, _order=(identity(2),))
     assert plain == ordered and hash(plain) == hash(ordered) and repr(plain) == repr(ordered)
     list(plain)  # fills the order
     assert plain == ordered and repr(plain) == repr(ordered)

@@ -1,16 +1,18 @@
-"""Root-lattice weights: constructors, arithmetic, 2*rho, interval recovery."""
+"""Root-lattice weights: constructors, arithmetic, 2*rho."""
 
 import pytest
 
 from kostant import (
     RootInterval,
     Weight,
-    as_interval,
     height,
     highest_root,
+    identity,
     interval_root,
+    shifted_action,
     zero_weight,
 )
+from kostant.errors import TWO_RHO_CACHE_RANKS
 from kostant.weights import _two_rho_coords
 
 
@@ -100,17 +102,10 @@ def test_weight_stores_the_coerced_rank():
         Weight(2.0, (1, 2))
 
 
-def test_as_interval_roundtrip():
-    for r in range(1, 9):
-        for i in range(1, r + 1):
-            for j in range(i, r + 1):
-                iv = RootInterval(r, i, j)
-                assert as_interval(interval_root(iv)) == iv
-
-
-@pytest.mark.parametrize(
-    "coords",
-    [(0, 0, 0), (1, 0, 1), (2, 1, 0), (1, -1, 1), (0, 2, 0)],
-)
-def test_as_interval_rejects_non_intervals(coords):
-    assert as_interval(Weight(3, coords)) is None
+def test_the_two_rho_cache_keeps_at_most_its_bound_of_ranks():
+    # a long-lived process that visits many ranks keeps only the latest ones
+    for r in range(1, 2 * TWO_RHO_CACHE_RANKS + 1):
+        assert shifted_action(identity(r), highest_root(r)) == highest_root(r)
+    info = _two_rho_coords.cache_info()
+    assert info.maxsize == TWO_RHO_CACHE_RANKS
+    assert info.currsize <= TWO_RHO_CACHE_RANKS
