@@ -60,6 +60,24 @@ def test_multiplicity_at_one_examples():
     assert q_multiplicity(3, highest_root(3), mu).multiplicity_at_one == 1
 
 
+@pytest.mark.parametrize(
+    "coords,coeffs",
+    [
+        ((0, 0, 0), (0, 1, 1, 1)),  # the zero weight: q + q^2 + q^3
+        ((1, 0, 1), (-1, 1)),  # e gives P_q(alpha_2) = q, s_2 gives -P_q(0)
+        ((2, 1, 0), ()),  # lam - mu has a negative coordinate: no term at all
+        ((1, -1, 1), (0, -1, 1)),  # e gives P_q(2 alpha_2) = q^2, s_2 gives -q
+        ((0, 2, 0), ()),
+    ],
+)
+def test_full_sum_on_weights_that_are_not_interval_roots(coords, coeffs):
+    # the adjoint module's weights are the roots and 0, so a weight that is
+    # neither has multiplicity 0 at q = 1, though its q-analog need not vanish
+    rep = q_multiplicity(3, highest_root(3), Weight(3, coords))
+    assert rep.q_multiplicity.coeffs == coeffs
+    assert rep.multiplicity_at_one == (3 if coords == (0, 0, 0) else 0)
+
+
 def test_report_fields():
     rep = q_multiplicity(3, highest_root(3), interval_root(RootInterval(3, 2, 2)))
     assert isinstance(rep, MultiplicityReport)

@@ -102,6 +102,17 @@ def test_weight_stores_the_coerced_rank():
         Weight(2.0, (1, 2))
 
 
+def test_interval_roots_are_distinct_and_supported_on_their_interval():
+    for r in range(1, 9):
+        seen = set()
+        for i in range(1, r + 1):
+            for j in range(i, r + 1):
+                coords = interval_root(RootInterval(r, i, j)).coords
+                assert coords == tuple(int(i <= k <= j) for k in range(1, r + 1))
+                seen.add(coords)
+        assert len(seen) == r * (r + 1) // 2
+
+
 def test_the_two_rho_cache_keeps_at_most_its_bound_of_ranks():
     # a long-lived process that visits many ranks keeps only the latest ones
     for r in range(1, 2 * TWO_RHO_CACHE_RANKS + 1):
