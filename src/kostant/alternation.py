@@ -54,6 +54,7 @@ plain binomials and their total telescopes to the Fibonacci cardinality.
 
 from collections import namedtuple
 from itertools import islice
+from operator import sub
 from typing import Iterator
 
 from .combinatorics import fibonacci, nonconsecutive_count_k, nonconsecutive_subsets
@@ -127,16 +128,15 @@ def survivors(lam: Weight, mu: Weight, sigmas) -> Iterator[tuple[WeylElement, tu
     positive roots exactly when every simple-root coordinate is nonnegative.
     The survivors are the alternation set and the nonzero terms of the
     alternating Weyl sum. Each element goes through the public
-    `shifted_action`, so a per-call trace of that layer sees every element a
-    scan visits; `pruned_survivors` runs the same test prefix by prefix.
+    `shifted_action` exactly once, so a per-call trace of that layer sees
+    every element a scan visits; only a survivor's xi is built as a tuple.
+    `pruned_survivors` runs the same test prefix by prefix.
     """
     if lam.rank != mu.rank:
         raise ValueError(f"rank mismatch: lam rank {lam.rank} vs mu rank {mu.rank}")
-    terms = (
-        (sigma, tuple(a - b for a, b in zip(shifted_action(sigma, lam).coords, mu.coords)))
-        for sigma in sigmas
-    )
-    return ((sigma, xi) for sigma, xi in terms if min(xi) >= 0)
+    m = mu.coords
+    images = ((sigma, shifted_action(sigma, lam).coords) for sigma in sigmas)
+    return ((sigma, tuple(map(sub, c, m))) for sigma, c in images if min(map(sub, c, m)) >= 0)
 
 
 def pruned_survivors(lam: Weight, mu: Weight) -> Iterator[tuple[WeylElement, tuple[int, ...]]]:
@@ -147,53 +147,90 @@ def pruned_survivors(lam: Weight, mu: Weight) -> Iterator[tuple[WeylElement, tup
     sigma^-1(2), ... one slot at a time and drops a branch as soon as its
     prefix sum falls below 2 rho_k + 2 mu_k: every completion would fail the
     sign test there. The last slot is forced, since the entries sum to 0.
-    The pairs come in no particular order. Each prefix the search enters is
-    a node; past SEARCH_NODE_BUDGET nodes it raises CapacityError, so what
-    is refused is a search that really explodes, not a rank. Open prefixes
-    live on a list, not on the call stack, so no depth hits the recursion limit.
+    Each prefix the search enters is a node; past SEARCH_NODE_BUDGET nodes
+    it raises CapacityError, so what is refused is a search that really
+    explodes, not a rank. The walk is `_walk`'s, and it keeps its open
+    prefixes on lists, so no depth hits the recursion limit. The pairs
+    stream out as it finds them, in no particular order, so a refusal comes
+    after the pairs found before it; `all_pruned_survivors` refuses before
+    it builds any.
     """
+    eps, floors = _search_input(lam, mu)
+    rank = lam.rank
+    # xi_k is half the prefix sum's excess over floor k: (s_k - 2 rho_k - 2 mu_k) / 2
+    return (
+        (_element(rank, tuple(perm)), tuple(_halved(sums[1:], floors)))
+        for perm, sums in _walk(eps, floors)
+    )
+
+
+def all_pruned_survivors(lam: Weight, mu: Weight) -> list[tuple[WeylElement, tuple[int, ...]]]:
+    """The pairs of `pruned_survivors`, as one list; a refused search builds none of them.
+
+    The walk runs once without building a leaf, so a search past the node
+    budget raises CapacityError having built nothing. Only a search within
+    the budget runs a second time and builds its pairs.
+    """
+    for _ in _walk(*_search_input(lam, mu)):
+        pass
+    return list(pruned_survivors(lam, mu))
+
+
+def _search_input(lam: Weight, mu: Weight) -> tuple[list[int], list[int]]:
+    """The epsilon entries of 2 lam + 2 rho and the floors 2 rho_k + 2 mu_k of the prefix sums."""
     if lam.rank != mu.rank:
         raise ValueError(f"rank mismatch: lam rank {lam.rank} vs mu rank {mu.rank}")
-    rank = lam.rank
-    tr = _two_rho_coords(rank)
+    tr = _two_rho_coords(lam.rank)
     eps = _eps([2 * c + t for c, t in zip(lam.coords, tr)])
-    floors = [t + 2 * m for t, m in zip(tr, mu.coords)]
-    perm = [0] * (rank + 1)  # perm[x] = sigma(x + 1), set as slots fill
+    return eps, [t + 2 * m for t, m in zip(tr, mu.coords)]
 
-    def children(total: int, unused: tuple[int, ...], slot: int):
-        """(prefix sum, entries left) for each unused entry that may fill `slot`, in order."""
-        for n, x in enumerate(unused):
-            s = total + eps[x]
-            if s >= floors[slot - 1]:
-                perm[x] = slot
-                yield s, unused[:n] + unused[n + 1:]
 
-    def search():
-        nodes = 0
-        prefixes: list[int] = []  # the prefix sums along the path, the root's 0 first
-        frames = [iter([(0, tuple(range(rank + 1)))])]  # the nodes still to enter, by depth
-        while frames:
-            node = next(frames[-1], None)
-            if node is None:
-                frames.pop()
-                continue
-            nodes += 1
-            if nodes > SEARCH_NODE_BUDGET:
-                raise CapacityError(
-                    f"the pruned search at rank {rank} visited more than {SEARCH_NODE_BUDGET} "
-                    f"nodes, its fixed budget; no flag raises it"
-                )
-            total, unused = node
-            del prefixes[len(frames) - 1:]
-            prefixes.append(total)
-            if len(unused) > 1:
-                frames.append(children(total, unused, len(prefixes)))
-                continue
+def _walk(eps: list[int], floors: list[int]) -> Iterator[tuple[list[int], list[int]]]:
+    """The pruned search, depth first; it yields (perm, sums) at each leaf and builds nothing.
+
+    perm[x] = sigma(x + 1) and sums holds the path's prefix sums, the root's
+    0 first; both are the walk's own lists, valid until the next step. The
+    unused entries stay in one list sorted by epsilon descending, ties by
+    index, so a node scans its candidates in that order and stops at the
+    first one whose prefix sum falls below the floor: every later one falls
+    below it too. A choice is taken out of the list by `pop` and undone by
+    `insert` at its position, so a node's Python work is O(children), not
+    O(rank), and nothing is copied. Where epsilon is non-increasing, as for
+    the highest root and 2 rho, that order is by index, and so is the order
+    of the leaves. The nodes entered do not depend on the order: they are
+    the prefixes whose every sum passes its floor.
+    """
+    rank = len(floors)
+    budget = SEARCH_NODE_BUDGET
+    unused = sorted(range(rank + 1), key=lambda x: -eps[x])  # sorted is stable: ties by index
+    perm = [0] * (rank + 1)
+    sums = [0]
+    taken: list[tuple[int, int]] = []  # (position in unused, entry) of each filled slot
+    nodes, n = 1, 0  # the root entered; n is the next candidate's position at this depth
+    while True:
+        if nodes > budget:
+            raise CapacityError(
+                f"the pruned search at rank {rank} visited more than {budget} "
+                f"nodes, its fixed budget; no flag raises it"
+            )
+        d = len(taken)
+        if d == rank:
             perm[unused[0]] = rank + 1
-            xi = tuple(h - m for h, m in zip(_halved(prefixes[1:], tr), mu.coords))
-            yield _element(rank, tuple(perm)), xi
-
-    return search()
+            yield perm, sums
+        elif n < len(unused) and sums[d] + eps[unused[n]] >= floors[d]:
+            x = unused.pop(n)
+            perm[x] = d + 1
+            sums.append(sums[d] + eps[x])
+            taken.append((n, x))
+            nodes += 1
+            n = 0
+            continue
+        if not taken:
+            return
+        n, x = taken.pop()
+        unused.insert(n, x)
+        sums.pop()
+        n += 1
 
 
 def alt_set_bruteforce(rank: int, lam: Weight, mu: Weight) -> AlternationSet:

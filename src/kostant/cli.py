@@ -25,7 +25,7 @@ alternation set's canonical order (by length, then by reduced word) and
 are joined from text rendered once per factor: the theorem route takes
 the side factors of ``characterized_sides`` and never builds the set, and
 a brute-force element, a member by the sign test read off
-``pruned_survivors`` (no subcommand runs the literal scan of the group),
+``all_pruned_survivors`` (no subcommand runs the literal scan of the group),
 is a left factor with an empty right factor. The JSON word lists, the CSV
 word and perm fields and the table's word and ``perm (...)`` text are each
 a left factor's text then a right factor's.
@@ -55,7 +55,7 @@ import os
 import sys
 
 from .acceptance import DEFAULT_CLOSED_RANK, run_all
-from .alternation import alt_cardinality, canonical_blocks, characterized_sides, pruned_survivors
+from .alternation import all_pruned_survivors, alt_cardinality, canonical_blocks, characterized_sides
 from .combinatorics import fibonacci, nonconsecutive_count_k
 from .errors import IDENTITY_MAX_N, CapacityError
 from .multiplicity import predicted_q_multiplicity, q_multiplicity, q_multiplicity_closed
@@ -111,7 +111,7 @@ def _cmd_alt_set(args, out):
     if args.method in ("brute", "both"):
         lam, mu = highest_root(args.rank), interval_root(iv)
         # each member's (word, perm), in the canonical order: by length, then by word
-        found = sorted(((s.reduced_word(), s.perm) for s, _ in pruned_survivors(lam, mu)),
+        found = sorted(((s.reduced_word(), s.perm) for s, _ in all_pruned_survivors(lam, mu)),
                        key=lambda f: (len(f[0]), f[0]))
         # each element is a product with the empty right factor
         sets["brute"] = ("brute_force", len(found), found, [[((), ())]])

@@ -23,9 +23,10 @@ one another:
 
 The full sum computes P_q only on the nonzero terms: a term is nonzero
 exactly when sigma(lam + rho) - rho - mu is nonnegative.
-`alternation.pruned_survivors` finds those elements by fixing sigma one
+`alternation.all_pruned_survivors` finds those elements by fixing sigma one
 slot at a time and dropping a branch once a coordinate goes negative, so
-it never builds the (r+1)! elements.
+it never builds the (r+1)! elements, and builds none at all when the
+search is refused.
 
 The closed form per element: with h = height(mu) and l the length of sigma,
 the exponents are a = l + (number of ABSENT boundary generators) and
@@ -37,7 +38,7 @@ nonnegative on valid input; a negative one raises RuntimeError.
 
 from math import comb
 
-from .alternation import pruned_survivors, side_tally, sides
+from .alternation import all_pruned_survivors, side_tally, sides
 from .partition import QPolynomial, kostant_q
 from .weights import RootInterval, Value, Weight
 from .weyl import WeylElement
@@ -65,9 +66,11 @@ def q_multiplicity(
 ) -> MultiplicityReport:
     """Alternating Weyl sum for m_q(lam, mu), for any root-lattice lam and mu.
 
-    The search runs to the end before any partition polynomial is computed,
-    so a query past the search's node budget raises CapacityError having
-    done no DP work. `method` takes only "kwmf_full".
+    The nonzero terms come from `alternation.all_pruned_survivors`, which
+    runs its search to the end once without building any element before it
+    builds them. So a query past the search's node budget raises
+    CapacityError having built no element and computed no partition
+    polynomial, at any rank. `method` takes only "kwmf_full".
     """
     if method != "kwmf_full":
         raise ValueError(f"method must be 'kwmf_full', got {method!r}")
@@ -75,7 +78,7 @@ def q_multiplicity(
         raise ValueError(
             f"rank mismatch: rank={rank}, lam rank {lam.rank}, mu rank {mu.rank}"
         )
-    pairs = list(pruned_survivors(lam, mu))
+    pairs = all_pruned_survivors(lam, mu)
     total = QPolynomial.zero()
     for sigma, xi in pairs:
         p = kostant_q(rank, Weight(rank, xi))

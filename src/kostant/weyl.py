@@ -14,8 +14,9 @@ convert back. Both directions are integral, so the action is exact.
 
 The shifted action sigma(lam + rho) - rho is computed on doubled weights
 (2*lam + 2*rho is integral even though rho alone is not) and halved at the
-end; a parity check guards the halving. One tuple-level kernel computes
-the permuted prefix sums behind both `apply` and `shifted_action`.
+end; a parity check guards the halving. Both actions are one scatter loop,
+which moves each epsilon entry to its slot, and one prefix loop, which sums
+the slots; the shifted action checks parity and halves in that same loop.
 """
 
 from bisect import bisect_left
@@ -183,39 +184,39 @@ def _eps(coords) -> list[int]:
     return [a - b for a, b in zip((*coords, 0), (0, *coords))]
 
 
-def _moved_prefix_sums(perm: tuple[int, ...], eps: list[int]) -> Iterator[int]:
-    """The kernel: simple-root coordinates, in order, of eps moved by perm.
-
-    Entry x goes to slot perm[x]; coordinate k is the sum of slots 1..k.
-    """
-    moved = [0] * len(perm)
-    for x, p in enumerate(perm):
-        moved[p - 1] = eps[x]
-    return accumulate(moved[:-1])
-
-
-def _halved(sums: Iterator[int], base) -> Iterator[int]:
+def _halved(sums, base) -> list[int]:
     """(s - b) / 2 for each doubled coordinate s and offset b, checked to be integral."""
+    out = []
     for s, b in zip(sums, base):
         d = s - b
-        if d % 2:
+        if d & 1:
             raise RuntimeError("shifted action produced a non-integral weight")
-        yield d // 2
+        out.append(d >> 1)
+    return out
 
 
 def apply(sigma: WeylElement, w: Weight) -> Weight:
-    """sigma acting linearly on a root-lattice weight, via epsilon coordinates."""
+    """sigma acting linearly on a root-lattice weight, via epsilon coordinates.
+
+    Coordinate k of the image is the sum of the moved entries in slots 1..k.
+    """
     if sigma.rank != w.rank:
         raise ValueError(f"rank mismatch: element {sigma.rank} vs weight {w.rank}")
-    return _weight(w.rank, tuple(_moved_prefix_sums(sigma.perm, _eps(w.coords))))
+    moved = [0] * (w.rank + 1)
+    for e, p in zip(_eps(w.coords), sigma.perm):
+        moved[p - 1] = e
+    return _weight(w.rank, tuple(accumulate(moved[:-1])))
 
 
 def shifted_action(sigma: WeylElement, lam: Weight) -> Weight:
     """sigma(lam + rho) - rho, computed exactly on doubled weights.
 
     The epsilon coordinates of 2 lam + 2 rho are computed through `_eps` on
-    lam's first shifted action and kept in its `_eps2` slot; every call still
-    moves them by sigma, checks each doubled coordinate's parity and halves it.
+    lam's first shifted action and kept in its `_eps2` slot. Every call moves
+    them by sigma in one scatter loop, then runs one prefix loop that sums
+    the slots, checks each doubled coordinate's parity and halves it. The
+    loops are most of the literal scan's cost per element, so they are
+    written out here rather than shared with `apply` or `_halved`.
     """
     rank = lam.rank
     if sigma.rank != rank:
@@ -225,7 +226,18 @@ def shifted_action(sigma: WeylElement, lam: Weight) -> Weight:
     if eps is None:
         eps = _eps([2 * c + t for c, t in zip(lam.coords, tr)])
         _set(lam, "_eps2", eps)
-    return _weight(rank, tuple(_halved(_moved_prefix_sums(sigma.perm, eps), tr)))
+    moved = [0] * (rank + 1)
+    for e, p in zip(eps, sigma.perm):
+        moved[p - 1] = e
+    coords = []
+    s = 0
+    for m, t in zip(moved, tr):  # tr has rank entries: the last slot is never summed
+        s += m
+        d = s - t
+        if d & 1:
+            raise RuntimeError("shifted action produced a non-integral weight")
+        coords.append(d >> 1)
+    return _weight(rank, tuple(coords))
 
 
 def enumerate_all(rank: int) -> Iterator[WeylElement]:

@@ -186,6 +186,25 @@ def test_survivors_rejects_rank_mismatch():
         list(survivors(highest_root(3), interval_root(RootInterval(3, 1, 1)), [identity(2)]))
 
 
+def test_the_literal_scan_sends_each_drawn_element_through_shifted_action_once(monkeypatch):
+    drawn, acted = [], []
+    real_enumerate, real_action = kostant.alternation.enumerate_all, kostant.alternation.shifted_action
+
+    def counting_enumerate(rank):
+        return (drawn.append(sigma) or sigma for sigma in real_enumerate(rank))
+
+    def counting_action(sigma, lam):
+        acted.append(sigma)
+        return real_action(sigma, lam)
+
+    monkeypatch.setattr(kostant.alternation, "enumerate_all", counting_enumerate)
+    monkeypatch.setattr(kostant.alternation, "shifted_action", counting_action)
+    aset = alt_set_bruteforce(3, highest_root(3), interval_root(RootInterval(3, 2, 2)))
+    assert len(drawn) == len(acted) == 24
+    assert acted == drawn and set(drawn) == set(real_enumerate(3))
+    assert len(aset) == 1
+
+
 # ------------------------------------------------------- the pruned search
 
 

@@ -249,6 +249,23 @@ def test_a_deep_search_is_refused_by_its_budget_not_the_recursion_limit(capsys, 
     )
 
 
+def test_a_refused_brute_alt_set_builds_no_leaf(capsys, monkeypatch):
+    # the whole-set search refuses before it builds any element, so no reduced word is computed
+    def no_leaf(*args):
+        raise AssertionError("a leaf was built")
+
+    monkeypatch.setattr(kostant.alternation, "_element", no_leaf)
+    assert run(["alt-set", "--rank", "1500", "--mu", "750..750", "--method", "brute"]) == (
+        EXIT_CAPACITY
+    )
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "capacity: the pruned search at rank 1500 visited more than 131072 nodes, "
+        "its fixed budget; no flag raises it\n"
+    )
+
+
 def test_no_subcommand_reaches_the_literal_scan(capsys, monkeypatch):
     def refuse(rank):
         raise AssertionError(f"the literal scan of rank {rank} was reached")

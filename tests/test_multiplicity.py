@@ -30,7 +30,7 @@ from kostant import (
     shifted_action,
     zero_weight,
 )
-from kostant.alternation import pruned_survivors, survivors
+from kostant.alternation import all_pruned_survivors, pruned_survivors, survivors
 from kostant.cli import run
 from kostant.multiplicity import _term_poly
 
@@ -123,6 +123,16 @@ def test_a_refused_full_sum_computes_no_partition_polynomial(monkeypatch):
     assert calls == []
 
 
+def test_a_refused_full_sum_builds_no_leaf(monkeypatch):
+    # the search runs once without building a leaf, so a refusal at any rank builds no element
+    def no_leaf(*args):
+        raise AssertionError("a leaf was built")
+
+    monkeypatch.setattr(kostant.alternation, "_element", no_leaf)
+    with pytest.raises(CapacityError, match="at rank 1200 visited more than 131072 nodes"):
+        q_multiplicity(1200, highest_root(1200), zero_weight(1200))
+
+
 def _lam_mu_pairs():
     return st.integers(min_value=1, max_value=5).flatmap(
         lambda r: st.tuples(
@@ -175,6 +185,47 @@ def test_pruned_search_matches_the_literal_scan(case):
     lam, mu = Weight(r, tuple(lam_coords)), Weight(r, tuple(mu_coords))
     literal = {(s.perm, xi) for s, xi in survivors(lam, mu, enumerate_all(r))}
     assert {(s.perm, xi) for s, xi in pruned_survivors(lam, mu)} == literal
+
+
+def _search_nodes(r, lam_coords, mu_coords):
+    """The prefixes sigma^-1(1..k), k = 0..r, of the group's elements whose every sum passes.
+
+    Computed from the definition, independently of the search: the epsilon
+    entries of 2 lam + 2 rho, taken in the order sigma^-1 puts them, must
+    keep each prefix sum at or above 2 rho_k + 2 mu_k.
+    """
+    two_rho = [k * (r + 1 - k) for k in range(1, r + 1)]
+    doubled = [2 * c + t for c, t in zip(lam_coords, two_rho)]
+    eps = [a - b for a, b in zip(doubled + [0], [0] + doubled)]
+    floors = [t + 2 * m for t, m in zip(two_rho, mu_coords)]
+    prefixes = {()}
+    for sigma in enumerate_all(r):
+        inverse = sorted(range(r + 1), key=lambda x: sigma.perm[x])
+        total = 0
+        for k in range(r):
+            total += eps[inverse[k]]
+            if total < floors[k]:
+                break
+            prefixes.add(tuple(inverse[:k + 1]))
+    return len(prefixes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lam_mu_pairs())
+def test_the_search_enters_exactly_the_prefixes_that_pass(case):
+    r, lam_coords, mu_coords = case
+    lam, mu = Weight(r, tuple(lam_coords)), Weight(r, tuple(mu_coords))
+    nodes = _search_nodes(r, lam_coords, mu_coords)
+    literal = {(s.perm, xi) for s, xi in survivors(lam, mu, enumerate_all(r))}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kostant.alternation, "SEARCH_NODE_BUDGET", nodes)
+        assert {(s.perm, xi) for s, xi in pruned_survivors(lam, mu)} == literal
+        assert {(s.perm, xi) for s, xi in all_pruned_survivors(lam, mu)} == literal
+        mp.setattr(kostant.alternation, "SEARCH_NODE_BUDGET", nodes - 1)
+        with pytest.raises(CapacityError, match=f"more than {nodes - 1} nodes"):
+            list(pruned_survivors(lam, mu))
+        with pytest.raises(CapacityError, match=f"more than {nodes - 1} nodes"):
+            all_pruned_survivors(lam, mu)
 
 
 # --------------------------------------------------------- closed-form route
