@@ -53,8 +53,8 @@ plain binomials and their total telescopes to the Fibonacci cardinality.
 """
 
 from collections import namedtuple
-from itertools import islice
-from operator import sub
+from itertools import chain, islice
+from operator import add, sub
 from typing import Iterator
 
 from .combinatorics import fibonacci, nonconsecutive_count_k, nonconsecutive_subsets
@@ -321,38 +321,51 @@ def canonical_blocks(left: list, right: list[list], longest_first: bool = False)
     length, each left factor in turn is followed by the right group that
     makes up that length, so the blocks' products, in order, are the set's
     canonical order; with longest_first, the blocks and the groups (as
-    reversed iterators) run backwards. Only a factor's first entry, its
-    word, is read, so factors may carry anything after it.
+    reversed copies) run backwards. A total takes the positions of the left
+    factors of the lengths that reach it, sorted, so it visits no factor
+    that misses it. Only a left factor's first entry, its word, and only
+    the position of a right group are read, so both may carry anything
+    else.
     """
-    top = max(len(f[0]) for f in left) + len(right) - 1
-    totals = range(top, -1, -1) if longest_first else range(top + 1)
-    lefts = left[::-1] if longest_first else left
+    width = len(right)
+    lengths = [len(f[0]) for f in left]
+    at = [[] for _ in range(max(lengths) + 1)]  # the positions of the left factors of each length
+    for p, n in enumerate(lengths):
+        at[n].append(p)
+    totals = range(len(at) + width - 1)
+    if longest_first:
+        totals, right = reversed(totals), [group[::-1] for group in right]
     for total in totals:
-        for factor in lefts:
-            k = total - len(factor[0])
-            if 0 <= k < len(right):
-                yield factor, (reversed(right[k]) if longest_first else right[k])
+        reach = chain.from_iterable(at[max(0, total - width + 1):total + 1])
+        for p in sorted(reach, reverse=longest_first):
+            yield left[p], right[total - lengths[p]]
 
 
 def _side_factors(side: "Side", lo: int, hi: int) -> list[Factor]:
     """(word, slots lo..hi of the one-line notation) for each choice of letters on one side.
 
-    The choices are `nonconsecutive_subsets` of the side's free range, so
-    their letters commute and each word is reduced; a letter x swaps the
-    entries of slots x and x+1, both in lo..hi. No group element is built.
-    A slice is a list: a tuple of at most 20 entries, once freed, waits on
-    CPython's tuple free list until the next full garbage collection, and
-    slices kept that way raised a cli-mix benchmark session's peak memory
-    by about 1 MB.
+    The choices are `nonconsecutive_subsets` of {1..m}, each moved onto the
+    side's free range by one `map(add, ...)`, so their letters commute and
+    each word is reduced. A letter x swaps the entries of slots x and x+1,
+    both in lo..hi, and no two letters of a choice touch one slot, so a
+    slice is a copy of the identity slice with each letter's swapped pair,
+    built once per side, written at the letter's offset. No group element
+    is built. A slice is a list: a tuple of at most 20 entries, once freed,
+    waits on CPython's tuple free list until the next full garbage
+    collection, and slices kept that way raised a cli-mix benchmark
+    session's peak memory by about 1 MB.
     """
-    shift = side.letters.start - 1  # {1..m} onto the free range
+    m, offset = len(side.letters), side.letters.start - 1  # {1..m} onto the free range
+    shifts = [offset] * (m // 2 + 1)  # one per letter of the longest choice
+    at = offset - lo  # letter y + offset swaps slots y + at and y + at + 1 of the slice
+    base = list(range(lo, hi + 1))
+    swapped = [(y + offset + 1, y + offset) for y in range(m + 1)]
     factors = []
-    for s in nonconsecutive_subsets(len(side.letters)):
-        word = tuple(x + shift for x in s)
-        slots = list(range(lo, hi + 1))
-        for x in word:
-            slots[x - lo], slots[x + 1 - lo] = slots[x + 1 - lo], slots[x - lo]
-        factors.append((word, slots))
+    for s in nonconsecutive_subsets(m):
+        slots = base[:]
+        for y in s:
+            slots[y + at], slots[y + at + 1] = swapped[y]
+        factors.append((tuple(map(add, s, shifts)), slots))
     return factors
 
 

@@ -15,14 +15,20 @@ computes, then returns ``(query, verdict, view)``, with the view built for
 the requested format only: the JSON result dict, a CSV ``(header, rows)``
 pair, or the table's lines. ``_render`` writes the envelope, the CSV or
 the lines (plus a ``verdict:`` line when there is a verdict) to the stream
-and maps the verdict to the exit code. ``verify`` writes its table itself,
+and maps the verdict to the exit code. CSV rows go through csv.writer,
+except ``alt-set``'s: there the rows are a callable that returns the
+body's lines as text. csv.writer quotes only a field holding a comma, a
+quote or a line break, and an alt-set field is a set's name, digits and
+spaces, or an int, so those lines are the bytes the writer would write.
+``verify`` writes its table itself,
 one line per criterion as ``acceptance.run_all`` yields its result and
 then the summary line, so its table view is None. The envelope is written by
 ``_json_indented``, which gives the bytes of ``json.dumps(..., indent=2)``
 while leaving every scalar to the stdlib's C encoder; a callable in a view
 renders its own text at its indent. ``alt-set`` rows come in the
 alternation set's canonical order (by length, then by reduced word) and
-are joined from text rendered once per factor: the theorem route takes
+are joined from text rendered once per factor, through a table of each
+value's digits built once per call: the theorem route takes
 the side factors of ``characterized_sides`` and never builds the set, and
 a brute-force element, a member by the sign test read off
 ``all_pruned_survivors`` (no subcommand runs the literal scan of the group),
@@ -124,20 +130,20 @@ def _cmd_alt_set(args, out):
             tuple(lp + rp) for (_, lp), group in canonical_blocks(left, right) for _, rp in group
         }
     query = {"command": "alt-set", "rank": args.rank, "mu": [iv.i, iv.j], "method": args.method}
+    names = [str(v) for v in range(args.rank + 2)]  # every letter and perm entry, as text
     if args.format == "json":
         view = {
             "sets": {
                 name: {"rank": args.rank, "mu": [iv.i, iv.j], "count": count,
-                       "elements": functools.partial(_json_words, left, right),
+                       "elements": functools.partial(_json_words, left, right, names),
                        "provenance": provenance}
                 for name, (provenance, count, left, right) in sets.items()
             },
             "predicted_count": alt_cardinality(iv),
         }
     elif args.format == "csv":
-        rows = [row for name, (_, _, left, right) in sets.items()
-                for row in _csv_rows(name, left, right)]
-        view = (["method", "word", "perm", "length", "sign"], rows)
+        view = (["method", "word", "perm", "length", "sign"],
+                functools.partial(_csv_lines, sets, names))
     else:
         view = [
             f"alternation set, rank {args.rank}, interval weight [{iv.i}, {iv.j}]",
@@ -145,62 +151,68 @@ def _cmd_alt_set(args, out):
         ]
         for name, (_, count, left, right) in sets.items():
             view.append(f"{name}: {count} elements")
-            view += _table_lines(left, right)
+            view += _table_lines(left, right, names)
     return query, verdict, view
 
 
-def _blocks(left, right, sep: str, perm_sep: str, letter: str = ""):
-    """(length, word head, perm head, right factors) for each block of a set, in order.
+def _blocks(left, right, names: list[str], sep: str, perm_sep: str, letter: str = ""):
+    """(length, word head, perm head, right texts) for each block of a set, in order.
 
     `canonical_blocks` pairs each left factor with the group of right
     factors that follows it in the set's canonical order. Each factor is
-    rendered once: its letters, each after `letter`, joined by `sep`, and
-    its slice joined by `perm_sep` (an empty one renders no perm). A row's
-    word is the block's word head then a right factor's word text, and its
-    perm the perm head then the right factor's perm text, which carries its
-    leading separator, so the empty right factor of a brute-force element
-    adds nothing. The word head ends in `sep` only when both words have
-    letters.
+    rendered once, through `names`, the text of each value: its letters,
+    each after `letter`, joined by `sep`, and, unless `perm_sep` is empty,
+    its slice joined by `perm_sep`. A row's word is the block's word head
+    then a right factor's word text, and its perm the perm head then the
+    right factor's perm text, which carries its leading separator, so the
+    empty right factor of a brute-force element adds nothing. The word head
+    ends in `sep` only when both words have letters.
     """
+    letters = [letter + v for v in names] if letter else names
+    word_text, perm_text = letters.__getitem__, names.__getitem__
+    lefts = [(w, sep.join(map(word_text, w)), perm_sep.join(map(perm_text, p)) if perm_sep else "")
+             for w, p in left]
+    rights = [(k, [(sep.join(map(word_text, w)),
+                    perm_sep + perm_sep.join(map(perm_text, p)) if p and perm_sep else "")
+                   for w, p in group])
+              for k, group in enumerate(right)]  # group k holds the right factors of length k
+    for (lw, lws, lps), (k, group) in canonical_blocks(lefts, rights):
+        yield len(lw) + k, lws + sep if lw and k else lws, lps, group
 
-    def texts(w, p, lead):
-        word = letter + (sep + letter).join(map(str, w)) if w else ""
-        perm = lead + perm_sep.join(map(str, p)) if p and perm_sep else ""
-        return w, word, perm
 
-    lefts = [texts(w, p, "") for w, p in left]
-    rights = [[texts(w, p, perm_sep) for w, p in group] for group in right]
-    for (lw, lws, lps), group in canonical_blocks(lefts, rights):
-        k = len(group[0][0])
-        yield len(lw) + k, lws + (sep if lw and k else ""), lps, group
-
-
-def _json_words(left, right, pad: str) -> str:
+def _json_words(left, right, names: list[str], pad: str) -> str:
     """The JSON list of the element words, as _json_indented writes it at `pad`."""
     inner, deeper = pad + "  ", pad + "    "
-    end = inner + "]"
-    items = []
-    for length, head, _, group in _blocks(left, right, "," + deeper, ""):
-        start = "[" + deeper + head
-        items += [start + rws + end for _, rws, _ in group] if length else ["[]"]
+    items = [
+        f"[{deeper}{head}{rws}{inner}]" if length else "[]"
+        for length, head, _, group in _blocks(left, right, names, "," + deeper, "")
+        for rws, _ in group
+    ]
     return "[" + inner + ("," + inner).join(items) + pad + "]"
 
 
-def _csv_rows(name: str, left, right) -> list:
-    """The CSV rows (method, word, perm, length, sign) of one set."""
-    rows = []
-    for length, head, lps, group in _blocks(left, right, " ", " "):
-        sign = -1 if length % 2 else 1
-        rows += [[name, head + rws, lps + rps, length, sign] for _, rws, rps in group]
-    return rows
+def _csv_lines(sets: dict, names: list[str]) -> list[str]:
+    """The CSV lines (method, word, perm, length, sign) of every set, as csv.writer writes them.
+
+    No field needs quoting (see the module docstring), and each line ends
+    in the writer's line terminator, \\r\\n.
+    """
+    ends = [f",{n},{-1 if n % 2 else 1}\r\n" for n in range(len(names))]  # by length
+    return [
+        f"{name},{head}{rws},{lps}{rps}{ends[length]}"
+        for name, (_, _, left, right) in sets.items()
+        for length, head, lps, group in _blocks(left, right, names, " ", " ")
+        for rws, rps in group
+    ]
 
 
-def _table_lines(left, right) -> list[str]:
+def _table_lines(left, right, names: list[str]) -> list[str]:
     """The table lines (word, then `perm (...)`) of one set."""
-    lines = []
-    for _, head, lps, group in _blocks(left, right, " ", ", ", "s"):
-        lines += [f"  {head + rws or 'e':<20} perm ({lps}{rps})" for _, rws, rps in group]
-    return lines
+    return [
+        f"  {head + rws or 'e':<20} perm ({lps}{rps})"
+        for _, head, lps, group in _blocks(left, right, names, " ", ", ", "s")
+        for rws, rps in group
+    ]
 
 
 def _cmd_qmult(args, out):
@@ -363,28 +375,43 @@ def _json_indented(value, pad: str = "\n") -> str:
     the TypeError for a key or value it cannot encode. `pad` is the newline
     and indent of the value's own line. A callable is not JSON data: it is
     called with `pad` and returns its own text, as alt-set's word lists do.
+    The pieces are joined once, so a large text is not copied once per
+    level of nesting.
     """
+    parts: list[str] = []
+    _json_parts(value, pad, parts)
+    return "".join(parts)
+
+
+def _json_parts(value, pad: str, parts: list[str]) -> None:
+    """Append the pieces of _json_indented(value, pad) to parts, in order."""
     if isinstance(value, dict) and value:
         inner = pad + "  "
-        # json.dumps stringifies a non-str key only as a key: encode {k: 0}, slice it out
-        items = [
-            f"{json.dumps(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]}: "
-            f"{_json_indented(v, inner)}"
-            for k, v in value.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(value, (list, tuple)) and value:
+        lead = "{" + inner
+        for k, v in value.items():
+            # json.dumps stringifies a non-str key only as a key: encode {k: 0}, slice it out
+            key = json.dumps(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]
+            parts.append(f"{lead}{key}: ")
+            _json_parts(v, inner, parts)
+            lead = "," + inner
+        parts.append(pad + "}")
+    elif isinstance(value, (list, tuple)) and value:
         inner = pad + "  "
         if set(map(type, value)) == {int}:
-            items = map(int.__repr__, value)
+            parts.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + pad + "]")
         else:
-            items = [_json_indented(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if type(value) is int:
-        return int.__repr__(value)
-    if callable(value):  # text rendered by the view itself, at this indent
-        return value(pad)
-    return json.dumps(value)
+            lead = "[" + inner
+            for v in value:
+                parts.append(lead)
+                _json_parts(v, inner, parts)
+                lead = "," + inner
+            parts.append(pad + "]")
+    elif type(value) is int:
+        parts.append(int.__repr__(value))
+    elif callable(value):  # text rendered by the view itself, at this indent
+        parts.append(value(pad))
+    else:
+        parts.append(json.dumps(value))
 
 
 def _render(args, out, query: dict, verdict: bool | None, view) -> int:
@@ -396,7 +423,10 @@ def _render(args, out, query: dict, verdict: bool | None, view) -> int:
         header, rows = view
         writer = csv.writer(out)
         writer.writerow(header)
-        writer.writerows(rows)
+        if callable(rows):  # lines the view renders itself, as alt-set's
+            out.writelines(rows())
+        else:
+            writer.writerows(rows)
     elif view is not None:  # verify has written its table already
         if verdict is not None:
             view.append(f"verdict: {'pass' if verdict else 'fail'}")

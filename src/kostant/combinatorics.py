@@ -10,6 +10,7 @@ no list of them stays resident.
 
 import math
 from itertools import combinations
+from operator import add
 
 from .errors import DEFAULT_SUBSET_GROUND_CAP, CapacityError
 
@@ -57,7 +58,7 @@ def nonconsecutive_subsets(n: int) -> list[tuple[int, ...]]:
             f"more than the fixed cap of {DEFAULT_SUBSET_GROUND_CAP}"
         )
     return [
-        tuple(y + t for t, y in enumerate(ys))
+        tuple(map(add, ys, range(k)))
         for k in range((n + 1) // 2 + 1)
         for ys in combinations(range(1, n - k + 2), k)
     ]

@@ -1,11 +1,14 @@
-"""alt-set's theorem rows, glued from side factors, against an element-by-element renderer.
+"""alt-set's rows, glued from side factors, against an element-by-element renderer.
 
 The golden file stops at rank 7. Here every interval at ranks 8-12, and a
 seeded sample at ranks 13-22, is rendered in json, csv and table by the CLI
 and by `_reference_stdouts`, which walks the elements of the characterized
 set one by one, rebuilds each from its one-line notation alone, sorts them
-and formats them the way the CLI formatted one element at a time. The
-counter tests pin that a theorem query glues no element per product.
+and formats them the way the CLI formatted one element at a time. A sample
+at ranks 9-12, where perm entries reach two digits, is checked the same way
+for `--method brute` and `both`, whose brute set the reference takes from
+`pruned_survivors`. The counter tests pin that a theorem query glues no
+element per product.
 """
 
 import csv
@@ -17,60 +20,87 @@ import pytest
 
 import kostant.alternation as alternation
 import kostant.weyl as weyl
-from kostant import RootInterval, WeylElement, alt_cardinality, alt_set_characterized, fibonacci
+from kostant import (
+    RootInterval,
+    WeylElement,
+    alt_cardinality,
+    alt_set_characterized,
+    fibonacci,
+    highest_root,
+    interval_root,
+)
+from kostant.alternation import pruned_survivors
 from kostant.cli import EXIT_OK, run
 
 FORMATS = ("json", "csv", "table")
+PROVENANCE = {"brute": "brute_force", "theorem": "characterized"}
 
 
-def _reference_stdouts(iv: RootInterval) -> dict[str, str]:
-    """What `alt-set --method theorem` prints for iv in each format, one element at a time."""
+def _reference_stdouts(iv: RootInterval, method: str = "theorem") -> dict[str, str]:
+    """What `alt-set --method <method>` prints for iv in each format, one element at a time."""
+    r = iv.rank
+    perms = {}
+    if method in ("brute", "both"):
+        perms["brute"] = [s.perm for s, _ in pruned_survivors(highest_root(r), interval_root(iv))]
+    if method in ("theorem", "both"):
+        perms["theorem"] = [el.perm for el in alt_set_characterized(iv).elements]
     # word, length and sign re-derived from the perm, nothing taken from the gluing
-    elements = sorted(
-        (WeylElement(iv.rank, el.perm) for el in alt_set_characterized(iv).elements),
-        key=lambda el: (el.length, el.reduced_word()),
-    )
-    return {fmt: _render(iv, elements, fmt) for fmt in FORMATS}
+    sets = {
+        name: sorted((WeylElement(r, p) for p in ps),
+                     key=lambda el: (el.length, el.reduced_word()))
+        for name, ps in perms.items()
+    }
+    verdict = None
+    if method == "both":
+        verdict = "pass" if set(perms["brute"]) == set(perms["theorem"]) else "fail"
+    return {fmt: _render(iv, method, sets, verdict, fmt) for fmt in FORMATS}
 
 
-def _render(iv: RootInterval, elements: list[WeylElement], fmt: str) -> str:
+def _render(iv: RootInterval, method: str, sets: dict, verdict: str | None, fmt: str) -> str:
     r = iv.rank
     if fmt == "json":
-        theorem = {
-            "rank": r,
-            "mu": [iv.i, iv.j],
-            "count": len(elements),
-            "elements": [list(el.reduced_word()) for el in elements],
-            "provenance": "characterized",
+        result = {
+            name: {
+                "rank": r,
+                "mu": [iv.i, iv.j],
+                "count": len(elements),
+                "elements": [list(el.reduced_word()) for el in elements],
+                "provenance": PROVENANCE[name],
+            }
+            for name, elements in sets.items()
         }
         envelope = {
-            "query": {"command": "alt-set", "rank": r, "mu": [iv.i, iv.j], "method": "theorem"},
-            "result": {"sets": {"theorem": theorem}, "predicted_count": alt_cardinality(iv)},
-            "verdict": None,
+            "query": {"command": "alt-set", "rank": r, "mu": [iv.i, iv.j], "method": method},
+            "result": {"sets": result, "predicted_count": alt_cardinality(iv)},
+            "verdict": verdict,
         }
         return json.dumps(envelope, indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["method", "word", "perm", "length", "sign"])
-        for el in elements:
-            writer.writerow(["theorem", " ".join(map(str, el.reduced_word())),
-                             " ".join(map(str, el.perm)), el.length, el.sign])
+        for name, elements in sets.items():
+            for el in elements:
+                writer.writerow([name, " ".join(map(str, el.reduced_word())),
+                                 " ".join(map(str, el.perm)), el.length, el.sign])
         return buf.getvalue()
     lines = [
         f"alternation set, rank {r}, interval weight [{iv.i}, {iv.j}]",
         f"predicted count: {alt_cardinality(iv)}",
-        f"theorem: {len(elements)} elements",
     ]
-    for el in elements:
-        word = " ".join(f"s{x}" for x in el.reduced_word()) or "e"
-        lines.append(f"  {word:<20} perm {el.perm}")
+    for name, elements in sets.items():
+        lines.append(f"{name}: {len(elements)} elements")
+        for el in elements:
+            word = " ".join(f"s{x}" for x in el.reduced_word()) or "e"
+            lines.append(f"  {word:<20} perm {el.perm}")
+    if verdict is not None:
+        lines.append(f"verdict: {verdict}")
     return "\n".join(lines) + "\n"
 
 
-def _cli_stdout(capsys, iv: RootInterval, fmt: str) -> str:
+def _cli_stdout(capsys, iv: RootInterval, fmt: str, method: str = "theorem") -> str:
     argv = ["alt-set", "--rank", str(iv.rank), "--mu", f"{iv.i}..{iv.j}",
-            "--method", "theorem", "--format", fmt]
+            "--method", method, "--format", fmt]
     assert run(argv) == EXIT_OK
     return capsys.readouterr().out
 
@@ -101,6 +131,25 @@ def test_theorem_rows_equal_the_element_renderer_at_ranks_8_to_12(capsys):
 def test_theorem_rows_equal_the_element_renderer_at_ranks_13_to_22(capsys, iv):
     for fmt, expected in _reference_stdouts(iv).items():
         assert _cli_stdout(capsys, iv, fmt) == expected, fmt
+
+
+def _sample_9_to_12():
+    rng = random.Random(9012)
+    sample = []
+    for r in range(9, 13):
+        # the two largest sets, [1, 1] and [r, r], and three drawn intervals
+        sample += [RootInterval(r, 1, 1), RootInterval(r, r, r)]
+        for _ in range(3):
+            i = rng.randint(1, r)
+            sample.append(RootInterval(r, i, rng.randint(i, r)))
+    return sample
+
+
+@pytest.mark.parametrize("method", ("brute", "both"))
+def test_brute_rows_equal_the_element_renderer_at_ranks_9_to_12(capsys, method):
+    for iv in _sample_9_to_12():
+        for fmt, expected in _reference_stdouts(iv, method).items():
+            assert _cli_stdout(capsys, iv, fmt, method) == expected, (iv, fmt)
 
 
 @pytest.fixture
