@@ -14,7 +14,6 @@ from .alternation import (
     length_counts,
 )
 from .combinatorics import (
-    binomial_safe,
     fib_identity_check,
     fibonacci,
     nonconsecutive_count_k,
@@ -66,7 +65,6 @@ __all__ = [
     "alt_set_bruteforce",
     "alt_set_characterized",
     "apply",
-    "binomial_safe",
     "closed_form_term",
     "consecutive_closed_form",
     "enumerate_all",

@@ -27,15 +27,16 @@ multiplicity sum. Two constructions are provided:
   (slots 1..j) then the right one (slots j+1..r+1), and its reduced word
   the left letters then the right ones. The canonical order, by length and
   then by reduced word, is a nested loop over the factors
-  (`canonical_blocks`), so no product is sorted: the left factors are
-  sorted once by word + (r+1,), since every right letter exceeds every
-  left letter and so, within one total length, a left word that is a
-  proper prefix of another sorts after it; the right factors are grouped
-  by length, in `nonconsecutive_subsets`' order. The set is refused with
-  CapacityError, before anything is built, when it would exceed
-  F_27 = 196,418 elements, the most one side of 25 free letters gives (at
-  rank 30, [15, 15] has 602,070); so it also bounds each side. The CLI
-  renders its rows from the factors, without building the set.
+  (`canonical_blocks`), so nothing is sorted. One walk of each side's
+  choice tree (`_side_factors`) gives its factors in two orders: the left
+  in post-order, which is the order of word + (r+1,), since every right
+  letter exceeds every left letter and so, within one total length, a left
+  word that is a proper prefix of another sorts after it; the right
+  grouped by length, each in pre-order, which is lexicographic. The set
+  is refused with CapacityError, before anything is built, when it would
+  exceed F_27 = 196,418 elements, the most one side of 25 free letters
+  gives (at rank 30, [15, 15] has 602,070); so it also bounds each side.
+  The CLI renders its rows from the factors, without building the set.
 
 `sides` describes the theorem's two sides once: each side's free letter
 range and its boundary letter. `side_tally` counts a side's choices by
@@ -54,10 +55,10 @@ plain binomials and their total telescopes to the Fibonacci cardinality.
 
 from collections import namedtuple
 from itertools import chain, islice
-from operator import add, sub
+from operator import sub
 from typing import Iterator
 
-from .combinatorics import fibonacci, nonconsecutive_count_k, nonconsecutive_subsets
+from .combinatorics import fibonacci, nonconsecutive_count_k
 from .errors import DEFAULT_SUBSET_GROUND_CAP, SEARCH_NODE_BUDGET, CapacityError
 from .weights import (
     RootInterval,
@@ -269,18 +270,18 @@ def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[list[Facto
 
     A product's reduced word is a left word then a right word, and its
     one-line notation the left slice (slots 1..j) then the right slice
-    (slots j+1..r+1). The F_i left factors come sorted by word + (r+1,) and
-    the F_{r-j+1} right factors grouped by length, each group in
-    `nonconsecutive_subsets`' order, so `canonical_blocks` reads the
-    canonical order off them. The set is refused with CapacityError, before
-    any side is built, past F_27 elements, what 25 free letters on one side
-    give; the cap is fixed, and the message names the interval and the rank
-    as the CLI takes them. A side alone past F_27 is refused before its
-    Fibonacci number is computed, so the message gives the size as the
-    product F_i * F_(r-j+1), not its value. The longest products, which
-    carry letters from both sides whenever both sides have free letters,
-    are glued as elements and re-verified against the brute-force
-    membership test.
+    (slots j+1..r+1). The F_i left factors come in the order of
+    word + (r+1,) and the F_{r-j+1} right factors grouped by length, each
+    group in lexicographic order, the two orders of `_side_factors`' walk,
+    so `canonical_blocks` reads the canonical order off them. The set is
+    refused with CapacityError, before any side is built, past F_27
+    elements, what 25 free letters on one side give; the cap is fixed, and
+    the message names the interval and the rank as the CLI takes them. A
+    side alone past F_27 is refused before its Fibonacci number is
+    computed, so the message gives the size as the product F_i * F_(r-j+1),
+    not its value. The longest products, which carry letters from both
+    sides whenever both sides have free letters, are glued as elements and
+    re-verified against the brute-force membership test.
     """
     r, i, j = iv.rank, iv.i, iv.j
     cap = DEFAULT_SUBSET_GROUND_CAP
@@ -295,14 +296,8 @@ def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[list[Facto
     left_side, right_side = sides(iv)
     # Left letters (< i) move only slots 1..i, right letters (> j) only j+1..r+1.
     left = _side_factors(left_side, 1, j)
-    # Every right letter exceeds every left letter, so a left word that is a
-    # proper prefix of another sorts after it within one total length.
-    left.sort(key=lambda f: f[0] + (r + 1,))
-    right: list[list[Factor]] = []
-    for factor in _side_factors(right_side, j + 1, r + 1):  # by length, then lexicographic
-        if len(factor[0]) == len(right):
-            right.append([])
-        right[-1].append(factor)
+    right: list[list[Factor]] = [[] for _ in range((len(right_side.letters) + 1) // 2 + 1)]
+    _side_factors(right_side, j + 1, r + 1, right)
     longest = (
         (tuple(lp + rp), lw + rw)
         for (lw, lp), group in canonical_blocks(left, right, longest_first=True)
@@ -341,31 +336,36 @@ def canonical_blocks(left: list, right: list[list], longest_first: bool = False)
             yield left[p], right[total - lengths[p]]
 
 
-def _side_factors(side: "Side", lo: int, hi: int) -> list[Factor]:
+def _side_factors(side: "Side", lo: int, hi: int, by_length: list | None = None) -> list[Factor]:
     """(word, slots lo..hi of the one-line notation) for each choice of letters on one side.
 
-    The choices are `nonconsecutive_subsets` of {1..m}, each moved onto the
-    side's free range by one `map(add, ...)`, so their letters commute and
-    each word is reduced. A letter x swaps the entries of slots x and x+1,
-    both in lo..hi, and no two letters of a choice touch one slot, so a
-    slice is a copy of the identity slice with each letter's swapped pair,
-    built once per side, written at the letter's offset. No group element
-    is built. A slice is a list: a tuple of at most 20 entries, once freed,
-    waits on CPython's tuple free list until the next full garbage
-    collection, and slices kept that way raised a cli-mix benchmark
-    session's peak memory by about 1 MB.
+    The choices, the nonconsecutive subsets of the side's free range, have
+    commuting letters, so each word is reduced. They form a tree, a child
+    adding one letter at least two above its parent's last, at most 13 deep
+    under the 25-letter cap. One depth-first walk, children by increasing
+    letter, builds each factor from its parent's: the word gains the
+    letter, and the slice is a copy with the two slots that letter swaps,
+    untouched so far, exchanged. It returns the factors in post-order, each
+    word after its extensions, so sorted by word + (x,) for any x above the
+    side's letters; given by_length, one empty group per length, it also
+    appends each factor to its group in pre-order, which is lexicographic.
+    Slices are lists: freed tuples of at most 20 entries wait on CPython's
+    free list until a full collection, and cost a cli-mix session 1 MB.
     """
-    m, offset = len(side.letters), side.letters.start - 1  # {1..m} onto the free range
-    shifts = [offset] * (m // 2 + 1)  # one per letter of the longest choice
-    at = offset - lo  # letter y + offset swaps slots y + at and y + at + 1 of the slice
-    base = list(range(lo, hi + 1))
-    swapped = [(y + offset + 1, y + offset) for y in range(m + 1)]
-    factors = []
-    for s in nonconsecutive_subsets(m):
-        slots = base[:]
-        for y in s:
-            slots[y + at], slots[y + at + 1] = swapped[y]
-        factors.append((tuple(map(add, s, shifts)), slots))
+    stop = side.letters.stop
+    factors: list[Factor] = []
+
+    def visit(word: tuple[int, ...], slots: list[int], first: int) -> None:
+        factor = (word, slots)
+        if by_length is not None:
+            by_length[len(word)].append(factor)
+        for y in range(first, stop):  # letter y swaps slots y and y + 1
+            child = slots[:]
+            child[y - lo], child[y - lo + 1] = y + 1, y
+            visit(word + (y,), child, y + 2)
+        factors.append(factor)
+
+    visit((), list(range(lo, hi + 1)), side.letters.start)
     return factors
 
 

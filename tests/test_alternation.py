@@ -22,6 +22,7 @@ from kostant import (
     identity,
     interval_root,
     length_counts,
+    nonconsecutive_subsets,
     zero_weight,
 )
 from kostant.alternation import (
@@ -324,10 +325,10 @@ def test_characterized_rejects_oversized_ground_set():
 def test_characterized_bounds_the_product_not_only_each_side(monkeypatch):
     # 25 free letters on each side pass the per-side cap, but the product is
     # F_27^2 = 38,580,030,724 elements: refused before any side is built
-    def no_subsets(*args, **kwargs):
+    def no_side(*args, **kwargs):
         raise AssertionError("a side was built")
 
-    monkeypatch.setattr(kostant.alternation, "nonconsecutive_subsets", no_subsets)
+    monkeypatch.setattr(kostant.alternation, "_side_factors", no_side)
     iv = RootInterval(53, 27, 27)
     assert [len(side.letters) for side in kostant.alternation.sides(iv)] == [25, 25]
     with pytest.raises(CapacityError, match=r"F_27 \* F_27 elements"):
@@ -438,6 +439,32 @@ def test_side_factors_are_the_side_elements_on_their_slots():
                 # the factor moves nothing outside its slots
                 outside = perm[:lo - 1] + perm[lo - 1 + len(slots):]
                 assert outside == tuple(x for x in range(1, r + 2) if not lo <= x < lo + len(slots))
+
+
+def test_side_walk_gives_its_two_orders_of_the_nonconsecutive_choices():
+    # every free range of m <= 18 letters, both sides of [m + 2, m + 2 + shift]
+    # at rank 2m + 3 + shift; the references are nonconsecutive_subsets and
+    # the validated elements, so nothing here follows the walk
+    walk = kostant.alternation._side_factors
+    for m in range(19):
+        subsets = nonconsecutive_subsets(m)
+        for shift in (0, 3):
+            i = m + 2
+            j = i + shift
+            r = j + m + 1
+            for side, lo, hi in zip(sides(RootInterval(r, i, j)), (1, j + 1), (j, r + 1)):
+                assert len(side.letters) == m
+                words = [tuple(side.letters.start - 1 + x for x in s) for s in subsets]
+                by_length = [[] for _ in range((m + 1) // 2 + 1)]
+                post = walk(side, lo, hi, by_length)
+                assert len(post) == fibonacci(m + 2)
+                assert [w for w, _ in post] == sorted(words, key=lambda w: w + (r + 1,))
+                assert [[w for w, _ in group] for group in by_length] == [
+                    [w for w in words if len(w) == k] for k in range(len(by_length))
+                ]
+                assert sorted(map(id, post)) == sorted(id(f) for g in by_length for f in g)
+                for word, slots in post:
+                    assert tuple(slots) == from_nonconsecutive_letters(r, word).perm[lo - 1:hi]
 
 
 def test_spot_check_verifies_the_longest_products(monkeypatch):

@@ -11,12 +11,12 @@ from hypothesis import given, strategies as st
 
 from kostant import (
     CapacityError,
-    binomial_safe,
     fib_identity_check,
     fibonacci,
     nonconsecutive_count_k,
     nonconsecutive_subsets,
 )
+from kostant.combinatorics import binomial_safe
 
 
 def test_fibonacci_values():

@@ -19,6 +19,7 @@ from kostant import (
     apply,
     closed_form_term,
     enumerate_all,
+    fibonacci,
     from_word,
     highest_root,
     identity,
@@ -98,6 +99,23 @@ def test_zero_weight_q_multiplicity_is_qsum():
     for r in range(1, 5):
         rep = q_multiplicity(r, highest_root(r), zero_weight(r))
         assert rep.q_multiplicity.coeffs == (0,) + (1,) * r
+
+
+def test_negative_interval_roots_by_full_sum_through_rank_10():
+    # past the paper's positive roots: m_q(highest root, -[i, j]) = q^(r+h) + q^(r+h-1) - q^h
+    for r in range(1, 11):
+        lam = highest_root(r)
+        for iv in _all_intervals(r):
+            h = iv.height
+            expected = (QPolynomial.monomial(r + h) + QPolynomial.monomial(r + h - 1)
+                        - QPolynomial.monomial(h))
+            assert q_multiplicity(r, lam, -interval_root(iv)).q_multiplicity == expected, iv
+
+
+def test_alternation_set_of_minus_alpha_1_is_fibonacci_through_rank_12():
+    for r in range(1, 13):
+        mu = -interval_root(RootInterval(r, 1, 1))
+        assert len(all_pruned_survivors(highest_root(r), mu)) == fibonacci(r + 1), r
 
 
 def test_full_sum_past_the_old_rank_cap():

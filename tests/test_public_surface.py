@@ -25,7 +25,6 @@ def test_all_names_exactly_the_public_surface():
         "alt_set_bruteforce",
         "alt_set_characterized",
         "apply",
-        "binomial_safe",
         "closed_form_term",
         "consecutive_closed_form",
         "enumerate_all",
