@@ -65,15 +65,13 @@ from .weights import (
     Value,
     Weight,
     _set,
-    _two_rho_coords,
     highest_root,
     interval_root,
 )
 from .weyl import (
     WeylElement,
     _element,
-    _eps,
-    _halved,
+    _rho_shifted,
     _with_reduced_word,
     enumerate_all,
     shifted_action,
@@ -143,25 +141,26 @@ def survivors(lam: Weight, mu: Weight, sigmas) -> Iterator[tuple[WeylElement, tu
 def pruned_survivors(lam: Weight, mu: Weight) -> Iterator[tuple[WeylElement, tuple[int, ...]]]:
     """The pairs of survivors(lam, mu, enumerate_all(rank)), by a pruned search.
 
-    Coordinate k of sigma(2 lam + 2 rho) is the sum of the epsilon entries
-    that sigma moves into slots 1..k, so the search fills sigma^-1(1),
+    Coordinate k of sigma(lam + rho) - rho is the sum of the integer
+    entries eps(lam)_x + r - x that sigma moves into slots 1..k, less the
+    offset T_k of `weyl.shifted_action`, so the search fills sigma^-1(1),
     sigma^-1(2), ... one slot at a time and drops a branch as soon as its
-    prefix sum falls below 2 rho_k + 2 mu_k: every completion would fail the
-    sign test there. The last slot is forced, since the entries sum to 0.
-    Each prefix the search enters is a node; past SEARCH_NODE_BUDGET nodes
-    it raises CapacityError, so what is refused is a search that really
-    explodes, not a rank. The walk is `_walk`'s, and it keeps its open
-    prefixes on lists, so no depth hits the recursion limit. The pairs
-    stream out as it finds them, in no particular order, so a refusal comes
-    after the pairs found before it; `all_pruned_survivors` refuses before
-    it builds any.
+    prefix sum falls below the floor T_k + mu_k: every completion would
+    fail the sign test there. A leaf's xi is its prefix sums less the
+    floors. The last slot takes the one entry left and has no floor, since
+    no coordinate sums all r + 1 slots. Each prefix the search enters is a
+    node; past SEARCH_NODE_BUDGET nodes it raises CapacityError, so what is
+    refused is a search that really explodes, not a rank. The walk is
+    `_walk`'s, and it keeps its open prefixes on lists, so no depth hits
+    the recursion limit. The pairs stream out as it finds them, in no
+    particular order, so a refusal comes after the pairs found before it;
+    `all_pruned_survivors` refuses before it builds any.
     """
-    eps, floors = _search_input(lam, mu)
+    entries, floors = _search_input(lam, mu)
     rank = lam.rank
-    # xi_k is half the prefix sum's excess over floor k: (s_k - 2 rho_k - 2 mu_k) / 2
     return (
-        (_element(rank, tuple(perm)), tuple(_halved(sums[1:], floors)))
-        for perm, sums in _walk(eps, floors)
+        (_element(rank, tuple(perm)), tuple(map(sub, sums[1:], floors)))
+        for perm, sums in _walk(entries, floors)
     )
 
 
@@ -178,32 +177,31 @@ def all_pruned_survivors(lam: Weight, mu: Weight) -> list[tuple[WeylElement, tup
 
 
 def _search_input(lam: Weight, mu: Weight) -> tuple[list[int], list[int]]:
-    """The epsilon entries of 2 lam + 2 rho and the floors 2 rho_k + 2 mu_k of the prefix sums."""
+    """The integer entries of lam's shifted action and the floors T_k + mu_k of the prefix sums."""
     if lam.rank != mu.rank:
         raise ValueError(f"rank mismatch: lam rank {lam.rank} vs mu rank {mu.rank}")
-    tr = _two_rho_coords(lam.rank)
-    eps = _eps([2 * c + t for c, t in zip(lam.coords, tr)])
-    return eps, [t + 2 * m for t, m in zip(tr, mu.coords)]
+    entries, offsets = _rho_shifted(lam)
+    return entries, [t + m for t, m in zip(offsets, mu.coords)]
 
 
-def _walk(eps: list[int], floors: list[int]) -> Iterator[tuple[list[int], list[int]]]:
+def _walk(entries: list[int], floors: list[int]) -> Iterator[tuple[list[int], list[int]]]:
     """The pruned search, depth first; it yields (perm, sums) at each leaf and builds nothing.
 
     perm[x] = sigma(x + 1) and sums holds the path's prefix sums, the root's
     0 first; both are the walk's own lists, valid until the next step. The
-    unused entries stay in one list sorted by epsilon descending, ties by
+    unused entries stay in one list sorted by entry descending, ties by
     index, so a node scans its candidates in that order and stops at the
     first one whose prefix sum falls below the floor: every later one falls
     below it too. A choice is taken out of the list by `pop` and undone by
     `insert` at its position, so a node's Python work is O(children), not
-    O(rank), and nothing is copied. Where epsilon is non-increasing, as for
-    the highest root and 2 rho, that order is by index, and so is the order
-    of the leaves. The nodes entered do not depend on the order: they are
-    the prefixes whose every sum passes its floor.
+    O(rank), and nothing is copied. Where the entries are non-increasing,
+    as for the highest root and 2 rho, that order is by index, and so is
+    the order of the leaves. The nodes entered do not depend on the order:
+    they are the prefixes whose every sum passes its floor.
     """
     rank = len(floors)
     budget = SEARCH_NODE_BUDGET
-    unused = sorted(range(rank + 1), key=lambda x: -eps[x])  # sorted is stable: ties by index
+    unused = sorted(range(rank + 1), key=lambda x: -entries[x])  # sorted is stable: ties by index
     perm = [0] * (rank + 1)
     sums = [0]
     taken: list[tuple[int, int]] = []  # (position in unused, entry) of each filled slot
@@ -218,10 +216,10 @@ def _walk(eps: list[int], floors: list[int]) -> Iterator[tuple[list[int], list[i
         if d == rank:
             perm[unused[0]] = rank + 1
             yield perm, sums
-        elif n < len(unused) and sums[d] + eps[unused[n]] >= floors[d]:
+        elif n < len(unused) and sums[d] + entries[unused[n]] >= floors[d]:
             x = unused.pop(n)
             perm[x] = d + 1
-            sums.append(sums[d] + eps[x])
+            sums.append(sums[d] + entries[x])
             taken.append((n, x))
             nodes += 1
             n = 0

@@ -9,10 +9,7 @@ interval [i, j]. The highest root is the full interval [1, r].
 All arithmetic is exact on Python integers; nothing here can overflow.
 """
 
-from functools import lru_cache
 from operator import index
-
-from .errors import TWO_RHO_CACHE_RANKS
 
 _set = object.__setattr__
 
@@ -60,11 +57,12 @@ class Value:
 class Weight(Value):
     """An element of the rank-`rank` root lattice; coords[k-1] multiplies alpha_k.
 
-    `_eps2` caches the epsilon coordinates of 2*self + 2*rho for `weyl.shifted_action`.
+    `_shift` caches the integer entries and offsets of `weyl.shifted_action`
+    on self, so a weight dropped takes them with it.
     """
 
     _fields = ("rank", "coords")
-    __slots__ = _fields + ("_eps2",)
+    __slots__ = _fields + ("_shift",)
 
     def __init__(self, rank: int, coords: tuple[int, ...]):
         rank = index(rank)
@@ -127,7 +125,7 @@ def _weight(rank: int, coords: tuple[int, ...]) -> Weight:
     w = Weight.__new__(Weight)
     _set(w, "rank", rank)
     _set(w, "coords", coords)
-    _set(w, "_eps2", None)
+    _set(w, "_shift", None)
     return w
 
 
@@ -148,10 +146,3 @@ def zero_weight(rank: int) -> Weight:
 def height(w: Weight) -> int:
     """Sum of simple-root coordinates. For an interval root this is j - i + 1."""
     return sum(w.coords)
-
-
-@lru_cache(maxsize=TWO_RHO_CACHE_RANKS)
-def _two_rho_coords(rank: int) -> tuple[int, ...]:
-    # 2 rho, the sum of all positive roots, kept doubled so the shifted action stays
-    # integral: alpha_k's coefficient counts the intervals [i, j] containing k.
-    return tuple(k * (rank + 1 - k) for k in range(1, rank + 1))

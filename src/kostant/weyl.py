@@ -12,19 +12,23 @@ with simple-root coordinates (c_1, ..., c_r) has epsilon coordinates
 permutation sigma moves the entry in slot x to slot sigma(x); partial sums
 convert back. Both directions are integral, so the action is exact.
 
-The shifted action sigma(lam + rho) - rho is computed on doubled weights
-(2*lam + 2*rho is integral even though rho alone is not) and halved at the
-end; a parity check guards the halving. Both actions are one scatter loop,
-which moves each epsilon entry to its slot, and one prefix loop, which sums
-the slots; the shifted action checks parity and halves in that same loop.
+rho's epsilon entries r/2 - x (x = 0..r) share one fractional part, so the
+shifted action sigma(lam + rho) - rho runs on the integer entries
+eps(lam)_x + r - x instead. That shift adds the same k*r/2 to the sum of
+slots 1..k of sigma(lam + rho) and of rho, so coordinate k of the shifted
+action is the prefix sum of the moved integer entries minus the offset
+T_k = k*r - k*(k-1)/2, with nothing doubled or halved. Both actions are one
+scatter loop, which moves each epsilon entry to its slot, and one prefix
+sum over the slots; the shifted action subtracts its offsets as it sums.
 """
 
 from bisect import bisect_left
 from itertools import accumulate, permutations, repeat
+from operator import sub
 from typing import Iterator
 
 from .errors import DEFAULT_BRUTE_RANK_CAP, CapacityError
-from .weights import Weight, _set, _two_rho_coords, _weight
+from .weights import Weight, _set, _weight
 
 
 class WeylElement:
@@ -184,17 +188,6 @@ def _eps(coords) -> list[int]:
     return [a - b for a, b in zip((*coords, 0), (0, *coords))]
 
 
-def _halved(sums, base) -> list[int]:
-    """(s - b) / 2 for each doubled coordinate s and offset b, checked to be integral."""
-    out = []
-    for s, b in zip(sums, base):
-        d = s - b
-        if d & 1:
-            raise RuntimeError("shifted action produced a non-integral weight")
-        out.append(d >> 1)
-    return out
-
-
 def apply(sigma: WeylElement, w: Weight) -> Weight:
     """sigma acting linearly on a root-lattice weight, via epsilon coordinates.
 
@@ -209,35 +202,36 @@ def apply(sigma: WeylElement, w: Weight) -> Weight:
 
 
 def shifted_action(sigma: WeylElement, lam: Weight) -> Weight:
-    """sigma(lam + rho) - rho, computed exactly on doubled weights.
+    """sigma(lam + rho) - rho, computed exactly on integers.
 
-    The epsilon coordinates of 2 lam + 2 rho are computed through `_eps` on
-    lam's first shifted action and kept in its `_eps2` slot. Every call moves
-    them by sigma in one scatter loop, then runs one prefix loop that sums
-    the slots, checks each doubled coordinate's parity and halves it. The
-    loops are most of the literal scan's cost per element, so they are
-    written out here rather than shared with `apply` or `_halved`.
+    lam's first shifted action keeps (entries, offsets) in its `_shift`
+    slot: the entries eps(lam)_x + r - x for x = 0..r, lam + rho's epsilon
+    entries shifted by r/2, found through `_eps`, and the offsets
+    T_k = k*r - k*(k-1)/2, the prefix sums of the shift r - x alone. Every
+    call moves the entries by sigma in one scatter loop; coordinate k is the
+    sum of slots 1..k less T_k. The loop is most of the literal scan's cost
+    per element, so it is written out here rather than shared with `apply`.
     """
     rank = lam.rank
     if sigma.rank != rank:
         raise ValueError(f"rank mismatch: element {sigma.rank} vs weight {rank}")
-    tr = _two_rho_coords(rank)
-    eps = lam._eps2
-    if eps is None:
-        eps = _eps([2 * c + t for c, t in zip(lam.coords, tr)])
-        _set(lam, "_eps2", eps)
+    shift = lam._shift
+    if shift is None:
+        shift = _rho_shifted(lam)
+        _set(lam, "_shift", shift)
+    entries, offsets = shift
     moved = [0] * (rank + 1)
-    for e, p in zip(eps, sigma.perm):
+    for e, p in zip(entries, sigma.perm):
         moved[p - 1] = e
-    coords = []
-    s = 0
-    for m, t in zip(moved, tr):  # tr has rank entries: the last slot is never summed
-        s += m
-        d = s - t
-        if d & 1:
-            raise RuntimeError("shifted action produced a non-integral weight")
-        coords.append(d >> 1)
-    return _weight(rank, tuple(coords))
+    # offsets has rank entries, so the last slot's sum is never taken
+    return _weight(rank, tuple(map(sub, accumulate(moved), offsets)))
+
+
+def _rho_shifted(lam: Weight) -> tuple[list[int], list[int]]:
+    """lam's integer entries eps(lam)_x + r - x (x = 0..r) and offsets T_1..T_r."""
+    r = lam.rank
+    entries = [e + s for e, s in zip(_eps(lam.coords), range(r, -1, -1))]
+    return entries, list(accumulate(range(r, 0, -1)))
 
 
 def enumerate_all(rank: int) -> Iterator[WeylElement]:

@@ -245,18 +245,6 @@ def test_pruned_search_reaches_a_deep_leaf_within_the_real_budget():
     assert xi == (1,) * 1200
 
 
-def test_pruned_search_raises_on_an_odd_doubled_weight(monkeypatch):
-    real_eps = kostant.alternation._eps
-
-    def odd_eps(coords):
-        eps = real_eps(coords)  # move one unit between the ends: the sum stays 0
-        return [eps[0] + 1, *eps[1:-1], eps[-1] - 1]
-
-    monkeypatch.setattr(kostant.alternation, "_eps", odd_eps)
-    with pytest.raises(RuntimeError, match="non-integral"):
-        list(pruned_survivors(highest_root(2), zero_weight(2)))
-
-
 # ------------------------------------------------------- counts by length
 
 

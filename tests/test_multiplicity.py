@@ -118,6 +118,32 @@ def test_alternation_set_of_minus_alpha_1_is_fibonacci_through_rank_12():
         assert len(all_pruned_survivors(highest_root(r), mu)) == fibonacci(r + 1), r
 
 
+def test_alternation_sets_of_minus_1_to_j_at_rank_7():
+    lam = highest_root(7)
+    counts = []
+    for j in range(1, 8):
+        mu = -interval_root(RootInterval(7, 1, j))
+        found = all_pruned_survivors(lam, mu)
+        counts.append(len(found))
+        # the pruned search and the literal scan both run the shifted action on a negative mu
+        assert frozenset(sigma for sigma, _ in found) == alt_set_bruteforce(7, lam, mu).elements, j
+    assert counts == [21, 24, 34, 47, 63, 82, 119]
+
+
+def test_alternation_set_of_minus_1_to_4_is_lucas_at_ranks_4_to_12():
+    # |A(highest root, -[1, 4])| = L_(r+1) = F_r + F_(r+2): 11, 18, 29, ..., 521
+    counts = []
+    for r in range(4, 13):
+        lam, mu = highest_root(r), -interval_root(RootInterval(r, 1, 4))
+        found = all_pruned_survivors(lam, mu)
+        counts.append(len(found))
+        if r < 7:  # rank 7 is [1, 4] of the test above
+            brute = alt_set_bruteforce(r, lam, mu).elements
+            assert frozenset(sigma for sigma, _ in found) == brute, r
+    assert counts == [fibonacci(r) + fibonacci(r + 2) for r in range(4, 13)]
+    assert counts == [11, 18, 29, 47, 76, 123, 199, 322, 521]
+
+
 def test_full_sum_past_the_old_rank_cap():
     # no cap argument: only the search's node budget bounds the full sum
     for r in range(1, 17):

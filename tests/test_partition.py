@@ -21,7 +21,12 @@ from kostant import (
     zero_weight,
 )
 from kostant import partition
-from kostant.weights import _two_rho_coords
+
+
+def _two_rho(r):
+    """2 rho, the sum of all positive roots."""
+    roots = (interval_root(RootInterval(r, i, j)) for i in range(1, r + 1) for j in range(i, r + 1))
+    return sum(roots, zero_weight(r))
 
 
 # ---------------------------------------------------------------- QPolynomial
@@ -234,14 +239,14 @@ def test_memo_keeps_only_block_boundary_states():
     # inside a block live for one call only.
     partition._MEMO.clear()
     try:
-        assert kostant_q(7, Weight(7, _two_rho_coords(7))).evaluate(1) == 244868962698
+        assert kostant_q(7, _two_rho(7)).evaluate(1) == 244868962698
         memo = partition._MEMO
         assert len(memo) == 11892
         for key in memo:
             assert type(key) is tuple and len(key) == 7
             assert all(type(c) is int and c >= 0 for c in key) and any(key)
         # the states of another rank share the dict, told apart by the key's length
-        kostant_q(3, Weight(3, _two_rho_coords(3)))
+        kostant_q(3, _two_rho(3))
         assert {len(key) for key in memo} == {3, 7}
         assert sum(len(key) == 7 for key in memo) == 11892
     finally:

@@ -81,12 +81,12 @@ def test_the_cached_epsilon_vector_stays_out_of_eq_hash_and_repr():
     lam = highest_root(4)
     before = (repr(lam), hash(lam))
     shifted_action(identity(4), lam)
-    assert lam._eps2 is not None  # filled by the first shifted action
+    assert lam._shift is not None  # filled by the first shifted action
     fresh = Weight(4, lam.coords)
-    assert fresh._eps2 is None
+    assert fresh._shift is None
     assert lam == fresh and (repr(lam), hash(lam)) == before == (repr(fresh), hash(fresh))
     with pytest.raises(AttributeError):
-        lam._eps2 = None
+        lam._shift = None
 
 
 def test_importing_the_package_loads_no_dataclasses():

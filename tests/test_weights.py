@@ -1,7 +1,12 @@
 """Root-lattice weights: constructors, arithmetic, 2*rho."""
 
+import gc
+import tracemalloc
+from pathlib import Path
+
 import pytest
 
+import kostant
 from kostant import (
     RootInterval,
     Weight,
@@ -12,8 +17,12 @@ from kostant import (
     shifted_action,
     zero_weight,
 )
-from kostant.errors import TWO_RHO_CACHE_RANKS
-from kostant.weights import _two_rho_coords
+
+
+def _two_rho(r):
+    """2 rho, the sum of all positive roots."""
+    roots = (interval_root(RootInterval(r, i, j)) for i in range(1, r + 1) for j in range(i, r + 1))
+    return sum(roots, zero_weight(r))
 
 
 def test_simple_and_interval_roots():
@@ -49,23 +58,20 @@ def test_interval_height_property():
 
 
 def test_two_rho_known_values():
-    assert _two_rho_coords(1) == (1,)
-    assert _two_rho_coords(2) == (2, 2)
-    assert _two_rho_coords(3) == (3, 4, 3)
+    assert _two_rho(1).coords == (1,)
+    assert _two_rho(2).coords == (2, 2)
+    assert _two_rho(3).coords == (3, 4, 3)
 
 
 def test_two_rho_is_sum_of_all_positive_roots():
+    # alpha_k's coefficient counts the intervals [i, j] containing k
     for r in range(1, 13):
-        total = zero_weight(r)
-        for i in range(1, r + 1):
-            for j in range(i, r + 1):
-                total = total + interval_root(RootInterval(r, i, j))
-        assert total.coords == _two_rho_coords(r)
+        assert _two_rho(r).coords == tuple(k * (r + 1 - k) for k in range(1, r + 1))
 
 
 def test_two_rho_is_palindromic():
     for r in range(1, 13):
-        c = _two_rho_coords(r)
+        c = _two_rho(r).coords
         assert c == c[::-1]
 
 
@@ -113,10 +119,25 @@ def test_interval_roots_are_distinct_and_supported_on_their_interval():
         assert len(seen) == r * (r + 1) // 2
 
 
-def test_the_two_rho_cache_keeps_at_most_its_bound_of_ranks():
-    # a long-lived process that visits many ranks keeps only the latest ones
-    for r in range(1, 2 * TWO_RHO_CACHE_RANKS + 1):
-        assert shifted_action(identity(r), highest_root(r)) == highest_root(r)
-    info = _two_rho_coords.cache_info()
-    assert info.maxsize == TWO_RHO_CACHE_RANKS
-    assert info.currsize <= TWO_RHO_CACHE_RANKS
+def test_shifted_actions_at_many_ranks_leave_no_state_behind():
+    # the kernel's entries and offsets live on the weight, so a process that
+    # visits many ranks keeps nothing per rank once its weights are gone
+    shifted_action(identity(1), highest_root(1))  # first calls' one-off allocations
+    package = str(Path(kostant.__file__).parent / "*")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for r in range(1, 2 * 64 + 1):
+            lam = highest_root(r)
+            assert shifted_action(identity(r), lam) == lam
+        del lam
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    ours = [tracemalloc.Filter(True, package)]
+    diff = after.filter_traces(ours).compare_to(before.filter_traces(ours), "filename")
+    kept = sum(d.size_diff for d in diff)
+    # one 1-tuple kept per rank would be 128 * 48 bytes; a 64-rank 2 rho cache kept about 240 KB
+    assert kept < 4096

@@ -24,7 +24,12 @@ from kostant import (
     shifted_action,
     zero_weight,
 )
-from kostant.weights import _two_rho_coords
+
+
+def _two_rho(r):
+    """2 rho, the sum of all positive roots."""
+    roots = (interval_root(RootInterval(r, i, j)) for i in range(1, r + 1) for j in range(i, r + 1))
+    return sum(roots, zero_weight(r))
 
 
 def _reflect_once(i, w):
@@ -251,8 +256,8 @@ def test_shifted_action_never_exceeds_original_height():
 
 def _linear_route(sigma, lam):
     """(sigma(2 lam + 2 rho) - 2 rho) / 2, by the linear action alone."""
-    tr = _two_rho_coords(lam.rank)
-    doubled = [a - t for a, t in zip(apply(sigma, 2 * lam + Weight(lam.rank, tr)).coords, tr)]
+    two_rho = _two_rho(lam.rank)
+    doubled = (apply(sigma, 2 * lam + two_rho) - two_rho).coords
     assert all(d % 2 == 0 for d in doubled)
     return Weight(lam.rank, tuple(d // 2 for d in doubled))
 
@@ -283,26 +288,17 @@ def test_shifted_action_matches_the_linear_route_on_the_whole_group(coords):
         assert len(calls) == 1 + len(sigmas)
 
 
-def test_halving_rejects_an_odd_doubled_coordinate():
-    from kostant.weyl import _halved
+def test_integer_entries_are_lam_plus_rho_moved_up_by_half_the_rank():
+    # rho's epsilon entries r/2 - x share one fractional part; the kernel adds r/2
+    # to each, and to each k-slot sum of rho: 2 T_k = 2 rho_k + k r
+    from kostant.weyl import _eps, _rho_shifted
 
-    assert list(_halved(iter([4, 7]), (2, 1))) == [1, 3]
-    with pytest.raises(RuntimeError):
-        list(_halved(iter([4, 6]), (2, 1)))
-
-
-def test_shifted_action_raises_on_an_odd_doubled_weight(monkeypatch):
-    import kostant.weyl
-
-    real_eps = kostant.weyl._eps
-
-    def odd_eps(coords):
-        eps = real_eps(coords)  # move one unit between the ends: the sum stays 0
-        return [eps[0] + 1, *eps[1:-1], eps[-1] - 1]
-
-    monkeypatch.setattr(kostant.weyl, "_eps", odd_eps)
-    with pytest.raises(RuntimeError, match="non-integral"):
-        shifted_action(identity(2), highest_root(2))
+    for r in range(1, 9):
+        two_rho = _two_rho(r)
+        for lam in (zero_weight(r), highest_root(r), Weight(r, tuple(range(-2, r - 2)))):
+            entries, offsets = _rho_shifted(lam)
+            assert [2 * e for e in entries] == [d + r for d in _eps((2 * lam + two_rho).coords)]
+            assert [2 * t for t in offsets] == [c + k * r for k, c in enumerate(two_rho.coords, 1)]
 
 
 def test_enumerate_all_counts_and_order():
@@ -349,5 +345,4 @@ def test_two_rho_shifted_by_longest_element():
     for r in range(1, 5):
         longest = from_word(r, sum(([i for i in range(1, k + 1)] for k in range(r, 0, -1)), []))
         assert longest.perm == tuple(range(r + 1, 0, -1))
-        minus_two_rho = tuple(-t for t in _two_rho_coords(r))
-        assert shifted_action(longest, zero_weight(r)).coords == minus_two_rho
+        assert shifted_action(longest, zero_weight(r)) == -_two_rho(r)
