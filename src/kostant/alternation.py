@@ -27,9 +27,9 @@ multiplicity sum. Two constructions are provided:
   (slots 1..j) then the right one (slots j+1..r+1), and its reduced word
   the left letters then the right ones. The canonical order, by length and
   then by reduced word, is a nested loop over the factors
-  (`canonical_blocks`), so nothing is sorted. One walk of each side's
-  choice tree (`_side_factors`) gives its factors in two orders: the left
-  in post-order, which is the order of word + (r+1,), since every right
+  (`canonical_blocks`), so the CLI's rows need no sort. One walk of each
+  side's choice tree (`_side_factors`) gives its factors in two orders: the
+  left in post-order, which is the order of word + (r+1,), since every right
   letter exceeds every left letter and so, within one total length, a left
   word that is a proper prefix of another sorts after it; the right
   grouped by length, each in pre-order, which is lexicographic. The set
@@ -64,7 +64,6 @@ from .weights import (
     RootInterval,
     Value,
     Weight,
-    _set,
     highest_root,
     interval_root,
 )
@@ -89,23 +88,17 @@ Factor = tuple[tuple[int, ...], list[int]]
 class AlternationSet(Value):
     """The elements sigma with a nonzero partition count after the shifted action.
 
-    `elements` is a frozenset of WeylElements; iteration is deterministic,
-    by length and then by reduced word. Two constructions of one set
-    compare equal.
-
-    That order is built once. `alt_set_characterized` builds its products
-    in that order and passes it in as `_order`; a set built
-    without one sorts its elements on its first iteration and keeps the
-    result, so a set that is never iterated never computes a reduced word.
-    The order takes no part in equality, hashing or repr.
+    `elements` is a frozenset of WeylElements. Iterating the set sorts them
+    by length and then by reduced word, each time, so two constructions of
+    one set compare equal and iterate alike, and a set that is never
+    iterated never computes a reduced word.
     """
 
     _fields = ("rank", "lam", "mu", "elements")
-    __slots__ = _fields + ("_order",)
+    __slots__ = _fields
 
-    def __init__(self, rank: int, lam: Weight, mu: Weight, elements: frozenset[WeylElement],
-                 _order: tuple[WeylElement, ...] | None = None):
-        self._fill(rank, lam, mu, elements, _order)
+    def __init__(self, rank: int, lam: Weight, mu: Weight, elements: frozenset[WeylElement]):
+        self._fill(rank, lam, mu, elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -114,10 +107,7 @@ class AlternationSet(Value):
         return sigma in self.elements
 
     def __iter__(self):
-        if self._order is None:
-            order = sorted(self.elements, key=lambda s: (s.length, s.reduced_word()))
-            _set(self, "_order", tuple(order))
-        return iter(self._order)
+        return iter(sorted(self.elements, key=lambda s: (s.length, s.reduced_word())))
 
 
 def survivors(lam: Weight, mu: Weight, sigmas) -> Iterator[tuple[WeylElement, tuple[int, ...]]]:
@@ -250,17 +240,18 @@ def alt_set_characterized(iv: RootInterval) -> AlternationSet:
     """Generate A(highest root, interval root [i, j]) from its description.
 
     Elements are the products of pairwise nonconsecutive generators taken
-    from the free ranges of the two `sides`, glued from the factors of
-    `characterized_sides` in the canonical order of `canonical_blocks`.
+    from the free ranges of the two `sides`, each a left factor of
+    `characterized_sides` glued to a right one.
     """
     left, right = characterized_sides(iv)
     r = iv.rank
-    members = tuple([
+    members = frozenset(
         _with_reduced_word(r, tuple(lp + rp), lw + rw)
-        for (lw, lp), group in canonical_blocks(left, right)
+        for lw, lp in left
+        for group in right
         for rw, rp in group
-    ])
-    return AlternationSet(r, highest_root(r), interval_root(iv), frozenset(members), _order=members)
+    )
+    return AlternationSet(r, highest_root(r), interval_root(iv), members)
 
 
 def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[list[Factor]]]:

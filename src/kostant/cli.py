@@ -22,10 +22,10 @@ quote or a line break, and an alt-set field is a set's name, digits and
 spaces, or an int, so those lines are the bytes the writer would write.
 ``verify`` writes its table itself,
 one line per criterion as ``acceptance.run_all`` yields its result and
-then the summary line, so its table view is None. The envelope is written by
-``_json_indented``, which gives the bytes of ``json.dumps(..., indent=2)``
-while leaving every scalar to the stdlib's C encoder; a callable in a view
-renders its own text at its indent. ``alt-set`` rows come in the
+then the summary line, so its table view is None. The envelope is
+``json.dumps(..., indent=2)``'s text; a callable in a view, as alt-set's
+word lists, is spliced in as its own text at the indent of its line
+(``_json_text``). ``alt-set`` rows come in the
 alternation set's canonical order (by length, then by reduced word) and
 are joined from text rendered once per factor, through a table of each
 value's digits built once per call: the theorem route takes
@@ -127,7 +127,7 @@ def _cmd_alt_set(args, out):
     verdict = None
     if args.method == "both":
         verdict = {perm for _, perm in found} == {
-            tuple(lp + rp) for (_, lp), group in canonical_blocks(left, right) for _, rp in group
+            tuple(lp + rp) for _, lp in left for group in right for _, rp in group
         }
     query = {"command": "alt-set", "rank": args.rank, "mu": [iv.i, iv.j], "method": args.method}
     names = [str(v) for v in range(args.rank + 2)]  # every letter and perm entry, as text
@@ -181,7 +181,10 @@ def _blocks(left, right, names: list[str], sep: str, perm_sep: str, letter: str 
 
 
 def _json_words(left, right, names: list[str], pad: str) -> str:
-    """The JSON list of the element words, as _json_indented writes it at `pad`."""
+    """The JSON list of the element words, as json.dumps(..., indent=2) writes it.
+
+    `pad` is the newline and indent of the line the list starts on.
+    """
     inner, deeper = pad + "  ", pad + "    "
     items = [
         f"[{deeper}{head}{rws}{inner}]" if length else "[]"
@@ -363,62 +366,41 @@ def _output(path: str | None):
         raise UsageError(f"cannot write --out: {exc}") from None
 
 
-def _json_indented(value, pad: str = "\n") -> str:
-    """json.dumps(value, indent=2), byte for byte, without the pure-Python encoder.
+def _json_text(envelope) -> str:
+    """json.dumps(envelope, indent=2), with each callable's own text where it lands.
 
-    With an indent, json.dumps runs its pure-Python encoder. Here only the
-    non-empty containers are written in Python. Exact ints are written by
-    int.__repr__, as the stdlib writes them, and a list of them takes one
-    join. Every other scalar, every key and every empty container goes
-    through the C encoder of a plain json.dumps, so escaping, true/false/
-    null, float repr and key stringifying are the stdlib's own, and so is
-    the TypeError for a key or value it cannot encode. `pad` is the newline
-    and indent of the value's own line. A callable is not JSON data: it is
-    called with `pad` and returns its own text, as alt-set's word lists do.
-    The pieces are joined once, so a large text is not copied once per
-    level of nesting.
+    A callable is not JSON data: json.dumps's `default` hook writes a
+    marker string in its place, and each marker is then replaced by the
+    callable's text, called with the newline and indent of the line it
+    lands on, as alt-set's word lists are. A string of the envelope that
+    encodes like the marker would add a match, so the marker is lengthened
+    until it matches once per callable.
     """
-    parts: list[str] = []
-    _json_parts(value, pad, parts)
-    return "".join(parts)
+    calls, marker = [], "\0"
 
+    def place(render):
+        calls.append(render)
+        return marker
 
-def _json_parts(value, pad: str, parts: list[str]) -> None:
-    """Append the pieces of _json_indented(value, pad) to parts, in order."""
-    if isinstance(value, dict) and value:
-        inner = pad + "  "
-        lead = "{" + inner
-        for k, v in value.items():
-            # json.dumps stringifies a non-str key only as a key: encode {k: 0}, slice it out
-            key = json.dumps(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]
-            parts.append(f"{lead}{key}: ")
-            _json_parts(v, inner, parts)
-            lead = "," + inner
-        parts.append(pad + "}")
-    elif isinstance(value, (list, tuple)) and value:
-        inner = pad + "  "
-        if set(map(type, value)) == {int}:
-            parts.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + pad + "]")
-        else:
-            lead = "[" + inner
-            for v in value:
-                parts.append(lead)
-                _json_parts(v, inner, parts)
-                lead = "," + inner
-            parts.append(pad + "]")
-    elif type(value) is int:
-        parts.append(int.__repr__(value))
-    elif callable(value):  # text rendered by the view itself, at this indent
-        parts.append(value(pad))
-    else:
-        parts.append(json.dumps(value))
+    while True:
+        parts = json.dumps(envelope, indent=2, default=place).split(json.dumps(marker))
+        if len(parts) == len(calls) + 1:
+            break
+        calls.clear()
+        marker += "\0"
+    pieces = []
+    for render, before in zip(calls, parts):
+        line = before[before.rfind("\n") + 1:]
+        pieces += [before, render("\n" + " " * (len(line) - len(line.lstrip(" "))))]
+    pieces.append(parts[-1])
+    return "".join(pieces)
 
 
 def _render(args, out, query: dict, verdict: bool | None, view) -> int:
     """Write one handler's view in args.format to out and return the exit code."""
     if args.format == "json":
         v = None if verdict is None else ("pass" if verdict else "fail")
-        print(_json_indented({"query": query, "result": view, "verdict": v}), file=out)
+        print(_json_text({"query": query, "result": view, "verdict": v}), file=out)
     elif args.format == "csv":
         header, rows = view
         writer = csv.writer(out)

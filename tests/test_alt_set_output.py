@@ -7,8 +7,9 @@ set one by one, rebuilds each from its one-line notation alone, sorts them
 and formats them the way the CLI formatted one element at a time. A sample
 at ranks 9-12, where perm entries reach two digits, is checked the same way
 for `--method brute` and `both`, whose brute set the reference takes from
-`pruned_survivors`. The counter tests pin that a theorem query glues no
-element per product.
+`pruned_survivors`; there the JSON text of `both`, two word lists spliced
+into one envelope, is also checked against json.dumps of its own parse.
+The counter tests pin that a theorem query glues no element per product.
 """
 
 import csv
@@ -150,6 +151,18 @@ def test_brute_rows_equal_the_element_renderer_at_ranks_9_to_12(capsys, method):
     for iv in _sample_9_to_12():
         for fmt, expected in _reference_stdouts(iv, method).items():
             assert _cli_stdout(capsys, iv, fmt, method) == expected, (iv, fmt)
+
+
+def test_both_json_is_the_stdlib_text_with_two_spliced_word_lists(capsys):
+    # two word lists in one envelope, each spliced in at its indent
+    for iv in _sample_9_to_12():
+        text = _cli_stdout(capsys, iv, "json", "both")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", iv
+        sets = json.loads(text)["result"]["sets"]
+        expected = json.loads(_reference_stdouts(iv, "both")["json"])["result"]["sets"]
+        assert set(sets) == {"brute", "theorem"}
+        for name, got in sets.items():
+            assert got["elements"] == expected[name]["elements"], (iv, name)
 
 
 @pytest.fixture

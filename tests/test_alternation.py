@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 import kostant.alternation
 from kostant import (
-    AlternationSet,
     CapacityError,
     RootInterval,
     Weight,
@@ -146,28 +145,12 @@ def test_both_constructions_iterate_in_the_canonical_order_through_rank_6():
             assert list(brute) == list(brute)
 
 
-def test_cached_order_takes_no_part_in_equality_hash_or_repr():
-    aset = alt_set_characterized(RootInterval(7, 3, 4))
-    assert aset._order is not None  # built with the set, before any iteration
-    fields = (aset.rank, aset.lam, aset.mu, aset.elements)
-    reversed_order = AlternationSet(*fields, _order=tuple(reversed(_canonical(aset))))
-    no_order = AlternationSet(*fields)
-    assert aset == reversed_order == no_order
-    assert hash(aset) == hash(reversed_order) == hash(no_order)
-    assert repr(aset) == repr(reversed_order) == repr(no_order)
-    assert "_order" not in repr(aset)
-    # a set built without an order sorts its elements on the first iteration
-    assert list(no_order) == _canonical(aset)
-
-
 def test_a_brute_force_set_computes_no_word_until_it_is_iterated():
     aset = alt_set_bruteforce(5, highest_root(5), interval_root(RootInterval(5, 3, 3)))
     assert len(aset) == 4
     assert all(s._word is None for s in aset.elements)
-    assert aset._order is None
     first = list(aset)
     assert all(s._word is not None for s in aset.elements)
-    assert aset._order == tuple(first)  # kept for the next iteration
     assert list(aset) == first == _canonical(aset)
 
 

@@ -21,7 +21,7 @@ from kostant import (
     q_multiplicity,
     RootInterval,
 )
-from kostant.cli import EXIT_CAPACITY, EXIT_FAIL, EXIT_OK, EXIT_USAGE, _json_indented, run
+from kostant.cli import EXIT_CAPACITY, EXIT_FAIL, EXIT_OK, EXIT_USAGE, _json_text, run
 
 
 def _run_json(capsys, argv):
@@ -94,44 +94,46 @@ def test_alt_set_csv(capsys):
     assert out[1].startswith("theorem,,")  # identity has the empty word
 
 
-_JSON_SCALARS = st.one_of(
-    st.integers(),
-    st.integers(min_value=2**64, max_value=2**200),
-    st.integers(min_value=-(2**200), max_value=-1),
-    st.booleans(),
-    st.none(),
-    st.floats(),
-    st.sampled_from([-0.0, 1e300, -1e-300]),
-    st.text(),
-    st.sampled_from(['"', "\\", '\\"\n\t\x00\x1f\x7f', "é☃\u2028𝄞"]),
+_SPLICED = [1, [2, 3]]
+
+
+def _spliced(pad):
+    """json.dumps(_SPLICED, indent=2) on a line at `pad`, as a view's callable renders it."""
+    return json.dumps(_SPLICED, indent=2).replace("\n", pad)
+
+
+# strings that encode like, or around, a marker of NULs
+_NEAR_MARKER = st.one_of(
+    st.text(alphabet="\x00\"\\u0 ", max_size=6),
+    st.sampled_from(["\x00", "\x000", "\x00\x00", json.dumps("\x00"), '"\x00', "\x00\""]),
 )
-_JSON_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.none(), st.floats())
-_JSON_VALUES = st.recursive(
-    _JSON_SCALARS,
+_ENVELOPES = st.recursive(
+    st.one_of(_NEAR_MARKER, st.integers(), st.none(), st.just(_spliced)),
     lambda inner: st.one_of(
-        st.lists(inner, max_size=5),
-        st.lists(inner, max_size=5).map(tuple),
-        st.lists(st.integers(), max_size=5),
-        st.dictionaries(_JSON_KEYS, inner, max_size=5),
+        st.lists(inner, max_size=4),
+        st.dictionaries(_NEAR_MARKER, inner, max_size=4),
     ),
-    max_leaves=30,
+    max_leaves=12,
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(_JSON_VALUES)
-def test_json_writer_gives_the_stdlib_indent_2_bytes(value):
-    assert _json_indented(value) == json.dumps(value, indent=2)
+@given(_ENVELOPES)
+def test_spliced_text_is_the_stdlib_text_of_the_rendered_value(envelope):
+    expected = json.dumps(envelope, indent=2, default=lambda render: _SPLICED)
+    assert _json_text(envelope) == expected
 
 
-def test_json_writer_edge_cases_and_refusals():
-    for value in ({}, [], (), [[], {}], {"a": {}}, {1: [True, 1, None]}, [2**70, -3, 0]):
-        assert _json_indented(value) == json.dumps(value, indent=2)
+def test_a_string_like_the_marker_next_to_a_spliced_value():
+    for text in ("\x00", "\x000", "\x00\x00", json.dumps("\x00")):
+        envelope = {"a": text, "b": _spliced, text: [_spliced, text, {"c": _spliced}]}
+        expected = json.dumps(envelope, indent=2, default=lambda render: _SPLICED)
+        assert _json_text(envelope) == expected
+        assert json.loads(expected)["a"] == text
+    assert _json_text(_spliced) == json.dumps(_SPLICED, indent=2)
     for bad in ({(1, 2): 0}, [object()], {"k": {1, 2}}):
         with pytest.raises(TypeError):
-            json.dumps(bad, indent=2)
-        with pytest.raises(TypeError):
-            _json_indented(bad)
+            _json_text(bad)
 
 
 def test_large_alt_set_json_is_the_stdlib_indent_2_text(capsys):
@@ -140,6 +142,18 @@ def test_large_alt_set_json_is_the_stdlib_indent_2_text(capsys):
     text = capsys.readouterr().out
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
     assert json.loads(text)["result"]["sets"]["theorem"]["count"] == 5168
+
+
+@pytest.mark.parametrize("argv", [
+    ["qmult", "--rank", "12", "--mu", "2..5", "--method", "closed"],
+    ["partition", "--rank", "4", "--weight", "2,3,3,2", "--oracle"],
+    ["identity", "--max-n", "90"],
+], ids=lambda argv: argv[0])
+def test_an_envelope_with_nothing_spliced_in_is_the_stdlib_text(capsys, argv):
+    # beyond the golden file's calls
+    assert run(argv + ["--format", "json"]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def test_closed_route_past_the_old_subset_cap(capsys):
@@ -286,14 +300,14 @@ def test_no_subcommand_reaches_the_literal_scan(capsys, monkeypatch):
 def test_a_closed_stdout_ends_the_script_quietly():
     # about 300 kB of table, far more than a pipe buffers: the write meets the closed pipe
     src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "kostant", "alt-set", "--rank", "20", "--mu", "10..10"],
         env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    assert proc.stdout.readline() == b"alternation set, rank 20, interval weight [10, 10]\n"
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == EXIT_FAIL
+    ) as proc:
+        assert proc.stdout.readline() == b"alternation set, rank 20, interval weight [10, 10]\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == EXIT_FAIL
     assert err == ""  # no BrokenPipeError traceback, and no warning at exit
 
 

@@ -11,7 +11,7 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import field, make_dataclass
+from dataclasses import make_dataclass
 from pathlib import Path
 
 import pytest
@@ -41,11 +41,8 @@ RECORDS = [
 
 
 def _dataclass_twin(cls):
-    """A frozen dataclass named like cls, with its fields, and _order kept out of ==, hash, repr."""
-    spec = [(name, object) for name in cls._fields]
-    if cls is AlternationSet:
-        spec.append(("_order", object, field(default=None, compare=False, repr=False)))
-    return make_dataclass(cls.__name__, spec, frozen=True)
+    """A frozen dataclass named like cls, with its fields."""
+    return make_dataclass(cls.__name__, [(name, object) for name in cls._fields], frozen=True)
 
 
 @pytest.mark.parametrize("cls, args", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
@@ -65,16 +62,6 @@ def test_eq_hash_and_repr_match_a_frozen_dataclass(cls, args):
     with pytest.raises(AttributeError):
         value.extra = 1
     assert copy.copy(value) == pickle.loads(pickle.dumps(value)) == value
-
-
-def test_the_order_of_an_alternation_set_stays_out_of_eq_hash_and_repr():
-    lam, mu = highest_root(2), zero_weight(2)
-    members = frozenset([identity(2)])
-    plain = AlternationSet(2, lam, mu, members)
-    ordered = AlternationSet(2, lam, mu, members, _order=(identity(2),))
-    assert plain == ordered and hash(plain) == hash(ordered) and repr(plain) == repr(ordered)
-    list(plain)  # fills the order
-    assert plain == ordered and repr(plain) == repr(ordered)
 
 
 def test_the_cached_epsilon_vector_stays_out_of_eq_hash_and_repr():
