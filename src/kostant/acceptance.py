@@ -11,13 +11,13 @@ with its repr. It writes nothing; the CLI ``verify`` subcommand renders the
 results, and it and the acceptance test module both route through the
 functions here, so the entry points cannot drift apart.
 
-Rank bounds default to the largest sizes the guarantees are advertised at.
 ``run_all`` takes one knob, ``max_closed_rank``, which bounds the
-closed-form route. The other ten criteria run at their function defaults,
-among them brute vs characterized sets (intervals through rank 14, the
-sign test over the whole group read off the pruned search), the pruned
-full-sum power of q (rank 12), the zero-weight sum (rank 10) and
-multiplicity one (intervals through rank 12, Weyl images through rank 10).
+closed-form route. The other ten criteria take no arguments: each runs at
+one fixed size, the largest its guarantee is advertised at, among them
+brute vs characterized sets (intervals through rank 14, the sign test over
+the whole group read off the pruned search), the pruned full-sum power of
+q (rank 12), the zero-weight sum (rank 10) and multiplicity one (intervals
+through rank 12, Weyl images through rank 10).
 """
 
 from __future__ import annotations
@@ -71,23 +71,23 @@ def _intervals(rank):
             yield RootInterval(rank, i, j)
 
 
-def check_alt_sets_agree(max_rank: int = 14) -> str:
+def check_alt_sets_agree() -> str:
     """The sign test over the whole group, by the pruned search, and the description agree."""
     checked = 0
-    for r in range(1, max_rank + 1):
+    for r in range(1, 15):
         lam = highest_root(r)
         for iv in _intervals(r):
             brute = {sigma.perm for sigma, _ in pruned_survivors(lam, interval_root(iv))}
             if brute != {sigma.perm for sigma in alt_set_characterized(iv).elements}:
                 raise CriterionFailed(f"sets differ at {iv}")
             checked += 1
-    return f"{checked} interval sets equal through rank {max_rank}"
+    return f"{checked} interval sets equal through rank 14"
 
 
-def check_cardinality_fibonacci(max_rank: int = 16) -> str:
+def check_cardinality_fibonacci() -> str:
     """Generated set sizes equal the two-sided Fibonacci product."""
     checked = largest = 0
-    for r in range(1, max_rank + 1):
+    for r in range(1, 17):
         for iv in _intervals(r):
             n = len(alt_set_characterized(iv))
             want = fibonacci(iv.i) * fibonacci(r - iv.j + 1)
@@ -95,20 +95,20 @@ def check_cardinality_fibonacci(max_rank: int = 16) -> str:
                 raise CriterionFailed(f"{iv}: built {n}, expected {want}")
             checked += 1
             largest = max(largest, n)
-    return f"{checked} intervals through rank {max_rank}, largest set {largest}"
+    return f"{checked} intervals through rank 16, largest set {largest}"
 
 
-def check_power_of_q_full(max_rank: int = 12) -> str:
+def check_power_of_q_full() -> str:
     """Full alternating sum lands on a single power of q for interval weights."""
     checked = 0
-    for r in range(1, max_rank + 1):
+    for r in range(1, 13):
         lam = highest_root(r)
         for iv in _intervals(r):
-            rep = q_multiplicity(r, lam, interval_root(iv), "kwmf_full")
+            rep = q_multiplicity(r, lam, interval_root(iv))
             if rep.q_multiplicity != predicted_q_multiplicity(iv):
                 raise CriterionFailed(f"{iv}: got {rep.q_multiplicity.pretty()}")
             checked += 1
-    return f"{checked} intervals through rank {max_rank}"
+    return f"{checked} intervals through rank 12"
 
 
 def check_power_of_q_closed(max_rank: int = DEFAULT_CLOSED_RANK) -> str:
@@ -122,7 +122,7 @@ def check_power_of_q_closed(max_rank: int = DEFAULT_CLOSED_RANK) -> str:
     return f"{checked} intervals through rank {max_rank}"
 
 
-def check_multiplicity_one(max_rank: int = 12, image_rank: int = 10) -> str:
+def check_multiplicity_one() -> str:
     """Interval weights carry multiplicity 1, and so does every reflected image.
 
     The intervals are read off the closed route at q = 1, the paper's
@@ -131,32 +131,29 @@ def check_multiplicity_one(max_rank: int = 12, image_rank: int = 10) -> str:
     listed directly as the +-interval roots.
     """
     intervals = 0
-    for r in range(1, max_rank + 1):
+    for r in range(1, 13):
         for iv in _intervals(r):
             if q_multiplicity_closed(iv).evaluate(1) != 1:
                 raise CriterionFailed(f"{iv}: multiplicity != 1")
             intervals += 1
     images = 0
-    for r in range(1, image_rank + 1):
+    for r in range(1, 11):
         lam = highest_root(r)
         for iv in _intervals(r):
             for img in (interval_root(iv), -interval_root(iv)):
-                rep = q_multiplicity(r, lam, img, "kwmf_full")
+                rep = q_multiplicity(r, lam, img)
                 if rep.multiplicity_at_one != 1:
                     raise CriterionFailed(f"rank {r} image {img.coords}: multiplicity != 1")
                 images += 1
-    return (
-        f"{intervals} intervals (rank <= {max_rank}), {images} distinct images "
-        f"(rank <= {image_rank})"
-    )
+    return f"{intervals} intervals (rank <= 12), {images} distinct images (rank <= 10)"
 
 
-def check_interval_partition_closed(max_rank: int = 10) -> str:
+def check_interval_partition_closed() -> str:
     """Partition polynomial of an interval root is q(1+q)^(height-1), any offset."""
     checked = 0
     q = QPolynomial.monomial(1)
     one_plus_q = QPolynomial((1, 1))
-    for r in range(1, max_rank + 1):
+    for r in range(1, 11):
         for iv in _intervals(r):
             s = iv.height
             expect = q
@@ -166,13 +163,13 @@ def check_interval_partition_closed(max_rank: int = 10) -> str:
             if got != expect or got != consecutive_closed_form(s):
                 raise CriterionFailed(f"{iv}: got {got.pretty()}")
             checked += 1
-    return f"{checked} interval roots through rank {max_rank}"
+    return f"{checked} interval roots through rank 10"
 
 
-def check_per_element_terms(max_rank: int = 9) -> str:
+def check_per_element_terms() -> str:
     """Per-element closed form equals the partition DP on the shifted image."""
     terms = 0
-    for r in range(1, max_rank + 1):
+    for r in range(1, 10):
         lam = highest_root(r)
         for iv in _intervals(r):
             mu = interval_root(iv)
@@ -181,7 +178,7 @@ def check_per_element_terms(max_rank: int = 9) -> str:
                 if closed_form_term(iv, sigma) != direct:
                     raise CriterionFailed(f"{iv}, word {sigma.reduced_word()}: mismatch")
                 terms += 1
-    return f"{terms} terms through rank {max_rank}"
+    return f"{terms} terms through rank 9"
 
 
 def check_dp_vs_oracle() -> str:
@@ -203,25 +200,25 @@ def check_dp_vs_oracle() -> str:
     return f"{exhaustive} exhaustive A4 weights, {sampled} sampled A5 weights (seed {_A5_SEED})"
 
 
-def check_fibonacci_identity(max_n: int = 30, enum_n: int = 16) -> str:
+def check_fibonacci_identity() -> str:
     """Binomial sum hits the Fibonacci numbers; enumeration sizes agree."""
-    for n in range(max_n + 1):
+    for n in range(31):
         if not fib_identity_check(n):
             raise CriterionFailed(f"identity fails at n={n}")
-    for n in range(enum_n + 1):
+    for n in range(17):
         subsets = nonconsecutive_subsets(n)
         if len(subsets) != fibonacci(n + 2):
             raise CriterionFailed(f"enumeration size wrong at n={n}")
         for k in range(n + 2):
             if sum(1 for s in subsets if len(s) == k) != nonconsecutive_count_k(n, k):
                 raise CriterionFailed(f"size-{k} count wrong at n={n}")
-    return f"identity n <= {max_n}, enumeration n <= {enum_n}"
+    return "identity n <= 30, enumeration n <= 16"
 
 
-def check_boundary_length_counts(max_rank: int = 14) -> str:
+def check_boundary_length_counts() -> str:
     """Length-split counting formulas match direct filtering of the sets."""
     checked = 0
-    for r in range(2, max_rank + 1):
+    for r in range(2, 15):
         ivs = [RootInterval(r, 1, j) for j in range(1, r)]
         ivs += [RootInterval(r, i, r) for i in range(2, r + 1)]
         for iv in ivs:
@@ -234,16 +231,16 @@ def check_boundary_length_counts(max_rank: int = 14) -> str:
             if sum(counts.values()) != alt_cardinality(iv):
                 raise CriterionFailed(f"{iv}: totals miss the cardinality")
             checked += 1
-    return f"{checked} one-sided intervals through rank {max_rank}"
+    return f"{checked} one-sided intervals through rank 14"
 
 
-def check_zero_weight_sum(max_rank: int = 10) -> str:
+def check_zero_weight_sum() -> str:
     """Zero-weight q-multiplicity of the highest root is q + q^2 + ... + q^r."""
-    for r in range(1, max_rank + 1):
-        rep = q_multiplicity(r, highest_root(r), zero_weight(r), "kwmf_full")
+    for r in range(1, 11):
+        rep = q_multiplicity(r, highest_root(r), zero_weight(r))
         if rep.q_multiplicity != QPolynomial((0,) + (1,) * r):
             raise CriterionFailed(f"rank {r}: got {rep.q_multiplicity.pretty()}")
-    return f"ranks 1..{max_rank}"
+    return "ranks 1..10"
 
 
 def run_all(max_closed_rank: int = DEFAULT_CLOSED_RANK) -> Iterator[CriterionResult]:

@@ -10,10 +10,11 @@ multiplicity sum. Two constructions are provided:
   are all nonnegative, so membership is that sign test, run by
   `survivors`. It works for any lam and mu up to a fixed rank cap of 8.
   It stays a literal scan on purpose: it is the reference for
-  `pruned_survivors`, which finds the same members by a search that drops
-  a branch as soon as one coordinate goes negative (the full alternating
-  sum uses it) and is bounded by a fixed budget of visited nodes, not by
-  rank.
+  `pruned_survivors`, the one search entry, which finds the same members
+  by a search that drops a branch as soon as one coordinate goes negative
+  and is bounded by a fixed budget of visited nodes, not by rank. It
+  refuses before it builds anything, for every caller: the full
+  alternating sum, `alt-set --method brute|both` and verify.
 
 * `alt_set_characterized` is specific to lam = highest root and mu an
   interval root [i, j]: there the set consists exactly of the products of
@@ -28,11 +29,12 @@ multiplicity sum. Two constructions are provided:
   the left letters then the right ones. The canonical order, by length and
   then by reduced word, is a nested loop over the factors
   (`canonical_blocks`), so the CLI's rows need no sort. One walk of each
-  side's choice tree (`_side_factors`) gives its factors in two orders: the
-  left in post-order, which is the order of word + (r+1,), since every right
+  side's choice tree (`_side_factors`) gives its factors in post-order.
+  For the left side that is the order of word + (r+1,), since every right
   letter exceeds every left letter and so, within one total length, a left
-  word that is a proper prefix of another sorts after it; the right
-  grouped by length, each in pre-order, which is lexicographic. The set
+  word that is a proper prefix of another sorts after it. The right side
+  is grouped by length in one stable pass; within one length no word
+  extends another, so post-order there is lexicographic. The set
   is refused with CapacityError, before anything is built, when it would
   exceed F_27 = 196,418 elements, the most one side of 25 free letters
   gives (at rank 30, [15, 15] has 602,070); so it also bounds each side.
@@ -128,8 +130,8 @@ def survivors(lam: Weight, mu: Weight, sigmas) -> Iterator[tuple[WeylElement, tu
     return ((sigma, tuple(map(sub, c, m))) for sigma, c in images if min(map(sub, c, m)) >= 0)
 
 
-def pruned_survivors(lam: Weight, mu: Weight) -> Iterator[tuple[WeylElement, tuple[int, ...]]]:
-    """The pairs of survivors(lam, mu, enumerate_all(rank)), by a pruned search.
+def pruned_survivors(lam: Weight, mu: Weight) -> list[tuple[WeylElement, tuple[int, ...]]]:
+    """The pairs of survivors(lam, mu, enumerate_all(rank)), by a pruned search, as one list.
 
     Coordinate k of sigma(lam + rho) - rho is the sum of the integer
     entries eps(lam)_x + r - x that sigma moves into slots 1..k, less the
@@ -142,36 +144,23 @@ def pruned_survivors(lam: Weight, mu: Weight) -> Iterator[tuple[WeylElement, tup
     node; past SEARCH_NODE_BUDGET nodes it raises CapacityError, so what is
     refused is a search that really explodes, not a rank. The walk is
     `_walk`'s, and it keeps its open prefixes on lists, so no depth hits
-    the recursion limit. The pairs stream out as it finds them, in no
-    particular order, so a refusal comes after the pairs found before it;
-    `all_pruned_survivors` refuses before it builds any.
+    the recursion limit. It runs once without building a leaf, so a
+    refused search has built nothing; only a search within the budget runs
+    again and builds its pairs, in no particular order. A single walk that
+    kept its leaves would hold every leaf found before the budget trips:
+    35,899 of them and 700 MB at rank 1200 with mu = 0.
     """
-    entries, floors = _search_input(lam, mu)
-    rank = lam.rank
-    return (
-        (_element(rank, tuple(perm)), tuple(map(sub, sums[1:], floors)))
-        for perm, sums in _walk(entries, floors)
-    )
-
-
-def all_pruned_survivors(lam: Weight, mu: Weight) -> list[tuple[WeylElement, tuple[int, ...]]]:
-    """The pairs of `pruned_survivors`, as one list; a refused search builds none of them.
-
-    The walk runs once without building a leaf, so a search past the node
-    budget raises CapacityError having built nothing. Only a search within
-    the budget runs a second time and builds its pairs.
-    """
-    for _ in _walk(*_search_input(lam, mu)):
-        pass
-    return list(pruned_survivors(lam, mu))
-
-
-def _search_input(lam: Weight, mu: Weight) -> tuple[list[int], list[int]]:
-    """The integer entries of lam's shifted action and the floors T_k + mu_k of the prefix sums."""
     if lam.rank != mu.rank:
         raise ValueError(f"rank mismatch: lam rank {lam.rank} vs mu rank {mu.rank}")
     entries, offsets = _rho_shifted(lam)
-    return entries, [t + m for t, m in zip(offsets, mu.coords)]
+    floors = [t + m for t, m in zip(offsets, mu.coords)]
+    for _ in _walk(entries, floors):
+        pass
+    rank = lam.rank
+    return [
+        (_element(rank, tuple(perm)), tuple(map(sub, sums[1:], floors)))
+        for perm, sums in _walk(entries, floors)
+    ]
 
 
 def _walk(entries: list[int], floors: list[int]) -> Iterator[tuple[list[int], list[int]]]:
@@ -260,15 +249,15 @@ def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[list[Facto
     A product's reduced word is a left word then a right word, and its
     one-line notation the left slice (slots 1..j) then the right slice
     (slots j+1..r+1). The F_i left factors come in the order of
-    word + (r+1,) and the F_{r-j+1} right factors grouped by length, each
-    group in lexicographic order, the two orders of `_side_factors`' walk,
-    so `canonical_blocks` reads the canonical order off them. The set is
-    refused with CapacityError, before any side is built, past F_27
-    elements, what 25 free letters on one side give; the cap is fixed, and
-    the message names the interval and the rank as the CLI takes them. A
-    side alone past F_27 is refused before its Fibonacci number is
-    computed, so the message gives the size as the product F_i * F_(r-j+1),
-    not its value. The longest products, which carry letters from both
+    word + (r+1,), the post-order of `_side_factors`' walk, and the
+    F_{r-j+1} right factors grouped by length from that same order, which
+    is lexicographic within one length, so `canonical_blocks` reads the
+    canonical order off them. The set is refused with CapacityError,
+    before any side is built, past F_27 elements, what 25 free letters on
+    one side give; the cap is fixed, and the message names the interval
+    and the rank as the CLI takes them. A side alone past F_27 is refused
+    before its Fibonacci number is computed, so the message gives the size
+    as the product F_i * F_(r-j+1), not its value. The longest products, which carry letters from both
     sides whenever both sides have free letters, are glued as elements and
     re-verified against the brute-force membership test.
     """
@@ -286,7 +275,8 @@ def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[list[Facto
     # Left letters (< i) move only slots 1..i, right letters (> j) only j+1..r+1.
     left = _side_factors(left_side, 1, j)
     right: list[list[Factor]] = [[] for _ in range((len(right_side.letters) + 1) // 2 + 1)]
-    _side_factors(right_side, j + 1, r + 1, right)
+    for factor in _side_factors(right_side, j + 1, r + 1):
+        right[len(factor[0])].append(factor)
     longest = (
         (tuple(lp + rp), lw + rw)
         for (lw, lp), group in canonical_blocks(left, right, longest_first=True)
@@ -325,7 +315,7 @@ def canonical_blocks(left: list, right: list[list], longest_first: bool = False)
             yield left[p], right[total - lengths[p]]
 
 
-def _side_factors(side: "Side", lo: int, hi: int, by_length: list | None = None) -> list[Factor]:
+def _side_factors(side: "Side", lo: int, hi: int) -> list[Factor]:
     """(word, slots lo..hi of the one-line notation) for each choice of letters on one side.
 
     The choices, the nonconsecutive subsets of the side's free range, have
@@ -336,8 +326,7 @@ def _side_factors(side: "Side", lo: int, hi: int, by_length: list | None = None)
     letter, and the slice is a copy with the two slots that letter swaps,
     untouched so far, exchanged. It returns the factors in post-order, each
     word after its extensions, so sorted by word + (x,) for any x above the
-    side's letters; given by_length, one empty group per length, it also
-    appends each factor to its group in pre-order, which is lexicographic.
+    side's letters, and lexicographic among the words of one length.
     Slices are lists: freed tuples of at most 20 entries wait on CPython's
     free list until a full collection, and cost a cli-mix session 1 MB.
     """
@@ -345,14 +334,11 @@ def _side_factors(side: "Side", lo: int, hi: int, by_length: list | None = None)
     factors: list[Factor] = []
 
     def visit(word: tuple[int, ...], slots: list[int], first: int) -> None:
-        factor = (word, slots)
-        if by_length is not None:
-            by_length[len(word)].append(factor)
         for y in range(first, stop):  # letter y swaps slots y and y + 1
             child = slots[:]
             child[y - lo], child[y - lo + 1] = y + 1, y
             visit(word + (y,), child, y + 2)
-        factors.append(factor)
+        factors.append((word, slots))
 
     visit((), list(range(lo, hi + 1)), side.letters.start)
     return factors

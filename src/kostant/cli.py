@@ -31,7 +31,7 @@ are joined from text rendered once per factor, through a table of each
 value's digits built once per call: the theorem route takes
 the side factors of ``characterized_sides`` and never builds the set, and
 a brute-force element, a member by the sign test read off
-``all_pruned_survivors`` (no subcommand runs the literal scan of the group),
+``pruned_survivors`` (no subcommand runs the literal scan of the group),
 is a left factor with an empty right factor. The JSON word lists, the CSV
 word and perm fields and the table's word and ``perm (...)`` text are each
 a left factor's text then a right factor's.
@@ -41,7 +41,8 @@ Exit codes: 0 success or all-pass, 1 a comparison or verification failed
 usage error (including an ``--out`` that cannot be written), 3 a capacity
 cap was hit. Every cap is fixed, and its message, raised where the limit
 lives, says that no flag raises it: the node budget of the pruned search
-behind ``alt-set --method brute`` and ``qmult --method kwmf``, the cap on
+behind ``alt-set --method brute`` and ``qmult --method kwmf``, which
+refuses before it builds any element, the cap on
 the theorem's alternation sets (25 free letters a side, so at most F_27 =
 196418 elements), the height cap of ``partition --oracle`` and the
 ``identity`` table's cap of n = 1000; see ``errors``.
@@ -61,7 +62,7 @@ import os
 import sys
 
 from .acceptance import DEFAULT_CLOSED_RANK, run_all
-from .alternation import all_pruned_survivors, alt_cardinality, canonical_blocks, characterized_sides
+from .alternation import alt_cardinality, canonical_blocks, characterized_sides, pruned_survivors
 from .combinatorics import fibonacci, nonconsecutive_count_k
 from .errors import IDENTITY_MAX_N, CapacityError
 from .multiplicity import predicted_q_multiplicity, q_multiplicity, q_multiplicity_closed
@@ -117,7 +118,7 @@ def _cmd_alt_set(args, out):
     if args.method in ("brute", "both"):
         lam, mu = highest_root(args.rank), interval_root(iv)
         # each member's (word, perm), in the canonical order: by length, then by word
-        found = sorted(((s.reduced_word(), s.perm) for s, _ in all_pruned_survivors(lam, mu)),
+        found = sorted(((s.reduced_word(), s.perm) for s, _ in pruned_survivors(lam, mu)),
                        key=lambda f: (len(f[0]), f[0]))
         # each element is a product with the empty right factor
         sets["brute"] = ("brute_force", len(found), found, [[((), ())]])

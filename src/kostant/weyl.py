@@ -34,8 +34,11 @@ from .weights import Weight, _set, _weight
 class WeylElement:
     """A permutation of {1, ..., rank+1} acting on the rank-r root lattice.
 
-    Immutable; equality uses (rank, perm) and hashing perm alone, which fixes
-    the rank. Length, support and a reduced word are computed lazily and cached.
+    Treat it as a value, but nothing guards its slots: a field can be
+    reassigned, and then the element is lost from any set or dict it was
+    hashed into. A guard would slow every construction several times over.
+    Equality uses (rank, perm) and hashing perm alone, which fixes the rank.
+    Length, support and a reduced word are computed lazily and cached.
     """
 
     __slots__ = ("rank", "perm", "_length", "_word", "_support")

@@ -210,22 +210,37 @@ def test_pruned_search_guards(monkeypatch):
     # nothing pruned at rank 3: prefixes of 0, 1, 2 and 3 slots, 1 + 4 + 12 + 24 nodes
     lam, mu = zero_weight(3), Weight(3, (-10, -10, -10))
     monkeypatch.setattr(kostant.alternation, "SEARCH_NODE_BUDGET", 41)
-    assert sum(1 for _ in pruned_survivors(lam, mu)) == 24
-    monkeypatch.setattr(kostant.alternation, "SEARCH_NODE_BUDGET", 40)
-    found = []
-    with pytest.raises(CapacityError, match="more than 40 nodes, its fixed budget; no flag"):
-        found.extend(pruned_survivors(lam, mu))
-    assert len(found) == 23  # the budget trips on the last leaf
-    # rank alone is no longer refused: at rank 9 the search stays small
+    assert len(pruned_survivors(lam, mu)) == 24
+    # rank alone is not refused: at rank 9 the search stays small
     monkeypatch.undo()
-    assert len(list(pruned_survivors(highest_root(9), interval_root(RootInterval(9, 1, 1))))) == fibonacci(9)
+    assert len(pruned_survivors(highest_root(9), interval_root(RootInterval(9, 1, 1)))) == fibonacci(9)
 
 
-def test_pruned_search_reaches_a_deep_leaf_within_the_real_budget():
-    # the identity's prefixes pass every floor, so it is the first leaf, 1,201 nodes deep
-    sigma, xi = next(pruned_survivors(highest_root(1200), zero_weight(1200)))
-    assert sigma == identity(1200)
-    assert xi == (1,) * 1200
+def test_a_refused_search_builds_no_element(monkeypatch):
+    # the budget trips on the last of 24 leaves, and not one of the 23 before it is built
+    lam, mu = zero_weight(3), Weight(3, (-10, -10, -10))
+
+    def no_leaf(rank, perm):
+        raise AssertionError("a refused search built an element")
+
+    monkeypatch.setattr(kostant.alternation, "SEARCH_NODE_BUDGET", 40)
+    monkeypatch.setattr(kostant.alternation, "_element", no_leaf)
+    with pytest.raises(CapacityError, match="more than 40 nodes, its fixed budget; no flag"):
+        pruned_survivors(lam, mu)
+
+
+def test_pruned_search_reaches_a_deep_leaf_within_the_real_budget(monkeypatch):
+    # A(highest root, highest root) is the identity alone, and only its prefixes
+    # pass every floor: one survivor, 1,201 nodes deep, at a rank no scan reaches,
+    # far within the real budget of 2^17 nodes
+    r = 1200
+    monkeypatch.setattr(kostant.alternation, "SEARCH_NODE_BUDGET", r + 1)
+    [(sigma, xi)] = pruned_survivors(highest_root(r), interval_root(RootInterval(r, 1, r)))
+    assert sigma == identity(r)
+    assert xi == (0,) * r
+    monkeypatch.setattr(kostant.alternation, "SEARCH_NODE_BUDGET", r)
+    with pytest.raises(CapacityError):
+        pruned_survivors(highest_root(r), interval_root(RootInterval(r, 1, r)))
 
 
 # ------------------------------------------------------- counts by length
@@ -412,10 +427,11 @@ def test_side_factors_are_the_side_elements_on_their_slots():
                 assert outside == tuple(x for x in range(1, r + 2) if not lo <= x < lo + len(slots))
 
 
-def test_side_walk_gives_its_two_orders_of_the_nonconsecutive_choices():
+def test_side_walk_gives_the_nonconsecutive_choices_in_post_order_and_by_length():
     # every free range of m <= 18 letters, both sides of [m + 2, m + 2 + shift]
-    # at rank 2m + 3 + shift; the references are nonconsecutive_subsets and
-    # the validated elements, so nothing here follows the walk
+    # at rank 2m + 3 + shift, and the right side alone of [1, 1 + shift] at rank
+    # m + 2 + shift; the references are nonconsecutive_subsets and the validated
+    # elements, so nothing here follows the walk
     walk = kostant.alternation._side_factors
     for m in range(19):
         subsets = nonconsecutive_subsets(m)
@@ -426,16 +442,19 @@ def test_side_walk_gives_its_two_orders_of_the_nonconsecutive_choices():
             for side, lo, hi in zip(sides(RootInterval(r, i, j)), (1, j + 1), (j, r + 1)):
                 assert len(side.letters) == m
                 words = [tuple(side.letters.start - 1 + x for x in s) for s in subsets]
-                by_length = [[] for _ in range((m + 1) // 2 + 1)]
-                post = walk(side, lo, hi, by_length)
+                post = walk(side, lo, hi)
                 assert len(post) == fibonacci(m + 2)
                 assert [w for w, _ in post] == sorted(words, key=lambda w: w + (r + 1,))
-                assert [[w for w, _ in group] for group in by_length] == [
-                    [w for w in words if len(w) == k] for k in range(len(by_length))
-                ]
-                assert sorted(map(id, post)) == sorted(id(f) for g in by_length for f in g)
                 for word, slots in post:
                     assert tuple(slots) == from_nonconsecutive_letters(r, word).perm[lo - 1:hi]
+            # the right factors grouped by length, each group lexicographic
+            iv = RootInterval(m + 2 + shift, 1, 1 + shift)
+            _, right = characterized_sides(iv)
+            start = sides(iv)[1].letters.start
+            words = [tuple(start - 1 + x for x in s) for s in subsets]
+            assert [[w for w, _ in group] for group in right] == [
+                sorted(w for w in words if len(w) == k) for k in range((m + 1) // 2 + 1)
+            ]
 
 
 def test_spot_check_verifies_the_longest_products(monkeypatch):

@@ -31,7 +31,7 @@ from kostant import (
     shifted_action,
     zero_weight,
 )
-from kostant.alternation import all_pruned_survivors, pruned_survivors, survivors
+from kostant.alternation import pruned_survivors, survivors
 from kostant.cli import run
 from kostant.multiplicity import _term_poly
 
@@ -115,7 +115,7 @@ def test_negative_interval_roots_by_full_sum_through_rank_10():
 def test_alternation_set_of_minus_alpha_1_is_fibonacci_through_rank_12():
     for r in range(1, 13):
         mu = -interval_root(RootInterval(r, 1, 1))
-        assert len(all_pruned_survivors(highest_root(r), mu)) == fibonacci(r + 1), r
+        assert len(pruned_survivors(highest_root(r), mu)) == fibonacci(r + 1), r
 
 
 def test_alternation_sets_of_minus_1_to_j_at_rank_7():
@@ -123,7 +123,7 @@ def test_alternation_sets_of_minus_1_to_j_at_rank_7():
     counts = []
     for j in range(1, 8):
         mu = -interval_root(RootInterval(7, 1, j))
-        found = all_pruned_survivors(lam, mu)
+        found = pruned_survivors(lam, mu)
         counts.append(len(found))
         # the pruned search and the literal scan both run the shifted action on a negative mu
         assert frozenset(sigma for sigma, _ in found) == alt_set_bruteforce(7, lam, mu).elements, j
@@ -135,7 +135,7 @@ def test_alternation_set_of_minus_1_to_4_is_lucas_at_ranks_4_to_12():
     counts = []
     for r in range(4, 13):
         lam, mu = highest_root(r), -interval_root(RootInterval(r, 1, 4))
-        found = all_pruned_survivors(lam, mu)
+        found = pruned_survivors(lam, mu)
         counts.append(len(found))
         if r < 7:  # rank 7 is [1, 4] of the test above
             brute = alt_set_bruteforce(r, lam, mu).elements
@@ -264,12 +264,9 @@ def test_the_search_enters_exactly_the_prefixes_that_pass(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kostant.alternation, "SEARCH_NODE_BUDGET", nodes)
         assert {(s.perm, xi) for s, xi in pruned_survivors(lam, mu)} == literal
-        assert {(s.perm, xi) for s, xi in all_pruned_survivors(lam, mu)} == literal
         mp.setattr(kostant.alternation, "SEARCH_NODE_BUDGET", nodes - 1)
         with pytest.raises(CapacityError, match=f"more than {nodes - 1} nodes"):
-            list(pruned_survivors(lam, mu))
-        with pytest.raises(CapacityError, match=f"more than {nodes - 1} nodes"):
-            all_pruned_survivors(lam, mu)
+            pruned_survivors(lam, mu)
 
 
 # --------------------------------------------------------- closed-form route
