@@ -39,6 +39,7 @@ multiplicity sum. Two constructions are provided:
   exceed F_27 = 196,418 elements, the most one side of 25 free letters
   gives (at rank 30, [15, 15] has 602,070); so it also bounds each side.
   The CLI renders its rows from the factors, without building the set.
+  A spot check glues the 8 longest products and re-runs the sign test.
 
 `sides` describes the theorem's two sides once: each side's free letter
 range and its boundary letter. `side_tally` counts a side's choices by
@@ -56,7 +57,8 @@ plain binomials and their total telescopes to the Fibonacci cardinality.
 """
 
 from collections import namedtuple
-from itertools import chain, islice
+from heapq import nlargest
+from itertools import chain, islice, product
 from operator import sub
 from typing import Iterator
 
@@ -257,9 +259,11 @@ def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[list[Facto
     one side give; the cap is fixed, and the message names the interval
     and the rank as the CLI takes them. A side alone past F_27 is refused
     before its Fibonacci number is computed, so the message gives the size
-    as the product F_i * F_(r-j+1), not its value. The longest products, which carry letters from both
-    sides whenever both sides have free letters, are glued as elements and
-    re-verified against the brute-force membership test.
+    as the product F_i * F_(r-j+1), not its value. The spot check glues
+    the 8 longest products of the 8 longest left factors and the first 8
+    right ones, read from the longest group down: their lengths are the
+    set's 8 largest, and whenever both sides have free letters they carry
+    letters from both. It re-verifies them by the brute-force sign test.
     """
     r, i, j = iv.rank, iv.i, iv.j
     cap = DEFAULT_SUBSET_GROUND_CAP
@@ -277,41 +281,34 @@ def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[list[Facto
     right: list[list[Factor]] = [[] for _ in range((len(right_side.letters) + 1) // 2 + 1)]
     for factor in _side_factors(right_side, j + 1, r + 1):
         right[len(factor[0])].append(factor)
-    longest = (
-        (tuple(lp + rp), lw + rw)
-        for (lw, lp), group in canonical_blocks(left, right, longest_first=True)
-        for rw, rp in group
-    )
-    spot = [_with_reduced_word(r, perm, word) for perm, word in islice(longest, _SPOT_CHECK)]
+    lefts = nlargest(_SPOT_CHECK, left, key=lambda f: len(f[0]))
+    rights = list(islice(chain.from_iterable(reversed(right)), _SPOT_CHECK))
+    pairs = nlargest(_SPOT_CHECK, product(lefts, rights), key=lambda p: len(p[0][0]) + len(p[1][0]))
+    spot = [_with_reduced_word(r, tuple(lp + rp), lw + rw) for (lw, lp), (rw, rp) in pairs]
     if sum(1 for _ in survivors(highest_root(r), interval_root(iv), spot)) != len(spot):
         raise RuntimeError(f"a characterized element of {iv} fails the membership test")
     return left, right
 
 
-def canonical_blocks(left: list, right: list[list], longest_first: bool = False) -> Iterator:
+def canonical_blocks(left: list, right: list[list]) -> Iterator:
     """(left factor, right group) blocks whose products run in the canonical order.
 
     The canonical order is by length, then by reduced word. For each total
     length, each left factor in turn is followed by the right group that
     makes up that length, so the blocks' products, in order, are the set's
-    canonical order; with longest_first, the blocks and the groups (as
-    reversed copies) run backwards. A total takes the positions of the left
-    factors of the lengths that reach it, sorted, so it visits no factor
-    that misses it. Only a left factor's first entry, its word, and only
-    the position of a right group are read, so both may carry anything
-    else.
+    canonical order. A total takes the positions of the left factors of the
+    lengths that reach it, sorted, so it visits no factor that misses it.
+    Only a left factor's first entry, its word, and only the position of a
+    right group are read, so both may carry anything else.
     """
     width = len(right)
     lengths = [len(f[0]) for f in left]
     at = [[] for _ in range(max(lengths) + 1)]  # the positions of the left factors of each length
     for p, n in enumerate(lengths):
         at[n].append(p)
-    totals = range(len(at) + width - 1)
-    if longest_first:
-        totals, right = reversed(totals), [group[::-1] for group in right]
-    for total in totals:
+    for total in range(len(at) + width - 1):
         reach = chain.from_iterable(at[max(0, total - width + 1):total + 1])
-        for p in sorted(reach, reverse=longest_first):
+        for p in sorted(reach):
             yield left[p], right[total - lengths[p]]
 
 

@@ -112,13 +112,12 @@ def closed_form_term(iv: RootInterval, sigma: WeylElement) -> QPolynomial:
     if sigma.rank != r:
         raise ValueError(f"rank mismatch: interval rank {r} vs element rank {sigma.rank}")
     left, right = sides(iv)
-    supp = sorted(sigma.support)
+    supp = sorted(sigma.reduced_word())  # a repeated letter fails the gap test too
     outside = [x for x in supp if x not in left.letters and x not in right.letters]
     if outside or any(b - a < 2 for a, b in zip(supp, supp[1:])):
-        raise ValueError(f"element with support {supp} is not in the alternation set of {iv}")
+        raise ValueError(f"element with letters {supp} is not in the alternation set of {iv}")
     absent = sum(
-        1 for side in (left, right)
-        if side.boundary is not None and side.boundary not in sigma.support
+        1 for side in (left, right) if side.boundary is not None and side.boundary not in supp
     )
     return _term_poly(r, iv.height, sigma.length, absent)
 

@@ -71,10 +71,10 @@ class QPolynomial:
         return cls((1,))
 
     @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "QPolynomial":
+    def monomial(cls, degree: int) -> "QPolynomial":
         if degree < 0:
             raise ValueError(f"monomial degree must be >= 0, got {degree}")
-        return cls((0,) * degree + (coeff,))
+        return cls((0,) * degree + (1,))
 
     @property
     def is_zero(self) -> bool:

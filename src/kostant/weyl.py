@@ -38,10 +38,11 @@ class WeylElement:
     reassigned, and then the element is lost from any set or dict it was
     hashed into. A guard would slow every construction several times over.
     Equality uses (rank, perm) and hashing perm alone, which fixes the rank.
-    Length, support and a reduced word are computed lazily and cached.
+    Length and a reduced word are computed lazily and cached; every
+    reduced word has the same letters, the element's support.
     """
 
-    __slots__ = ("rank", "perm", "_length", "_word", "_support")
+    __slots__ = ("rank", "perm", "_length", "_word")
 
     def __init__(self, rank: int, perm: tuple[int, ...]):
         perm = tuple(perm)
@@ -55,7 +56,6 @@ class WeylElement:
         self.perm = perm
         self._length: int | None = None
         self._word: tuple[int, ...] | None = None
-        self._support: frozenset[int] | None = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -126,13 +126,6 @@ class WeylElement:
                 self._length = len(self._word)
         return self._word
 
-    @property
-    def support(self) -> frozenset[int]:
-        """The set of generator indices appearing in any reduced word."""
-        if self._support is None:
-            self._support = frozenset(self.reduced_word())
-        return self._support
-
 
 def identity(rank: int) -> WeylElement:
     """The identity element, the empty word's product."""
@@ -182,7 +175,7 @@ def _element(rank: int, perm: tuple[int, ...]) -> WeylElement:
     """The element with one-line notation `perm`, unchecked; its caches start empty."""
     el = WeylElement.__new__(WeylElement)
     el.rank, el.perm = rank, perm
-    el._length = el._word = el._support = None
+    el._length = el._word = None
     return el
 
 

@@ -38,7 +38,7 @@ def test_poly_normalization():
     assert QPolynomial.zero().is_zero
     assert not QPolynomial.one().is_zero
     assert QPolynomial.monomial(3).coeffs == (0, 0, 0, 1)
-    assert QPolynomial.monomial(0, 7).coeffs == (7,)
+    assert QPolynomial.monomial(0) == QPolynomial.one()
     with pytest.raises(ValueError):
         QPolynomial.monomial(-1)
     with pytest.raises(TypeError):
