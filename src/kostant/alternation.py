@@ -21,25 +21,15 @@ multiplicity sum. Two constructions are provided:
   pairwise nonconsecutive generators drawn from {2..i-1} and {j+1..r-1}.
   Nonconsecutive subsets of an n-set are Fibonacci-counted, so the set has
   exactly F_i * F_{r-j+1} elements and is cheap to generate at ranks far
-  beyond brute force reach. `characterized_sides` builds each side's
-  choices once, F_i and F_{r-j+1} of them, as factors (word, one-line
-  slice): a left letter moves only slots 1..i and a right letter only
-  slots j+1..r+1, so a product's one-line notation is the left slice
-  (slots 1..j) then the right one (slots j+1..r+1), and its reduced word
-  the left letters then the right ones. The canonical order, by length and
-  then by reduced word, is a nested loop over the factors
-  (`canonical_blocks`), so the CLI's rows need no sort. One walk of each
-  side's choice tree (`_side_factors`) gives its factors in post-order.
-  For the left side that is the order of word + (r+1,), since every right
-  letter exceeds every left letter and so, within one total length, a left
-  word that is a proper prefix of another sorts after it. The right side
-  is grouped by length in one stable pass; within one length no word
-  extends another, so post-order there is lexicographic. The set
-  is refused with CapacityError, before anything is built, when it would
-  exceed F_27 = 196,418 elements, the most one side of 25 free letters
-  gives (at rank 30, [15, 15] has 602,070); so it also bounds each side.
-  The CLI renders its rows from the factors, without building the set.
-  A spot check glues the 8 longest products and re-runs the sign test.
+  beyond brute force reach. `characterized_sides` builds each side's words
+  once (`_side_factors`); a product's word is a left word then a right
+  one. A left letter moves only slots 1..i and a right one only j+1..r+1,
+  so its one-line notation is the left word's on slots 1..j then the right
+  word's, each grown from its parent's by one splice (`_grown`). The CLI
+  renders rows from the words in the canonical order (`canonical_blocks`).
+  The set is refused with CapacityError, before anything is built, past
+  F_27 = 196,418 elements, the most one side of 25 free letters gives (at
+  rank 30, [15, 15] has 602,070); so it also bounds each side.
 
 `sides` describes the theorem's two sides once: each side's free letter
 range and its boundary letter. `side_tally` counts a side's choices by
@@ -58,7 +48,7 @@ plain binomials and their total telescopes to the Fibonacci cardinality.
 
 from collections import namedtuple
 from heapq import nlargest
-from itertools import chain, islice, product
+from itertools import chain
 from operator import sub
 from typing import Iterator
 
@@ -77,6 +67,7 @@ from .weyl import (
     _rho_shifted,
     _with_reduced_word,
     enumerate_all,
+    from_word,
     shifted_action,
 )
 
@@ -84,9 +75,7 @@ from .weyl import (
 # by the brute-force sign test at construction time.
 _SPOT_CHECK = 8
 
-# One side's factor of a characterized product: its reduced word and its
-# slice of the product's one-line notation.
-Factor = tuple[tuple[int, ...], list[int]]
+Factor = tuple[int, ...]  # a side's factor of a characterized product: its reduced word
 
 
 class AlternationSet(Value):
@@ -232,38 +221,29 @@ def alt_set_characterized(iv: RootInterval) -> AlternationSet:
 
     Elements are the products of pairwise nonconsecutive generators taken
     from the free ranges of the two `sides`, each a left factor of
-    `characterized_sides` glued to a right one.
+    `characterized_sides` glued to a right one by `_side_perms`.
     """
     left, right = characterized_sides(iv)
+    left_perms, right_perms = _side_perms(iv, left, right)
     r = iv.rank
     members = frozenset(
-        _with_reduced_word(r, tuple(lp + rp), lw + rw)
-        for lw, lp in left
-        for group in right
-        for rw, rp in group
+        _with_reduced_word(r, lp + rp, lw + rw)
+        for lw, lp in zip(left, left_perms)
+        for rw, rp in zip(right, right_perms)
     )
     return AlternationSet(r, highest_root(r), interval_root(iv), members)
 
 
-def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[list[Factor]]]:
-    """The factors (word, one-line slice) of A(highest root, iv): left, then right by length.
+def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[Factor]]:
+    """The words of the left and of the right factors of A(highest root, iv), in post-order.
 
-    A product's reduced word is a left word then a right word, and its
-    one-line notation the left slice (slots 1..j) then the right slice
-    (slots j+1..r+1). The F_i left factors come in the order of
-    word + (r+1,), the post-order of `_side_factors`' walk, and the
-    F_{r-j+1} right factors grouped by length from that same order, which
-    is lexicographic within one length, so `canonical_blocks` reads the
-    canonical order off them. The set is refused with CapacityError,
-    before any side is built, past F_27 elements, what 25 free letters on
-    one side give; the cap is fixed, and the message names the interval
-    and the rank as the CLI takes them. A side alone past F_27 is refused
-    before its Fibonacci number is computed, so the message gives the size
-    as the product F_i * F_(r-j+1), not its value. The spot check glues
-    the 8 longest products of the 8 longest left factors and the first 8
-    right ones, read from the longest group down: their lengths are the
-    set's 8 largest, and whenever both sides have free letters they carry
-    letters from both. It re-verifies them by the brute-force sign test.
+    Post-order (`_side_factors`) sorts the left words by word + (r+1,) and
+    the right ones of one length lexicographically, so `canonical_blocks`
+    reads the canonical order off them. Past F_27 elements, what 25 free
+    letters on one side give, the set is refused with CapacityError before
+    any side is built; the cap is fixed. The spot check builds the 8
+    longest products through `from_word`, which checks the letters the CLI
+    prints, and re-runs the sign test on them.
     """
     r, i, j = iv.rank, iv.i, iv.j
     cap = DEFAULT_SUBSET_GROUND_CAP
@@ -275,33 +255,27 @@ def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[list[Facto
             f"F_{i} * F_{r - j + 1} elements, more than F_{cap + 2} = {bound}, the most "
             f"{cap} free letters a side give; the cap is fixed and no flag raises it"
         )
-    left_side, right_side = sides(iv)
-    # Left letters (< i) move only slots 1..i, right letters (> j) only j+1..r+1.
-    left = _side_factors(left_side, 1, j)
-    right: list[list[Factor]] = [[] for _ in range((len(right_side.letters) + 1) // 2 + 1)]
-    for factor in _side_factors(right_side, j + 1, r + 1):
-        right[len(factor[0])].append(factor)
-    lefts = nlargest(_SPOT_CHECK, left, key=lambda f: len(f[0]))
-    rights = list(islice(chain.from_iterable(reversed(right)), _SPOT_CHECK))
-    pairs = nlargest(_SPOT_CHECK, product(lefts, rights), key=lambda p: len(p[0][0]) + len(p[1][0]))
-    spot = [_with_reduced_word(r, tuple(lp + rp), lw + rw) for (lw, lp), (rw, rp) in pairs]
+    left, right = (_side_factors(side) for side in sides(iv))
+    lefts, rights = (nlargest(_SPOT_CHECK, side, key=len) for side in (left, right))
+    words = nlargest(_SPOT_CHECK, (lw + rw for lw in lefts for rw in rights), key=len)
+    spot = [_with_reduced_word(r, from_word(r, w).perm, w) for w in words]
     if sum(1 for _ in survivors(highest_root(r), interval_root(iv), spot)) != len(spot):
         raise RuntimeError(f"a characterized element of {iv} fails the membership test")
     return left, right
 
 
-def canonical_blocks(left: list, right: list[list]) -> Iterator:
-    """(left factor, right group) blocks whose products run in the canonical order.
+def canonical_blocks(left: list, right: list) -> Iterator:
+    """(length, left factor, right group) blocks whose products run in the canonical order.
 
-    The canonical order is by length, then by reduced word. For each total
-    length, each left factor in turn is followed by the right group that
-    makes up that length, so the blocks' products, in order, are the set's
-    canonical order. A total takes the positions of the left factors of the
-    lengths that reach it, sorted, so it visits no factor that misses it.
-    Only a left factor's first entry, its word, and only the position of a
-    right group are read, so both may carry anything else.
+    The canonical order is by length, then by reduced word. Only a factor's
+    first entry, its word, is read. The right factors are grouped by length
+    in one stable pass. For each total length, each left factor that
+    reaches it, in order, is followed by the right group that makes it up.
     """
-    width = len(right)
+    groups = [[] for _ in range(max(len(f[0]) for f in right) + 1)]
+    for f in right:
+        groups[len(f[0])].append(f)
+    width = len(groups)
     lengths = [len(f[0]) for f in left]
     at = [[] for _ in range(max(lengths) + 1)]  # the positions of the left factors of each length
     for p, n in enumerate(lengths):
@@ -309,36 +283,51 @@ def canonical_blocks(left: list, right: list[list]) -> Iterator:
     for total in range(len(at) + width - 1):
         reach = chain.from_iterable(at[max(0, total - width + 1):total + 1])
         for p in sorted(reach):
-            yield left[p], right[total - lengths[p]]
+            yield total, left[p], groups[total - lengths[p]]
 
 
-def _side_factors(side: "Side", lo: int, hi: int) -> list[Factor]:
-    """(word, slots lo..hi of the one-line notation) for each choice of letters on one side.
+def _side_factors(side: "Side") -> list[Factor]:
+    """The word of each choice of letters on one side, in post-order.
 
     The choices, the nonconsecutive subsets of the side's free range, have
-    commuting letters, so each word is reduced. They form a tree, a child
-    adding one letter at least two above its parent's last, at most 13 deep
-    under the 25-letter cap. One depth-first walk, children by increasing
-    letter, builds each factor from its parent's: the word gains the
-    letter, and the slice is a copy with the two slots that letter swaps,
-    untouched so far, exchanged. It returns the factors in post-order, each
-    word after its extensions, so sorted by word + (x,) for any x above the
-    side's letters, and lexicographic among the words of one length.
-    Slices are lists: freed tuples of at most 20 entries wait on CPython's
-    free list until a full collection, and cost a cli-mix session 1 MB.
+    commuting letters, so each word is reduced. In their tree a child adds
+    one letter at least two above its parent's last; post-order sorts them
+    by word + (x,) for any x above the side's letters. The choices from x
+    on are x then a choice from x + 2 on, then those from x + 1 on, so a
+    Fibonacci recurrence builds each word once.
     """
-    stop = side.letters.stop
-    factors: list[Factor] = []
+    after, words = [()], [()]  # the choices from x + 2 on and from x + 1 on
+    for x in reversed(side.letters):
+        after, words = words, [(x,) + w for w in after] + words
+    return words
 
-    def visit(word: tuple[int, ...], slots: list[int], first: int) -> None:
-        for y in range(first, stop):  # letter y swaps slots y and y + 1
-            child = slots[:]
-            child[y - lo], child[y - lo + 1] = y + 1, y
-            visit(word + (y,), child, y + 2)
-        factors.append((word, slots))
 
-    visit((), list(range(lo, hi + 1)), side.letters.start)
-    return factors
+def _grown(words: list[Factor], root, pieces: dict) -> list:
+    """Each word's value, grown from its parent's by one splice, in the order of `words`.
+
+    `words` is a post-order, so reversed a pre-order: a word's parent, the
+    word less its last letter y, is the last word seen one shorter, kept on
+    a depth stack. The empty word's value is `root`, a child's, with
+    (a, piece) = pieces[y], parent[:a] + piece + parent[a + len(piece):].
+    """
+    stack, values = [root] * (max(map(len, words)) + 1), []
+    for w in reversed(words):
+        d = len(w)
+        if d:
+            a, piece = pieces[w[-1]]
+            parent = stack[d - 1]
+            stack[d] = parent[:a] + piece + parent[a + len(piece):]
+        values.append(stack[d])
+    return values[::-1]
+
+
+def _side_perms(iv: RootInterval, left: list[Factor], right: list[Factor]) -> tuple[list, list]:
+    """The one-line tuples of the left words on slots 1..j and the right ones on j+1..r+1."""
+    # letter y puts (y + 1, y) in slots y and y + 1, which its parent never moved
+    return tuple(
+        _grown(words, tuple(range(lo, hi + 1)), {y: (y - lo, (y + 1, y)) for y in range(lo, hi)})
+        for words, lo, hi in ((left, 1, iv.j), (right, iv.j + 1, iv.rank + 1))
+    )
 
 
 def alt_cardinality(iv: RootInterval) -> int:

@@ -28,13 +28,14 @@ word lists, is spliced in as its own text at the indent of its line
 (``_json_text``). ``alt-set`` rows come in the
 alternation set's canonical order (by length, then by reduced word) and
 are joined from text rendered once per factor, through a table of each
-value's digits built once per call: the theorem route takes
-the side factors of ``characterized_sides`` and never builds the set, and
-a brute-force element, a member by the sign test read off
-``pruned_survivors`` (no subcommand runs the literal scan of the group),
-is a left factor with an empty right factor. The JSON word lists, the CSV
-word and perm fields and the table's word and ``perm (...)`` text are each
-a left factor's text then a right factor's.
+value's digits built once per call. The theorem route takes the side
+words of ``characterized_sides``, never builds the set, and grows each
+factor's perm text from its parent's (``_blocks``). A brute-force
+element, a member by the sign test read off ``pruned_survivors`` (no
+subcommand runs the literal scan of the group), is a left factor with an
+empty right factor. The JSON word lists, the CSV word and perm fields and
+the table's word and ``perm (...)`` text are each a left factor's text
+then a right factor's.
 
 Exit codes: 0 success or all-pass, 1 a comparison or verification failed
 (or stdout closed before the output was written, as under ``| head``), 2
@@ -60,9 +61,11 @@ import functools
 import json
 import os
 import sys
+from itertools import accumulate, repeat
 
 from .acceptance import DEFAULT_CLOSED_RANK, run_all
-from .alternation import alt_cardinality, canonical_blocks, characterized_sides, pruned_survivors
+from .alternation import _grown, _side_perms, alt_cardinality, canonical_blocks
+from .alternation import characterized_sides, pruned_survivors
 from .combinatorics import fibonacci, nonconsecutive_count_k
 from .errors import IDENTITY_MAX_N, CapacityError
 from .multiplicity import predicted_q_multiplicity, q_multiplicity, q_multiplicity_closed
@@ -114,74 +117,79 @@ def _cmd_alt_set(args, out):
     iv = _parse_mu(args.mu, args.rank)
     if iv is None:
         raise UsageError("--mu 0 is only supported by qmult with --method kwmf")
-    sets = {}  # name -> (provenance, count, left factors, right groups)
+    names = [str(v) for v in range(args.rank + 2)]  # every letter and perm entry, as text
+    sets = {}  # name -> (provenance, count, its `_blocks`, given all but the separators)
     if args.method in ("brute", "both"):
         lam, mu = highest_root(args.rank), interval_root(iv)
         # each member's (word, perm), in the canonical order: by length, then by word
         found = sorted(((s.reduced_word(), s.perm) for s, _ in pruned_survivors(lam, mu)),
                        key=lambda f: (len(f[0]), f[0]))
-        # each element is a product with the empty right factor
-        sets["brute"] = ("brute_force", len(found), found, [[((), ())]])
+        sets["brute"] = ("brute_force", len(found),
+                         functools.partial(_blocks, None, found, None, names))
     if args.method in ("theorem", "both"):
         left, right = characterized_sides(iv)
-        sets["theorem"] = ("characterized", alt_cardinality(iv), left, right)
+        sets["theorem"] = ("characterized", alt_cardinality(iv),
+                           functools.partial(_blocks, iv, left, right, names))
     verdict = None
     if args.method == "both":
-        verdict = {perm for _, perm in found} == {
-            tuple(lp + rp) for _, lp in left for group in right for _, rp in group
-        }
+        left_perms, right_perms = _side_perms(iv, left, right)
+        verdict = {perm for _, perm in found} == {lp + rp for lp in left_perms for rp in right_perms}
     query = {"command": "alt-set", "rank": args.rank, "mu": [iv.i, iv.j], "method": args.method}
-    names = [str(v) for v in range(args.rank + 2)]  # every letter and perm entry, as text
     if args.format == "json":
         view = {
             "sets": {
                 name: {"rank": args.rank, "mu": [iv.i, iv.j], "count": count,
-                       "elements": functools.partial(_json_words, left, right, names),
+                       "elements": functools.partial(_json_words, blocks),
                        "provenance": provenance}
-                for name, (provenance, count, left, right) in sets.items()
+                for name, (provenance, count, blocks) in sets.items()
             },
             "predicted_count": alt_cardinality(iv),
         }
     elif args.format == "csv":
-        view = (["method", "word", "perm", "length", "sign"],
-                functools.partial(_csv_lines, sets, names))
+        view = (["method", "word", "perm", "length", "sign"], functools.partial(_csv_lines, sets))
     else:
         view = [
             f"alternation set, rank {args.rank}, interval weight [{iv.i}, {iv.j}]",
             f"predicted count: {alt_cardinality(iv)}",
         ]
-        for name, (_, count, left, right) in sets.items():
+        for name, (_, count, blocks) in sets.items():
             view.append(f"{name}: {count} elements")
-            view += _table_lines(left, right, names)
+            view += _table_lines(blocks)
     return query, verdict, view
 
 
-def _blocks(left, right, names: list[str], sep: str, perm_sep: str, letter: str = ""):
-    """(length, word head, perm head, right texts) for each block of a set, in order.
+def _blocks(iv, left, right, names: list[str], sep: str, perm_sep: str, letter: str = ""):
+    """(length, word head, perm head, right group) for each block of a set, in order.
 
-    `canonical_blocks` pairs each left factor with the group of right
-    factors that follows it in the set's canonical order. Each factor is
-    rendered once, through `names`, the text of each value: its letters,
-    each after `letter`, joined by `sep`, and, unless `perm_sep` is empty,
-    its slice joined by `perm_sep`. A row's word is the block's word head
-    then a right factor's word text, and its perm the perm head then the
-    right factor's perm text, which carries its leading separator, so the
-    empty right factor of a brute-force element adds nothing. The word head
-    ends in `sep` only when both words have letters.
+    Each factor is rendered once as (word, word text, perm text): letters
+    after `letter` joined by `sep`, and entries joined by `perm_sep`, a
+    right factor's after a leading one. A brute-force set (iv None) has its
+    (word, perm) elements as left factors and one empty right factor. A
+    theorem set's perm texts, none when `perm_sep` is empty, grow by
+    `_grown` from the identity's, letter y swapping the fields "y" and
+    "y + 1": as "y + 1" then "y" spans exactly their characters, every
+    other field keeps its offset. A row is its block's heads, the word head
+    ending in `sep` only when both words have letters, then a right factor's texts.
     """
-    letters = [letter + v for v in names] if letter else names
-    word_text, perm_text = letters.__getitem__, names.__getitem__
-    lefts = [(w, sep.join(map(word_text, w)), perm_sep.join(map(perm_text, p)) if perm_sep else "")
-             for w, p in left]
-    rights = [(k, [(sep.join(map(word_text, w)),
-                    perm_sep + perm_sep.join(map(perm_text, p)) if p and perm_sep else "")
-                   for w, p in group])
-              for k, group in enumerate(right)]  # group k holds the right factors of length k
-    for (lw, lws, lps), (k, group) in canonical_blocks(lefts, rights):
-        yield len(lw) + k, lws + sep if lw and k else lws, lps, group
+    word_text, perm_text = [letter + v for v in names].__getitem__, names.__getitem__
+    if iv is None:
+        left, right = [(w, sep.join(map(word_text, w)), perm_sep.join(map(perm_text, p)))
+                       for w, p in left], [((), "", "")]
+    else:
+        sides = []
+        for words, lo, hi, lead in ((left, 1, iv.j, ""), (right, iv.j + 1, iv.rank + 1, perm_sep)):
+            perms = repeat("")
+            if perm_sep:
+                at = accumulate((len(v) + len(perm_sep) for v in names[lo:hi]), initial=len(lead))
+                pieces = {y: (a, f"{y + 1}{perm_sep}{y}") for y, a in zip(range(lo, hi), at)}
+                perms = _grown(words, lead + perm_sep.join(names[lo:hi + 1]), pieces)
+            sides.append([(w, sep.join(map(word_text, w)), p) for w, p in zip(words, perms)])
+        left, right = sides
+    for length, (lw, lws, lps), group in canonical_blocks(left, right):
+        yield length, lws + sep if lw and length > len(lw) else lws, lps, group
 
 
-def _json_words(left, right, names: list[str], pad: str) -> str:
+def _json_words(blocks, pad: str) -> str:
     """The JSON list of the element words, as json.dumps(..., indent=2) writes it.
 
     `pad` is the newline and indent of the line the list starts on.
@@ -189,33 +197,32 @@ def _json_words(left, right, names: list[str], pad: str) -> str:
     inner, deeper = pad + "  ", pad + "    "
     items = [
         f"[{deeper}{head}{rws}{inner}]" if length else "[]"
-        for length, head, _, group in _blocks(left, right, names, "," + deeper, "")
-        for rws, _ in group
+        for length, head, _, group in blocks("," + deeper, "")
+        for _, rws, _ in group
     ]
     return "[" + inner + ("," + inner).join(items) + pad + "]"
 
 
-def _csv_lines(sets: dict, names: list[str]) -> list[str]:
+def _csv_lines(sets: dict) -> list[str]:
     """The CSV lines (method, word, perm, length, sign) of every set, as csv.writer writes them.
 
     No field needs quoting (see the module docstring), and each line ends
     in the writer's line terminator, \\r\\n.
     """
-    ends = [f",{n},{-1 if n % 2 else 1}\r\n" for n in range(len(names))]  # by length
-    return [
-        f"{name},{head}{rws},{lps}{rps}{ends[length]}"
-        for name, (_, _, left, right) in sets.items()
-        for length, head, lps, group in _blocks(left, right, names, " ", " ")
-        for rws, rps in group
-    ]
+    lines = []
+    for name, (_, _, blocks) in sets.items():
+        for length, head, lps, group in blocks(" ", " "):
+            end = f",{length},{-1 if length % 2 else 1}\r\n"
+            lines += [f"{name},{head}{rws},{lps}{rps}{end}" for _, rws, rps in group]
+    return lines
 
 
-def _table_lines(left, right, names: list[str]) -> list[str]:
+def _table_lines(blocks) -> list[str]:
     """The table lines (word, then `perm (...)`) of one set."""
     return [
         f"  {head + rws or 'e':<20} perm ({lps}{rps})"
-        for _, head, lps, group in _blocks(left, right, names, " ", ", ", "s")
-        for rws, rps in group
+        for _, head, lps, group in blocks(" ", ", ", "s")
+        for _, rws, rps in group
     ]
 
 

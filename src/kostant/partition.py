@@ -95,6 +95,8 @@ class QPolynomial:
         return hash(self.coeffs)
 
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
+        if not isinstance(other, QPolynomial):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -107,9 +109,11 @@ class QPolynomial:
         return QPolynomial(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        return self + (-other)
+        return self + (-other) if isinstance(other, QPolynomial) else NotImplemented
 
     def __mul__(self, other: "QPolynomial") -> "QPolynomial":
+        if not isinstance(other, QPolynomial):
+            return NotImplemented
         if self.is_zero or other.is_zero:
             return QPolynomial(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)

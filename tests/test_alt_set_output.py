@@ -1,8 +1,9 @@
 """alt-set's rows, glued from side factors, against an element-by-element renderer.
 
-The golden file stops at rank 7. Here every interval at ranks 8-12, and a
-seeded sample at ranks 13-22, is rendered in json, csv and table by the CLI
-and by `_reference_stdouts`, which walks the elements of the characterized
+The golden file stops at rank 7. Here every interval at ranks 8-12, a
+seeded sample at ranks 13-22 and three intervals at ranks 100-110, where
+perm entries reach three digits, are rendered in json, csv and table by the
+CLI and by `_reference_stdouts`, which walks the elements of the characterized
 set one by one, rebuilds each from its one-line notation alone, sorts them
 and formats them the way the CLI formatted one element at a time. A sample
 at ranks 9-12, where perm entries reach two digits, is checked the same way
@@ -130,6 +131,24 @@ def test_theorem_rows_equal_the_element_renderer_at_ranks_8_to_12(capsys):
 
 @pytest.mark.parametrize("iv", _sample_13_to_22(), ids=str)
 def test_theorem_rows_equal_the_element_renderer_at_ranks_13_to_22(capsys, iv):
+    for fmt, expected in _reference_stdouts(iv).items():
+        assert _cli_stdout(capsys, iv, fmt) == expected, fmt
+
+
+@pytest.mark.parametrize(
+    "iv",
+    [
+        # 2 * 89 = 178 elements; letter 99 turns the fields "99 100" into "100 99"
+        RootInterval(100, 3, 90),
+        # 21 elements: the left swaps sit ahead of the two- and three-digit fields
+        RootInterval(101, 8, 100),
+        # 5 * 89 = 445 elements: the right swaps sit among three-digit fields only
+        RootInterval(110, 5, 100),
+    ],
+    ids=str,
+)
+def test_theorem_rows_equal_the_element_renderer_with_three_digit_entries(capsys, iv):
+    assert alt_cardinality(iv) == {100: 178, 101: 21, 110: 445}[iv.rank]
     for fmt, expected in _reference_stdouts(iv).items():
         assert _cli_stdout(capsys, iv, fmt) == expected, fmt
 

@@ -25,6 +25,7 @@ from kostant import (
     zero_weight,
 )
 from kostant.alternation import (
+    _side_perms,
     canonical_blocks,
     characterized_sides,
     pruned_survivors,
@@ -392,12 +393,13 @@ def test_factor_blocks_run_in_the_sorted_order_through_rank_22():
         for iv in _all_intervals(r):
             left, right = characterized_sides(iv)
             assert len(left) == fibonacci(iv.i)
-            assert sum(map(len, right)) == fibonacci(r - iv.j + 1)
+            assert len(right) == fibonacci(r - iv.j + 1)
             keys = [
-                (len(lw) + len(rw), lw + rw)
-                for (lw, _), group in canonical_blocks(left, right)
-                for rw, _ in group
+                (length, lw + rw)
+                for length, (lw,), group in canonical_blocks(list(zip(left)), list(zip(right)))
+                for (rw,) in group
             ]
+            assert all(length == len(word) for length, word in keys), iv
             # strictly increasing: sorted(..., key=(length, reduced word)), no repeats
             assert all(a < b for a, b in zip(keys, keys[1:])), iv
             assert len(keys) == alt_cardinality(iv)
@@ -407,9 +409,10 @@ def test_side_factors_are_the_side_elements_on_their_slots():
     for r in range(1, 11):
         for iv in _all_intervals(r):
             left, right = characterized_sides(iv)
+            left_perms, right_perms = _side_perms(iv, left, right)
             left_side, right_side = sides(iv)
-            for (word, slots), lo in [(f, 1) for f in left] + [
-                (f, iv.j + 1) for group in right for f in group
+            for word, slots, lo in [(w, p, 1) for w, p in zip(left, left_perms)] + [
+                (w, p, iv.j + 1) for w, p in zip(right, right_perms)
             ]:
                 assert set(word) <= set(left_side.letters if lo == 1 else right_side.letters)
                 perm = from_nonconsecutive_letters(r, word).perm
@@ -431,20 +434,23 @@ def test_side_walk_gives_the_nonconsecutive_choices_in_post_order_and_by_length(
             i = m + 2
             j = i + shift
             r = j + m + 1
-            for side, lo, hi in zip(sides(RootInterval(r, i, j)), (1, j + 1), (j, r + 1)):
+            iv = RootInterval(r, i, j)
+            posts = [walk(side) for side in sides(iv)]
+            perms = _side_perms(iv, *posts)
+            for side, post, tuples, lo, hi in zip(sides(iv), posts, perms, (1, j + 1), (j, r + 1)):
                 assert len(side.letters) == m
                 words = [tuple(side.letters.start - 1 + x for x in s) for s in subsets]
-                post = walk(side, lo, hi)
                 assert len(post) == fibonacci(m + 2)
-                assert [w for w, _ in post] == sorted(words, key=lambda w: w + (r + 1,))
-                for word, slots in post:
-                    assert tuple(slots) == from_nonconsecutive_letters(r, word).perm[lo - 1:hi]
+                assert post == sorted(words, key=lambda w: w + (r + 1,))
+                for word, slots in zip(post, tuples, strict=True):
+                    assert slots == from_nonconsecutive_letters(r, word).perm[lo - 1:hi]
             # the right factors grouped by length, each group lexicographic
             iv = RootInterval(m + 2 + shift, 1, 1 + shift)
-            _, right = characterized_sides(iv)
+            left, right = characterized_sides(iv)
             start = sides(iv)[1].letters.start
             words = [tuple(start - 1 + x for x in s) for s in subsets]
-            assert [[w for w, _ in group] for group in right] == [
+            blocks = canonical_blocks(list(zip(left)), list(zip(right)))
+            assert [[w for (w,) in group] for _, _, group in blocks] == [
                 sorted(w for w in words if len(w) == k) for k in range((m + 1) // 2 + 1)
             ]
 
@@ -463,7 +469,7 @@ def test_spot_check_verifies_the_longest_products(monkeypatch):
             checked.clear()
             left, right = characterized_sides(iv)
             lengths = sorted(
-                (len(lw) + len(rw) for lw, _ in left for group in right for rw, _ in group),
+                (len(lw) + len(rw) for lw in left for rw in right),
                 reverse=True,
             )
             (spot,) = checked

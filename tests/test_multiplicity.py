@@ -1,5 +1,6 @@
 """q-multiplicities: alternating sums, per-element closed forms, the q-power law."""
 
+import functools
 import json
 
 import pytest
@@ -99,6 +100,34 @@ def test_zero_weight_q_multiplicity_is_qsum():
     for r in range(1, 5):
         rep = q_multiplicity(r, highest_root(r), zero_weight(r))
         assert rep.q_multiplicity.coeffs == (0,) + (1,) * r
+
+
+@functools.cache
+def _gaussian(n, k):
+    """The Gaussian binomial [n, k]_q by q-Pascal: [n, k] = [n-1, k-1] + q^k [n-1, k]."""
+    if k < 0 or k > n:
+        return QPolynomial.zero()
+    if n == 0:
+        return QPolynomial.one()
+    return _gaussian(n - 1, k - 1) + QPolynomial.monomial(k) * _gaussian(n - 1, k)
+
+
+def test_twice_the_highest_root_at_interval_roots_through_rank_9():
+    # m_q(2 alpha~, [i, j]) = q^(r + 1 - h) [r]_q, h = j - i + 1, and [r]_q = [r, 1]_q
+    for r in range(1, 10):
+        lam = Weight(r, (2,) * r)
+        for iv in _all_intervals(r):
+            h = iv.j - iv.i + 1
+            rep = q_multiplicity(r, lam, interval_root(iv))
+            assert rep.q_multiplicity == QPolynomial.monomial(r + 1 - h) * _gaussian(r, 1), iv
+
+
+def test_twice_the_highest_root_at_zero_through_rank_10():
+    # m_q(2 alpha~, 0) = q^2 [r + 1 choose 2]_q
+    assert _gaussian(4, 2).coeffs == (1, 1, 2, 1, 1)
+    for r in range(1, 11):
+        rep = q_multiplicity(r, Weight(r, (2,) * r), zero_weight(r))
+        assert rep.q_multiplicity == QPolynomial.monomial(2) * _gaussian(r + 1, 2), r
 
 
 def test_negative_interval_roots_by_full_sum_through_rank_10():

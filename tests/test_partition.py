@@ -79,6 +79,17 @@ def test_poly_ring_laws(a, b, c):
     assert (pa * pb).evaluate(3) == pa.evaluate(3) * pb.evaluate(3)
 
 
+def test_poly_arithmetic_with_a_non_polynomial_is_a_type_error():
+    one = QPolynomial.one()
+    for other in (1, 2.0, None):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(TypeError):
+                op(one, other)
+            with pytest.raises(TypeError):
+                op(other, one)
+    assert one.__add__(1) is one.__sub__(1) is one.__mul__(1) is NotImplemented
+
+
 def test_poly_pretty():
     assert QPolynomial.zero().pretty() == "0"
     assert QPolynomial.one().pretty() == "1"
