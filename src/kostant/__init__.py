@@ -11,7 +11,6 @@ from .alternation import (
     alt_cardinality,
     alt_set_bruteforce,
     alt_set_characterized,
-    length_counts,
 )
 from .combinatorics import (
     fib_identity_check,
@@ -78,7 +77,6 @@ __all__ = [
     "interval_root",
     "kostant_q",
     "kostant_q_oracle",
-    "length_counts",
     "nonconsecutive_count_k",
     "nonconsecutive_subsets",
     "predicted_q_multiplicity",

@@ -31,8 +31,9 @@ from typing import Iterator
 from .alternation import (
     alt_cardinality,
     alt_set_characterized,
-    length_counts,
     pruned_survivors,
+    side_tally,
+    sides,
 )
 from .combinatorics import (
     fib_identity_check,
@@ -216,18 +217,18 @@ def check_fibonacci_identity() -> str:
 
 
 def check_boundary_length_counts() -> str:
-    """Length-split counting formulas match direct filtering of the sets."""
+    """The one side's tally by length and boundary letter matches direct filtering of the sets."""
     checked = 0
     for r in range(2, 15):
         ivs = [RootInterval(r, 1, j) for j in range(1, r)]
         ivs += [RootInterval(r, i, r) for i in range(2, r + 1)]
         for iv in ivs:
-            boundary = iv.j + 1 if iv.i == 1 else iv.i - 1
+            (side,) = (s for s in sides(iv) if s.boundary is not None)
             words = [sigma.reduced_word() for sigma in alt_set_characterized(iv)]
-            direct = Counter((len(w) - (boundary in w), boundary in w) for w in words)
-            counts = length_counts(iv)
+            direct = Counter((len(w), side.boundary in w) for w in words)
+            counts = {(length, has): count for length, has, count in side_tally(side)}
             if counts != direct:
-                raise CriterionFailed(f"{iv}: length counts {counts} != direct {dict(direct)}")
+                raise CriterionFailed(f"{iv}: side tally {counts} != direct {dict(direct)}")
             if sum(counts.values()) != alt_cardinality(iv):
                 raise CriterionFailed(f"{iv}: totals miss the cardinality")
             checked += 1

@@ -21,29 +21,20 @@ multiplicity sum. Two constructions are provided:
   pairwise nonconsecutive generators drawn from {2..i-1} and {j+1..r-1}.
   Nonconsecutive subsets of an n-set are Fibonacci-counted, so the set has
   exactly F_i * F_{r-j+1} elements and is cheap to generate at ranks far
-  beyond brute force reach. `characterized_sides` builds each side's words
-  once (`_side_factors`); a product's word is a left word then a right
-  one. A left letter moves only slots 1..i and a right one only j+1..r+1,
-  so its one-line notation is the left word's on slots 1..j then the right
-  word's, each grown from its parent's by one splice (`_grown`). The CLI
-  renders rows from the words in the canonical order (`canonical_blocks`).
-  The set is refused with CapacityError, before anything is built, past
-  F_27 = 196,418 elements, the most one side of 25 free letters gives (at
-  rank 30, [15, 15] has 602,070); so it also bounds each side.
+  beyond brute force reach. The set is described once, by its two sides'
+  words: `characterized_sides` builds each side's words once
+  (`nonconsecutive_choices`), and a product's word is a left word then a
+  right one. Every other view derives from those words: an element is
+  built from its word (`from_word`), and the CLI renders rows from the
+  words in the canonical order (`canonical_blocks`). The set is refused
+  with CapacityError, before anything is built, past F_27 = 196,418
+  elements, the most one side of 25 free letters gives (at rank 30,
+  [15, 15] has 602,070); so it also bounds each side.
 
 `sides` describes the theorem's two sides once: each side's free letter
 range and its boundary letter. `side_tally` counts a side's choices by
-binomials. The generated set, the closed route in `multiplicity` and the
-counts below read only these two.
-
-`length_counts` reads the tally of a one-sided interval as one dict:
-[1, j] with j < r has only the right side, [i, r] with i > 1 only the left,
-and any other interval raises ValueError. Its keys are (k, contains), and
-only nonzero counts appear. Note the index convention: k counts the OTHER
-letters, drawn from the free range away from the boundary; an element
-counted under (k, True) has Coxeter length k + 1, one counted under
-(k, False) has length k. This is the convention under which the counts are
-plain binomials and their total telescopes to the Fibonacci cardinality.
+length and boundary letter, by binomials. The generated set and the
+closed route in `multiplicity` read only these two.
 """
 
 from collections import namedtuple
@@ -52,7 +43,7 @@ from itertools import chain
 from operator import sub
 from typing import Iterator
 
-from .combinatorics import fibonacci, nonconsecutive_count_k
+from .combinatorics import fibonacci, nonconsecutive_choices, nonconsecutive_count_k
 from .errors import DEFAULT_SUBSET_GROUND_CAP, SEARCH_NODE_BUDGET, CapacityError
 from .weights import (
     RootInterval,
@@ -67,7 +58,6 @@ from .weyl import (
     _rho_shifted,
     _with_reduced_word,
     enumerate_all,
-    from_word,
     shifted_action,
 )
 
@@ -220,30 +210,27 @@ def alt_set_characterized(iv: RootInterval) -> AlternationSet:
     """Generate A(highest root, interval root [i, j]) from its description.
 
     Elements are the products of pairwise nonconsecutive generators taken
-    from the free ranges of the two `sides`, each a left factor of
-    `characterized_sides` glued to a right one by `_side_perms`.
+    from the free ranges of the two `sides`: each is built from a left
+    word of `characterized_sides` followed by a right one, which is its
+    reduced word.
     """
     left, right = characterized_sides(iv)
-    left_perms, right_perms = _side_perms(iv, left, right)
     r = iv.rank
-    members = frozenset(
-        _with_reduced_word(r, lp + rp, lw + rw)
-        for lw, lp in zip(left, left_perms)
-        for rw, rp in zip(right, right_perms)
-    )
+    members = frozenset(_with_reduced_word(r, lw + rw) for lw in left for rw in right)
     return AlternationSet(r, highest_root(r), interval_root(iv), members)
 
 
 def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[Factor]]:
     """The words of the left and of the right factors of A(highest root, iv), in post-order.
 
-    Post-order (`_side_factors`) sorts the left words by word + (r+1,) and
-    the right ones of one length lexicographically, so `canonical_blocks`
-    reads the canonical order off them. Past F_27 elements, what 25 free
-    letters on one side give, the set is refused with CapacityError before
-    any side is built; the cap is fixed. The spot check builds the 8
-    longest products through `from_word`, which checks the letters the CLI
-    prints, and re-runs the sign test on them.
+    Each side's words are the `nonconsecutive_choices` of its free letters.
+    Post-order sorts the left words by word + (r+1,) and the right ones of
+    one length lexicographically, so `canonical_blocks` reads the
+    canonical order off them. Past F_27 elements, what 25 free letters on
+    one side give, the set is refused with CapacityError before any side
+    is built; the cap is fixed. The spot check builds the 8 longest
+    products from their words through `from_word`, which checks the
+    letters the CLI prints, and re-runs the sign test on them.
     """
     r, i, j = iv.rank, iv.i, iv.j
     cap = DEFAULT_SUBSET_GROUND_CAP
@@ -255,10 +242,10 @@ def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[Factor]]:
             f"F_{i} * F_{r - j + 1} elements, more than F_{cap + 2} = {bound}, the most "
             f"{cap} free letters a side give; the cap is fixed and no flag raises it"
         )
-    left, right = (_side_factors(side) for side in sides(iv))
+    left, right = (nonconsecutive_choices(side.letters) for side in sides(iv))
     lefts, rights = (nlargest(_SPOT_CHECK, side, key=len) for side in (left, right))
     words = nlargest(_SPOT_CHECK, (lw + rw for lw in lefts for rw in rights), key=len)
-    spot = [_with_reduced_word(r, from_word(r, w).perm, w) for w in words]
+    spot = [_with_reduced_word(r, w) for w in words]
     if sum(1 for _ in survivors(highest_root(r), interval_root(iv), spot)) != len(spot):
         raise RuntimeError(f"a characterized element of {iv} fails the membership test")
     return left, right
@@ -284,50 +271,6 @@ def canonical_blocks(left: list, right: list) -> Iterator:
         reach = chain.from_iterable(at[max(0, total - width + 1):total + 1])
         for p in sorted(reach):
             yield total, left[p], groups[total - lengths[p]]
-
-
-def _side_factors(side: "Side") -> list[Factor]:
-    """The word of each choice of letters on one side, in post-order.
-
-    The choices, the nonconsecutive subsets of the side's free range, have
-    commuting letters, so each word is reduced. In their tree a child adds
-    one letter at least two above its parent's last; post-order sorts them
-    by word + (x,) for any x above the side's letters. The choices from x
-    on are x then a choice from x + 2 on, then those from x + 1 on, so a
-    Fibonacci recurrence builds each word once.
-    """
-    after, words = [()], [()]  # the choices from x + 2 on and from x + 1 on
-    for x in reversed(side.letters):
-        after, words = words, [(x,) + w for w in after] + words
-    return words
-
-
-def _grown(words: list[Factor], root, pieces: dict) -> list:
-    """Each word's value, grown from its parent's by one splice, in the order of `words`.
-
-    `words` is a post-order, so reversed a pre-order: a word's parent, the
-    word less its last letter y, is the last word seen one shorter, kept on
-    a depth stack. The empty word's value is `root`, a child's, with
-    (a, piece) = pieces[y], parent[:a] + piece + parent[a + len(piece):].
-    """
-    stack, values = [root] * (max(map(len, words)) + 1), []
-    for w in reversed(words):
-        d = len(w)
-        if d:
-            a, piece = pieces[w[-1]]
-            parent = stack[d - 1]
-            stack[d] = parent[:a] + piece + parent[a + len(piece):]
-        values.append(stack[d])
-    return values[::-1]
-
-
-def _side_perms(iv: RootInterval, left: list[Factor], right: list[Factor]) -> tuple[list, list]:
-    """The one-line tuples of the left words on slots 1..j and the right ones on j+1..r+1."""
-    # letter y puts (y + 1, y) in slots y and y + 1, which its parent never moved
-    return tuple(
-        _grown(words, tuple(range(lo, hi + 1)), {y: (y - lo, (y + 1, y)) for y in range(lo, hi)})
-        for words, lo, hi in ((left, 1, iv.j), (right, iv.j + 1, iv.rank + 1))
-    )
 
 
 def alt_cardinality(iv: RootInterval) -> int:
@@ -368,16 +311,3 @@ def side_tally(side: Side) -> list[tuple[int, bool, int]]:
             if count:
                 tally.append((k + contains, contains, count))
     return tally
-
-
-def length_counts(iv: RootInterval) -> dict[tuple[int, bool], int]:
-    """{(k, contains): count} for the elements of a one-sided interval, nonzero counts only.
-
-    (k, True) counts the elements using the side's boundary letter and k
-    other letters, so of length k + 1; (k, False) those without it, of
-    length k. Every other interval raises ValueError.
-    """
-    present = [side for side in sides(iv) if side.boundary is not None]
-    if len(present) != 1:
-        raise ValueError(f"length counts need [1, j], j < rank, or [i, rank], i > 1; got {iv}")
-    return {(length - has, has): count for length, has, count in side_tally(present[0])}

@@ -28,14 +28,17 @@ word lists, is spliced in as its own text at the indent of its line
 (``_json_text``). ``alt-set`` rows come in the
 alternation set's canonical order (by length, then by reduced word) and
 are joined from text rendered once per factor, through a table of each
-value's digits built once per call. The theorem route takes the side
-words of ``characterized_sides``, never builds the set, and grows each
-factor's perm text from its parent's (``_blocks``). A brute-force
-element, a member by the sign test read off ``pruned_survivors`` (no
-subcommand runs the literal scan of the group), is a left factor with an
-empty right factor. The JSON word lists, the CSV word and perm fields and
-the table's word and ``perm (...)`` text are each a left factor's text
-then a right factor's.
+value's digits built once per call, after every route has returned, so a
+refused query builds none. The theorem route takes the side words of
+``characterized_sides``, never builds the set, and grows each factor's
+perm text from its parent's by one splice (``_blocks``, ``_grown``). A
+brute-force element, a member by the sign test read off
+``pruned_survivors`` (no subcommand runs the literal scan of the group),
+is a left factor with an empty right factor. The JSON word lists, the CSV
+word and perm fields and the table's word and ``perm (...)`` text are each
+a left factor's text then a right factor's. ``--method both`` passes when
+the two routes give the same words: the survivors' reduced words and the
+theorem's left word then right word, which is what each route prints.
 
 Exit codes: 0 success or all-pass, 1 a comparison or verification failed
 (or stdout closed before the output was written, as under ``| head``), 2
@@ -64,8 +67,7 @@ import sys
 from itertools import accumulate, repeat
 
 from .acceptance import DEFAULT_CLOSED_RANK, run_all
-from .alternation import _grown, _side_perms, alt_cardinality, canonical_blocks
-from .alternation import characterized_sides, pruned_survivors
+from .alternation import alt_cardinality, canonical_blocks, characterized_sides, pruned_survivors
 from .combinatorics import fibonacci, nonconsecutive_count_k
 from .errors import IDENTITY_MAX_N, CapacityError
 from .multiplicity import predicted_q_multiplicity, q_multiplicity, q_multiplicity_closed
@@ -117,23 +119,23 @@ def _cmd_alt_set(args, out):
     iv = _parse_mu(args.mu, args.rank)
     if iv is None:
         raise UsageError("--mu 0 is only supported by qmult with --method kwmf")
-    names = [str(v) for v in range(args.rank + 2)]  # every letter and perm entry, as text
-    sets = {}  # name -> (provenance, count, its `_blocks`, given all but the separators)
+    sets = {}  # name -> (provenance, count, the (iv, left, right) factors of its `_blocks`)
     if args.method in ("brute", "both"):
         lam, mu = highest_root(args.rank), interval_root(iv)
         # each member's (word, perm), in the canonical order: by length, then by word
         found = sorted(((s.reduced_word(), s.perm) for s, _ in pruned_survivors(lam, mu)),
                        key=lambda f: (len(f[0]), f[0]))
-        sets["brute"] = ("brute_force", len(found),
-                         functools.partial(_blocks, None, found, None, names))
+        sets["brute"] = ("brute_force", len(found), (None, found, None))
     if args.method in ("theorem", "both"):
         left, right = characterized_sides(iv)
-        sets["theorem"] = ("characterized", alt_cardinality(iv),
-                           functools.partial(_blocks, iv, left, right, names))
+        sets["theorem"] = ("characterized", alt_cardinality(iv), (iv, left, right))
     verdict = None
-    if args.method == "both":
-        left_perms, right_perms = _side_perms(iv, left, right)
-        verdict = {perm for _, perm in found} == {lp + rp for lp in left_perms for rp in right_perms}
+    if args.method == "both":  # the words each route prints, as multisets
+        verdict = sorted(w for w, _ in found) == sorted(lw + rw for lw in left for rw in right)
+    # built only once both routes have returned, so a refused query builds no table
+    names = [str(v) for v in range(args.rank + 2)]  # every letter and perm entry, as text
+    sets = {name: (provenance, count, functools.partial(_blocks, *factors, names))
+            for name, (provenance, count, factors) in sets.items()}
     query = {"command": "alt-set", "rank": args.rank, "mu": [iv.i, iv.j], "method": args.method}
     if args.format == "json":
         view = {
@@ -187,6 +189,25 @@ def _blocks(iv, left, right, names: list[str], sep: str, perm_sep: str, letter: 
         left, right = sides
     for length, (lw, lws, lps), group in canonical_blocks(left, right):
         yield length, lws + sep if lw and length > len(lw) else lws, lps, group
+
+
+def _grown(words: list[tuple[int, ...]], root: str, pieces: dict) -> list[str]:
+    """Each word's text, grown from its parent's by one splice, in the order of `words`.
+
+    `words` is a post-order, so reversed a pre-order: a word's parent, the
+    word less its last letter y, is the last word seen one shorter, kept on
+    a depth stack. The empty word's text is `root`, a child's, with
+    (a, piece) = pieces[y], parent[:a] + piece + parent[a + len(piece):].
+    """
+    stack, values = [root] * (max(map(len, words)) + 1), []
+    for w in reversed(words):
+        d = len(w)
+        if d:
+            a, piece = pieces[w[-1]]
+            parent = stack[d - 1]
+            stack[d] = parent[:a] + piece + parent[a + len(piece):]
+        values.append(stack[d])
+    return values[::-1]
 
 
 def _json_words(blocks, pad: str) -> str:

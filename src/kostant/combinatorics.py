@@ -4,13 +4,12 @@ Conventions: Fibonacci numbers are 1-indexed with F_1 = F_2 = 1 (there is no
 F_0 here; asking for it is an error). A subset S of {1, ..., n} is
 *nonconsecutive* when no two of its elements differ by 1. There are F_{n+2}
 such subsets in total and C(n+1-k, k) of cardinality k, where the binomial
-is the zero-padded one below. Subsets are generated fresh on each call;
-no list of them stays resident.
+is the zero-padded one below. `nonconsecutive_choices`, the one generator
+of such subsets here, builds those of any letter range by one Fibonacci
+recurrence, fresh on each call; no list of them stays resident.
 """
 
 import math
-from itertools import combinations
-from operator import add
 
 from .errors import DEFAULT_SUBSET_GROUND_CAP, CapacityError
 
@@ -39,16 +38,29 @@ def binomial_safe(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def nonconsecutive_choices(letters: range) -> list[tuple[int, ...]]:
+    """Every nonconsecutive subset of a range of letters, each increasing, in post-order.
+
+    In the tree of the choices a child adds one letter at least two above
+    its parent's last; post-order puts each choice after its extensions,
+    so it sorts them by choice + (x,) for any x above the letters, and
+    within one size lexicographically. The choices from x on are x then a
+    choice from x + 2 on, then those from x + 1 on, so a Fibonacci
+    recurrence builds each choice once.
+    """
+    after, choices = [()], [()]  # the choices from x + 2 on and from x + 1 on
+    for x in reversed(letters):
+        after, choices = choices, [(x,) + c for c in after] + choices
+    return choices
+
+
 def nonconsecutive_subsets(n: int) -> list[tuple[int, ...]]:
     """All nonconsecutive subsets of {1, ..., n}, ordered by (size, lexicographic).
 
-    n = 0 yields just the empty subset. Each size k comes from the shift
-    bijection x_t = y_t + t (t = 0, 1, ...) applied to the k-subsets y of
-    {1, ..., n-k+1}, which itertools.combinations lists in lexicographic
-    order; the shift keeps that order, so nothing is sorted, and nothing is
-    cached between calls. Because the result is materialized, the ground
-    set is capped at 25 (at most F_27 = 196418 subsets), the same fixed cap
-    that bounds each side of a characterized alternation set.
+    n = 0 yields just the empty subset. They are `nonconsecutive_choices`
+    of 1..n, stably sorted by size. Because the result is materialized,
+    the ground set is capped at 25 (at most F_27 = 196418 subsets), the
+    same fixed cap that bounds each side of a characterized alternation set.
     """
     if n < 0:
         raise ValueError(f"ground set size must be >= 0, got {n}")
@@ -57,11 +69,7 @@ def nonconsecutive_subsets(n: int) -> list[tuple[int, ...]]:
             f"nonconsecutive_subsets asked for ground set of size {n}, "
             f"more than the fixed cap of {DEFAULT_SUBSET_GROUND_CAP}"
         )
-    return [
-        tuple(map(add, ys, range(k)))
-        for k in range((n + 1) // 2 + 1)
-        for ys in combinations(range(1, n - k + 2), k)
-    ]
+    return sorted(nonconsecutive_choices(range(1, n + 1)), key=len)
 
 
 def nonconsecutive_count_k(n: int, k: int) -> int:

@@ -24,7 +24,7 @@ sum over the slots; the shifted action subtracts its offsets as it sums.
 
 from bisect import bisect_left
 from itertools import accumulate, permutations, repeat
-from operator import sub
+from operator import index, sub
 from typing import Iterator
 
 from .errors import DEFAULT_BRUTE_RANK_CAP, CapacityError
@@ -45,7 +45,7 @@ class WeylElement:
     __slots__ = ("rank", "perm", "_length", "_word")
 
     def __init__(self, rank: int, perm: tuple[int, ...]):
-        perm = tuple(perm)
+        rank, perm = index(rank), tuple(map(index, perm))
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
         if sorted(perm) != list(range(1, rank + 2)):
@@ -158,15 +158,16 @@ def from_nonconsecutive_letters(rank: int, letters) -> WeylElement:
     letters = tuple(letters)
     if any(b - a < 2 for a, b in zip(letters, letters[1:])):
         raise ValueError(f"letters must be nonconsecutive and increasing, got {letters}")
-    return _with_reduced_word(rank, from_word(rank, letters).perm, letters)
+    return _with_reduced_word(rank, letters)
 
 
-def _with_reduced_word(rank: int, perm: tuple[int, ...], word: tuple[int, ...]) -> WeylElement:
-    """The element `perm`, unchecked, with its reduced word `word` and length cached.
+def _with_reduced_word(rank: int, word: tuple[int, ...]) -> WeylElement:
+    """from_word(rank, word), with `word` cached as its reduced word and its length.
 
-    The caller vouches that `word` is what `reduced_word` would find for `perm`.
+    `from_word` checks the letters; the caller vouches that `word` is what
+    `reduced_word` would find, as an increasing word of commuting letters is.
     """
-    el = _element(rank, perm)
+    el = from_word(rank, word)
     el._length, el._word = len(word), word
     return el
 

@@ -107,6 +107,25 @@ def _cli_stdout(capsys, iv: RootInterval, fmt: str, method: str = "theorem") -> 
     return capsys.readouterr().out
 
 
+def _assert_same_text(got: str, expected: str, where) -> None:
+    """got == expected, or a failure naming the line counts and the first differing line.
+
+    The outputs run to half a megabyte, which pytest's own diff of two
+    strings takes minutes over.
+    """
+    if got == expected:
+        return
+    # line ends kept, so the lines differ wherever the texts do
+    got_lines, expected_lines = got.splitlines(True), expected.splitlines(True)
+    n = next((n for n, (a, b) in enumerate(zip(got_lines, expected_lines)) if a != b),
+             min(len(got_lines), len(expected_lines)))
+    pytest.fail(
+        f"{where}: {len(got_lines)} lines, expected {len(expected_lines)}; first difference "
+        f"at line {n + 1}: {got_lines[n:n + 1]} != {expected_lines[n:n + 1]}",
+        pytrace=False,
+    )
+
+
 def _intervals(r):
     return [RootInterval(r, i, j) for i in range(1, r + 1) for j in range(i, r + 1)]
 
@@ -126,13 +145,13 @@ def test_theorem_rows_equal_the_element_renderer_at_ranks_8_to_12(capsys):
     for r in range(8, 13):
         for iv in _intervals(r):
             for fmt, expected in _reference_stdouts(iv).items():
-                assert _cli_stdout(capsys, iv, fmt) == expected, (iv, fmt)
+                _assert_same_text(_cli_stdout(capsys, iv, fmt), expected, (iv, fmt))
 
 
 @pytest.mark.parametrize("iv", _sample_13_to_22(), ids=str)
 def test_theorem_rows_equal_the_element_renderer_at_ranks_13_to_22(capsys, iv):
     for fmt, expected in _reference_stdouts(iv).items():
-        assert _cli_stdout(capsys, iv, fmt) == expected, fmt
+        _assert_same_text(_cli_stdout(capsys, iv, fmt), expected, fmt)
 
 
 @pytest.mark.parametrize(
@@ -150,7 +169,7 @@ def test_theorem_rows_equal_the_element_renderer_at_ranks_13_to_22(capsys, iv):
 def test_theorem_rows_equal_the_element_renderer_with_three_digit_entries(capsys, iv):
     assert alt_cardinality(iv) == {100: 178, 101: 21, 110: 445}[iv.rank]
     for fmt, expected in _reference_stdouts(iv).items():
-        assert _cli_stdout(capsys, iv, fmt) == expected, fmt
+        _assert_same_text(_cli_stdout(capsys, iv, fmt), expected, fmt)
 
 
 def _sample_9_to_12():
@@ -169,14 +188,14 @@ def _sample_9_to_12():
 def test_brute_rows_equal_the_element_renderer_at_ranks_9_to_12(capsys, method):
     for iv in _sample_9_to_12():
         for fmt, expected in _reference_stdouts(iv, method).items():
-            assert _cli_stdout(capsys, iv, fmt, method) == expected, (iv, fmt)
+            _assert_same_text(_cli_stdout(capsys, iv, fmt, method), expected, (iv, fmt))
 
 
 def test_both_json_is_the_stdlib_text_with_two_spliced_word_lists(capsys):
     # two word lists in one envelope, each spliced in at its indent
     for iv in _sample_9_to_12():
         text = _cli_stdout(capsys, iv, "json", "both")
-        assert text == json.dumps(json.loads(text), indent=2) + "\n", iv
+        _assert_same_text(text, json.dumps(json.loads(text), indent=2) + "\n", iv)
         sets = json.loads(text)["result"]["sets"]
         expected = json.loads(_reference_stdouts(iv, "both")["json"])["result"]["sets"]
         assert set(sets) == {"brute", "theorem"}
@@ -189,7 +208,7 @@ def counters(monkeypatch):
     """Counts of glued elements, side factors built and WeylElement.__init__ calls."""
     counts = {"glued": 0, "factors": [], "init": 0}
     glue, side_factors, init = (
-        alternation._with_reduced_word, alternation._side_factors, WeylElement.__init__
+        alternation._with_reduced_word, alternation.nonconsecutive_choices, WeylElement.__init__
     )
 
     def counted_glue(*args):
@@ -206,7 +225,7 @@ def counters(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(alternation, "_with_reduced_word", counted_glue)
-    monkeypatch.setattr(alternation, "_side_factors", counted_factors)
+    monkeypatch.setattr(alternation, "nonconsecutive_choices", counted_factors)
     monkeypatch.setattr(weyl.WeylElement, "__init__", counted_init)
     return counts
 

@@ -20,18 +20,17 @@ from kostant import (
     highest_root,
     identity,
     interval_root,
-    length_counts,
-    nonconsecutive_subsets,
     zero_weight,
 )
 from kostant.alternation import (
-    _side_perms,
     canonical_blocks,
     characterized_sides,
     pruned_survivors,
+    side_tally,
     sides,
     survivors,
 )
+from kostant.combinatorics import nonconsecutive_choices
 from kostant.weyl import enumerate_all
 
 
@@ -247,30 +246,35 @@ def test_pruned_search_reaches_a_deep_leaf_within_the_real_budget(monkeypatch):
 # ------------------------------------------------------- counts by length
 
 
-def test_length_counts_known_values():
+def _tally(iv):
+    """{(length, boundary letter present): count} of the one side of a one-sided interval."""
+    (side,) = (side for side in sides(iv) if side.boundary is not None)
+    return {(length, has): count for length, has, count in side_tally(side)}
+
+
+def test_side_tally_known_values():
     iv = RootInterval(10, 1, 3)
-    counts = length_counts(iv)
-    assert counts[(2, True)] == 3
+    counts = _tally(iv)
+    assert counts[(3, True)] == 3
     assert counts[(2, False)] == 6
     assert counts[(0, False)] == 1  # the identity
-    assert max(k for k, contains in counts if contains) == 2
-    # s_4 alone is (0, True), s_2 s_4 is (1, True)
+    assert max(length for length, contains in counts if contains) == 3
+    # s_4 alone is (1, True), s_2 s_4 is (2, True)
     left = RootInterval(5, 5, 5)
-    assert length_counts(left) == {(0, False): 1, (1, False): 2, (0, True): 1, (1, True): 1}
+    assert _tally(left) == {(0, False): 1, (1, False): 2, (1, True): 1, (2, True): 1}
 
 
-def test_length_counts_keep_only_nonzero_counts():
+def test_side_tally_keeps_only_nonzero_counts():
     # [1, 5] at rank 6: the range cannot even hold the boundary letter s_6
-    assert length_counts(RootInterval(6, 1, 5)) == {(0, False): 1}
+    assert _tally(RootInterval(6, 1, 5)) == {(0, False): 1}
 
 
 def _filtered_counts(iv, side):
-    """{(k, contains): count} of the generated set, by boundary presence and other letters."""
+    """{(length, contains): count} of the generated set, by boundary presence."""
     boundary = iv.j + 1 if side == "right_boundary" else iv.i - 1
     tally = Counter()
     for sigma in alt_set_characterized(iv):
-        has = boundary in sigma.reduced_word()
-        tally[(sigma.length - has, has)] += 1
+        tally[(sigma.length, boundary in sigma.reduced_word())] += 1
     return tally
 
 
@@ -281,26 +285,19 @@ def _one_sided(r, side):
 
 
 @pytest.mark.parametrize("side", ["right_boundary", "left_boundary"])
-def test_length_counts_match_direct_filter_through_rank_9(side):
+def test_side_tally_matches_direct_filter_through_rank_9(side):
     for r in range(2, 10):
         for iv in _one_sided(r, side):
-            assert length_counts(iv) == dict(_filtered_counts(iv, side)), iv
+            assert _tally(iv) == dict(_filtered_counts(iv, side)), iv
 
 
 @pytest.mark.parametrize("side", ["right_boundary", "left_boundary"])
-def test_length_counts_total_to_cardinality(side):
+def test_side_tally_totals_to_cardinality(side):
     for r in range(2, 15):
         for iv in _one_sided(r, side):
-            counts = length_counts(iv)
+            counts = _tally(iv)
             assert 0 not in counts.values(), iv
             assert sum(counts.values()) == alt_cardinality(iv), iv
-
-
-def test_length_counts_validation():
-    with pytest.raises(ValueError):
-        length_counts(RootInterval(6, 2, 4))  # two-sided: neither side applies
-    with pytest.raises(ValueError):
-        length_counts(RootInterval(6, 1, 6))  # [1, r]: no side at all
 
 
 def test_characterized_rejects_oversized_ground_set():
@@ -315,7 +312,7 @@ def test_characterized_bounds_the_product_not_only_each_side(monkeypatch):
     def no_side(*args, **kwargs):
         raise AssertionError("a side was built")
 
-    monkeypatch.setattr(kostant.alternation, "_side_factors", no_side)
+    monkeypatch.setattr(kostant.alternation, "nonconsecutive_choices", no_side)
     iv = RootInterval(53, 27, 27)
     assert [len(side.letters) for side in kostant.alternation.sides(iv)] == [25, 25]
     with pytest.raises(CapacityError, match=r"F_27 \* F_27 elements"):
@@ -409,46 +406,42 @@ def test_side_factors_are_the_side_elements_on_their_slots():
     for r in range(1, 11):
         for iv in _all_intervals(r):
             left, right = characterized_sides(iv)
-            left_perms, right_perms = _side_perms(iv, left, right)
             left_side, right_side = sides(iv)
-            for word, slots, lo in [(w, p, 1) for w, p in zip(left, left_perms)] + [
-                (w, p, iv.j + 1) for w, p in zip(right, right_perms)
-            ]:
-                assert set(word) <= set(left_side.letters if lo == 1 else right_side.letters)
-                perm = from_nonconsecutive_letters(r, word).perm
-                assert tuple(slots) == perm[lo - 1: lo - 1 + len(slots)]
-                # the factor moves nothing outside its slots
-                outside = perm[:lo - 1] + perm[lo - 1 + len(slots):]
-                assert outside == tuple(x for x in range(1, r + 2) if not lo <= x < lo + len(slots))
+            products = {el.reduced_word(): el for el in alt_set_characterized(iv).elements}
+            for lw in left:
+                assert set(lw) <= set(left_side.letters)
+                lp = from_nonconsecutive_letters(r, lw).perm
+                # a left factor moves only slots 1..j, a right one only j+1..r+1
+                assert lp[iv.j:] == tuple(range(iv.j + 1, r + 2))
+                for rw in right:
+                    assert set(rw) <= set(right_side.letters)
+                    rp = from_nonconsecutive_letters(r, rw).perm
+                    assert rp[:iv.j] == tuple(range(1, iv.j + 1))
+                    product = from_nonconsecutive_letters(r, lw + rw)
+                    assert product.perm == lp[:iv.j] + rp[iv.j:]
+                    assert products[lw + rw].perm == product.perm
 
 
 def test_side_walk_gives_the_nonconsecutive_choices_in_post_order_and_by_length():
     # every free range of m <= 18 letters, both sides of [m + 2, m + 2 + shift]
     # at rank 2m + 3 + shift, and the right side alone of [1, 1 + shift] at rank
-    # m + 2 + shift; the references are nonconsecutive_subsets and the validated
-    # elements, so nothing here follows the walk
-    walk = kostant.alternation._side_factors
+    # m + 2 + shift; the reference is this file's plain recursion, so nothing
+    # here follows the walk
     for m in range(19):
-        subsets = nonconsecutive_subsets(m)
         for shift in (0, 3):
             i = m + 2
             j = i + shift
             r = j + m + 1
             iv = RootInterval(r, i, j)
-            posts = [walk(side) for side in sides(iv)]
-            perms = _side_perms(iv, *posts)
-            for side, post, tuples, lo, hi in zip(sides(iv), posts, perms, (1, j + 1), (j, r + 1)):
+            for side in sides(iv):
                 assert len(side.letters) == m
-                words = [tuple(side.letters.start - 1 + x for x in s) for s in subsets]
+                post = nonconsecutive_choices(side.letters)
                 assert len(post) == fibonacci(m + 2)
-                assert post == sorted(words, key=lambda w: w + (r + 1,))
-                for word, slots in zip(post, tuples, strict=True):
-                    assert slots == from_nonconsecutive_letters(r, word).perm[lo - 1:hi]
+                assert post == sorted(_nonconsecutive(side.letters), key=lambda w: w + (r + 1,))
             # the right factors grouped by length, each group lexicographic
             iv = RootInterval(m + 2 + shift, 1, 1 + shift)
             left, right = characterized_sides(iv)
-            start = sides(iv)[1].letters.start
-            words = [tuple(start - 1 + x for x in s) for s in subsets]
+            words = _nonconsecutive(sides(iv)[1].letters)
             blocks = canonical_blocks(list(zip(left)), list(zip(right)))
             assert [[w for (w,) in group] for _, _, group in blocks] == [
                 sorted(w for w in words if len(w) == k) for k in range((m + 1) // 2 + 1)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -353,6 +354,45 @@ def test_a_side_past_the_cap_is_refused_before_its_fibonacci_number(capsys, monk
     assert "has F_25000 * F_25001 elements" in captured.err
     assert captured.err.endswith("no flag raises it\n")
     assert all(n <= 27 for n in asked), asked
+
+
+def test_a_refused_alt_set_builds_no_digit_table(capsys):
+    # the table of rank + 2 digit strings comes after both routes, so the refusal costs nothing
+    tracemalloc.start()
+    try:
+        assert run(["alt-set", "--rank", "1000000", "--mu", "1..1"]) == EXIT_CAPACITY
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "has F_1 * F_1000000 elements" in capsys.readouterr().err
+    assert peak < 1_000_000, peak
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda words: words[:-1],  # the empty word, so the identity, dropped
+        # a word of the same length that is not a member: its letters do not commute
+        lambda words: [(2, 3) if w == (2, 4) else w for w in words],
+    ],
+    ids=["dropped", "replaced"],
+)
+def test_the_both_verdict_compares_the_printed_words(capsys, monkeypatch, tamper):
+    # untampered, both routes agree here and at ranks 9-12 (test_alt_set_output.py)
+    import kostant.cli as cli
+
+    argv = ["alt-set", "--rank", "9", "--mu", "1..1", "--method", "both"]
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out.endswith("verdict: pass\n")
+    real = cli.characterized_sides
+
+    def tampered(iv):
+        left, right = real(iv)
+        return left, tamper(right)
+
+    monkeypatch.setattr(cli, "characterized_sides", tampered)
+    assert run(argv) == EXIT_FAIL
+    assert capsys.readouterr().out.endswith("verdict: fail\n")
 
 
 def test_reused_parser_keeps_no_state_between_calls(capsys):

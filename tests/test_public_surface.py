@@ -38,7 +38,6 @@ def test_all_names_exactly_the_public_surface():
         "interval_root",
         "kostant_q",
         "kostant_q_oracle",
-        "length_counts",
         "nonconsecutive_count_k",
         "nonconsecutive_subsets",
         "predicted_q_multiplicity",

@@ -335,6 +335,18 @@ def test_element_validation_and_equality():
         from_word(3, [4])
 
 
+def test_element_entries_must_be_integers():
+    from kostant import WeylElement
+
+    # a float entry would read length 0, then fail in reduced_word and shifted_action
+    with pytest.raises(TypeError):
+        WeylElement(2, (1.0, 2.0, 3.0))
+    with pytest.raises(TypeError):
+        WeylElement(2, ("1", "2", "3"))
+    assert WeylElement(2, [1, 3, 2]).perm == (1, 3, 2)
+    assert type(WeylElement(True, (2, 1)).rank) is int  # stored coerced, as Weight does
+
+
 def test_element_word_and_perm():
     sigma = from_word(4, [2, 4])
     assert sigma.reduced_word() == (2, 4)
