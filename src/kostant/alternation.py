@@ -8,12 +8,13 @@ multiplicity sum. Two constructions are provided:
 * `alt_set_bruteforce` scans every group element. In type A a weight has a
   partition into positive roots exactly when its simple-root coordinates
   are all nonnegative, so membership is that sign test, run by
-  `survivors`. It works for any lam and mu up to a fixed rank cap of 8.
-  It stays a literal scan on purpose: it is the reference for
-  `pruned_survivors`, the one search entry, which finds the same members
-  by a search that drops a branch as soon as one coordinate goes negative
-  and is bounded by a fixed budget of visited nodes, not by rank. It
-  refuses before it builds anything, for every caller: the full
+  `survivors` in one plain loop: one shifted action per element, and a
+  tuple built only for a survivor's xi. It works for any lam and mu up to
+  a fixed rank cap of 8. It stays a literal scan on purpose: it is the
+  reference for `pruned_survivors`, the one search entry, which finds the
+  same members by a search that drops a branch as soon as one coordinate
+  goes negative and is bounded by a fixed budget of visited nodes, not by
+  rank. It refuses before it builds anything, for every caller: the full
   alternating sum, `alt-set --method brute|both` and verify.
 
 * `alt_set_characterized` is specific to lam = highest root and mu an
@@ -26,10 +27,13 @@ multiplicity sum. Two constructions are provided:
   (`nonconsecutive_choices`), and a product's word is a left word then a
   right one. Every other view derives from those words: an element is
   built from its word (`from_word`), and the CLI renders rows from the
-  words in the canonical order (`canonical_blocks`). The set is refused
-  with CapacityError, before anything is built, past F_27 = 196,418
-  elements, the most one side of 25 free letters gives (at rank 30,
-  [15, 15] has 602,070); so it also bounds each side.
+  words in the canonical order, read by runs: `canonical_blocks` gives,
+  for each total length, the positions of the left words that reach it,
+  and each pairs with the right words of the remaining length, read by
+  position from `by_length`. The set is refused with CapacityError,
+  before anything is built, past F_27 = 196,418 elements, the most one
+  side of 25 free letters gives (at rank 30, [15, 15] has 602,070); so it
+  also bounds each side.
 
 `sides` describes the theorem's two sides once: each side's free letter
 range and its boundary letter. `side_tally` counts a side's choices by
@@ -40,7 +44,7 @@ closed route in `multiplicity` read only these two.
 from collections import namedtuple
 from heapq import nlargest
 from itertools import chain
-from operator import sub
+from operator import ge, sub
 from typing import Iterator
 
 from .combinatorics import fibonacci, nonconsecutive_choices, nonconsecutive_count_k
@@ -93,22 +97,28 @@ class AlternationSet(Value):
         return iter(sorted(self.elements, key=lambda s: (s.length, s.reduced_word())))
 
 
-def survivors(lam: Weight, mu: Weight, sigmas) -> Iterator[tuple[WeylElement, tuple[int, ...]]]:
-    """(sigma, xi) for each sigma whose xi = sigma(lam + rho) - rho - mu is >= 0.
+def survivors(lam: Weight, mu: Weight, sigmas) -> list[tuple[WeylElement, tuple[int, ...]]]:
+    """(sigma, xi) for each sigma whose xi = sigma(lam + rho) - rho - mu is >= 0, as one list.
 
     In type A the simple roots are positive roots, so xi has a partition into
     positive roots exactly when every simple-root coordinate is nonnegative.
     The survivors are the alternation set and the nonzero terms of the
-    alternating Weyl sum. Each element goes through the public
-    `shifted_action` exactly once, so a per-call trace of that layer sees
-    every element a scan visits; only a survivor's xi is built as a tuple.
-    `pruned_survivors` runs the same test prefix by prefix.
+    alternating Weyl sum. The scan is one plain loop: each element goes
+    through the public `shifted_action` exactly once, looked up at each
+    call, so a per-call trace of that layer sees every element a scan
+    visits; the image is compared with mu coordinate by coordinate, and
+    only a survivor's xi is built. `pruned_survivors` runs the same test
+    prefix by prefix.
     """
     if lam.rank != mu.rank:
         raise ValueError(f"rank mismatch: lam rank {lam.rank} vs mu rank {mu.rank}")
     m = mu.coords
-    images = ((sigma, shifted_action(sigma, lam).coords) for sigma in sigmas)
-    return ((sigma, tuple(map(sub, c, m))) for sigma, c in images if min(map(sub, c, m)) >= 0)
+    kept = []
+    for sigma in sigmas:
+        c = shifted_action(sigma, lam).coords
+        if all(map(ge, c, m)):
+            kept.append((sigma, tuple(map(sub, c, m))))
+    return kept
 
 
 def pruned_survivors(lam: Weight, mu: Weight) -> list[tuple[WeylElement, tuple[int, ...]]]:
@@ -148,24 +158,27 @@ def _walk(entries: list[int], floors: list[int]) -> Iterator[tuple[list[int], li
     """The pruned search, depth first; it yields (perm, sums) at each leaf and builds nothing.
 
     perm[x] = sigma(x + 1) and sums holds the path's prefix sums, the root's
-    0 first; both are the walk's own lists, valid until the next step. The
-    unused entries stay in one list sorted by entry descending, ties by
-    index, so a node scans its candidates in that order and stops at the
-    first one whose prefix sum falls below the floor: every later one falls
-    below it too. A choice is taken out of the list by `pop` and undone by
-    `insert` at its position, so a node's Python work is O(children), not
-    O(rank), and nothing is copied. Where the entries are non-increasing,
-    as for the highest root and 2 rho, that order is by index, and so is
-    the order of the leaves. The nodes entered do not depend on the order:
-    they are the prefixes whose every sum passes its floor.
+    0 first; both are the walk's own lists, valid until the next step. A
+    node scans its candidates by entry descending, ties by index, and stops
+    at the first one whose prefix sum falls below the floor: every later
+    one falls below it too. The unused entries stay in one list in the
+    reverse of that order, so a node's candidates sit at its end: a choice
+    is taken out by `pop` and undone by `insert` at its place, which moves
+    only the entries behind it, the ones the node scanned before it. A
+    node's Python work is O(children), not O(rank), and nothing is copied.
+    Where the entries are non-increasing, as for the highest root and
+    2 rho, the scan order is by index, and so is the order of the leaves.
+    The nodes entered do not depend on the order: they are the prefixes
+    whose every sum passes its floor.
     """
     rank = len(floors)
     budget = SEARCH_NODE_BUDGET
-    unused = sorted(range(rank + 1), key=lambda x: -entries[x])  # sorted is stable: ties by index
+    # the scan order, reversed: by entry ascending, ties by index descending
+    unused = sorted(range(rank, -1, -1), key=entries.__getitem__)  # sorted is stable
     perm = [0] * (rank + 1)
     sums = [0]
-    taken: list[tuple[int, int]] = []  # (position in unused, entry) of each filled slot
-    nodes, n = 1, 0  # the root entered; n is the next candidate's position at this depth
+    taken: list[tuple[int, int]] = []  # (candidates scanned before it, entry) of each filled slot
+    nodes, n = 1, 0  # the root entered; n candidates at this depth scanned so far
     while True:
         if nodes > budget:
             raise CapacityError(
@@ -176,8 +189,8 @@ def _walk(entries: list[int], floors: list[int]) -> Iterator[tuple[list[int], li
         if d == rank:
             perm[unused[0]] = rank + 1
             yield perm, sums
-        elif n < len(unused) and sums[d] + entries[unused[n]] >= floors[d]:
-            x = unused.pop(n)
+        elif n < len(unused) and sums[d] + entries[unused[-1 - n]] >= floors[d]:
+            x = unused.pop(-1 - n)
             perm[x] = d + 1
             sums.append(sums[d] + entries[x])
             taken.append((n, x))
@@ -187,7 +200,7 @@ def _walk(entries: list[int], floors: list[int]) -> Iterator[tuple[list[int], li
         if not taken:
             return
         n, x = taken.pop()
-        unused.insert(n, x)
+        unused.insert(len(unused) - n, x)
         sums.pop()
         n += 1
 
@@ -251,26 +264,28 @@ def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[Factor]]:
     return left, right
 
 
-def canonical_blocks(left: list, right: list) -> Iterator:
-    """(length, left factor, right group) blocks whose products run in the canonical order.
+def by_length(words: list) -> list[list[int]]:
+    """The positions of the words of each length, in order: entry n lists those of length n."""
+    groups = [[] for _ in range(max(map(len, words)) + 1)]
+    for q, w in enumerate(words):
+        groups[len(w)].append(q)
+    return groups
 
-    The canonical order is by length, then by reduced word. Only a factor's
-    first entry, its word, is read. The right factors are grouped by length
-    in one stable pass. For each total length, each left factor that
-    reaches it, in order, is followed by the right group that makes it up.
+
+def canonical_blocks(left: list, right: list) -> Iterator[tuple[int, list[int]]]:
+    """(n, run) for each total length n, the runs reading the products in the canonical order.
+
+    The canonical order is by length, then by reduced word. A run lists,
+    in order, the positions of the left words that reach n with some right
+    word; the products of length n are then left[p] + right[q] for p in the
+    run and q in by_length(right)[n - len(left[p])], in that order. One
+    run is built per length from the left words grouped by length, so
+    nothing is built or resumed per left word.
     """
-    groups = [[] for _ in range(max(len(f[0]) for f in right) + 1)]
-    for f in right:
-        groups[len(f[0])].append(f)
-    width = len(groups)
-    lengths = [len(f[0]) for f in left]
-    at = [[] for _ in range(max(lengths) + 1)]  # the positions of the left factors of each length
-    for p, n in enumerate(lengths):
-        at[n].append(p)
-    for total in range(len(at) + width - 1):
-        reach = chain.from_iterable(at[max(0, total - width + 1):total + 1])
-        for p in sorted(reach):
-            yield total, left[p], groups[total - lengths[p]]
+    at = by_length(left)
+    width = max(map(len, right)) + 1
+    for n in range(len(at) + width - 1):
+        yield n, sorted(chain.from_iterable(at[max(0, n - width + 1):n + 1]))
 
 
 def alt_cardinality(iv: RootInterval) -> int:

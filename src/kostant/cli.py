@@ -29,10 +29,14 @@ word lists, is spliced in as its own text at the indent of its line
 alternation set's canonical order (by length, then by reduced word) and
 are joined from text rendered once per factor, through a table of each
 value's digits built once per call, after every route has returned, so a
-refused query builds none. The theorem route takes the side words of
-``characterized_sides``, never builds the set, and grows each factor's
-perm text from its parent's by one splice (``_blocks``, ``_grown``). A
-brute-force element, a member by the sign test read off
+refused query builds none. Each side's word and perm texts are kept in
+plain lists read by position (``_texts``), and each format builds its
+rows in one comprehension over the runs of ``canonical_blocks``, one run
+per total length: the left factors that reach the length, each with the
+right factors of the rest. The theorem route takes
+the side words of ``characterized_sides``, never builds the set, and
+grows each factor's perm text from its parent's by one splice
+(``_grown``). A brute-force element, a member by the sign test read off
 ``pruned_survivors`` (no subcommand runs the literal scan of the group),
 is a left factor with an empty right factor. The JSON word lists, the CSV
 word and perm fields and the table's word and ``perm (...)`` text are each
@@ -64,10 +68,16 @@ import functools
 import json
 import os
 import sys
-from itertools import accumulate, repeat
+from itertools import accumulate
 
 from .acceptance import DEFAULT_CLOSED_RANK, run_all
-from .alternation import alt_cardinality, canonical_blocks, characterized_sides, pruned_survivors
+from .alternation import (
+    alt_cardinality,
+    by_length,
+    canonical_blocks,
+    characterized_sides,
+    pruned_survivors,
+)
 from .combinatorics import fibonacci, nonconsecutive_count_k
 from .errors import IDENTITY_MAX_N, CapacityError
 from .multiplicity import predicted_q_multiplicity, q_multiplicity, q_multiplicity_closed
@@ -119,7 +129,7 @@ def _cmd_alt_set(args, out):
     iv = _parse_mu(args.mu, args.rank)
     if iv is None:
         raise UsageError("--mu 0 is only supported by qmult with --method kwmf")
-    sets = {}  # name -> (provenance, count, the (iv, left, right) factors of its `_blocks`)
+    sets = {}  # name -> (provenance, count, the (iv, left, right) factors of its `_texts`)
     if args.method in ("brute", "both"):
         lam, mu = highest_root(args.rank), interval_root(iv)
         # each member's (word, perm), in the canonical order: by length, then by word
@@ -134,7 +144,7 @@ def _cmd_alt_set(args, out):
         verdict = sorted(w for w, _ in found) == sorted(lw + rw for lw in left for rw in right)
     # built only once both routes have returned, so a refused query builds no table
     names = [str(v) for v in range(args.rank + 2)]  # every letter and perm entry, as text
-    sets = {name: (provenance, count, functools.partial(_blocks, *factors, names))
+    sets = {name: (provenance, count, functools.partial(_texts, *factors, names))
             for name, (provenance, count, factors) in sets.items()}
     query = {"command": "alt-set", "rank": args.rank, "mu": [iv.i, iv.j], "method": args.method}
     if args.format == "json":
@@ -160,35 +170,43 @@ def _cmd_alt_set(args, out):
     return query, verdict, view
 
 
-def _blocks(iv, left, right, names: list[str], sep: str, perm_sep: str, letter: str = ""):
-    """(length, word head, perm head, right group) for each block of a set, in order.
+def _texts(iv, left, right, names: list[str], sep: str, perm_sep: str, letter: str = ""):
+    """A set's runs and its factors' texts, in plain lists read by position.
 
-    Each factor is rendered once as (word, word text, perm text): letters
-    after `letter` joined by `sep`, and entries joined by `perm_sep`, a
-    right factor's after a leading one. A brute-force set (iv None) has its
+    Returns (runs, lengths, (bare, joined), perms, groups, words, rperms):
+    the runs of `canonical_blocks`; each left factor's length, its word
+    text bare and ending in `sep` (a row takes the second when both its
+    words have letters) and its perm text; the right factors' positions by
+    length (`by_length`) and their word and perm texts. A row of length n
+    pairs a left factor p of the run with each right factor q of
+    groups[n - lengths[p]]. A word's text is its letters after `letter`
+    joined by `sep`, a perm's its entries joined by `perm_sep`, a right
+    factor's after a leading one. A brute-force set (iv None) has its
     (word, perm) elements as left factors and one empty right factor. A
     theorem set's perm texts, none when `perm_sep` is empty, grow by
     `_grown` from the identity's, letter y swapping the fields "y" and
     "y + 1": as "y + 1" then "y" spans exactly their characters, every
-    other field keeps its offset. A row is its block's heads, the word head
-    ending in `sep` only when both words have letters, then a right factor's texts.
+    other field keeps its offset.
     """
     word_text, perm_text = [letter + v for v in names].__getitem__, names.__getitem__
     if iv is None:
-        left, right = [(w, sep.join(map(word_text, w)), perm_sep.join(map(perm_text, p)))
-                       for w, p in left], [((), "", "")]
+        perms = [perm_sep.join(map(perm_text, p)) for _, p in left]
+        left, right, rperms = [w for w, _ in left], [()], [""]
     else:
         sides = []
-        for words, lo, hi, lead in ((left, 1, iv.j, ""), (right, iv.j + 1, iv.rank + 1, perm_sep)):
-            perms = repeat("")
-            if perm_sep:
-                at = accumulate((len(v) + len(perm_sep) for v in names[lo:hi]), initial=len(lead))
-                pieces = {y: (a, f"{y + 1}{perm_sep}{y}") for y, a in zip(range(lo, hi), at)}
-                perms = _grown(words, lead + perm_sep.join(names[lo:hi + 1]), pieces)
-            sides.append([(w, sep.join(map(word_text, w)), p) for w, p in zip(words, perms)])
-        left, right = sides
-    for length, (lw, lws, lps), group in canonical_blocks(left, right):
-        yield length, lws + sep if lw and length > len(lw) else lws, lps, group
+        for side, lo, hi, lead in ((left, 1, iv.j, ""), (right, iv.j + 1, iv.rank + 1, perm_sep)):
+            if not perm_sep:
+                sides.append([""] * len(side))
+                continue
+            at = accumulate((len(v) + len(perm_sep) for v in names[lo:hi]), initial=len(lead))
+            pieces = {y: (a, f"{y + 1}{perm_sep}{y}") for y, a in zip(range(lo, hi), at)}
+            sides.append(_grown(side, lead + perm_sep.join(names[lo:hi + 1]), pieces))
+        perms, rperms = sides
+    bare = [sep.join(map(word_text, w)) for w in left]
+    joined = [t + sep if t else t for t in bare]
+    words = [sep.join(map(word_text, w)) for w in right]
+    runs = canonical_blocks(left, right)
+    return runs, list(map(len, left)), (bare, joined), perms, by_length(right), words, rperms
 
 
 def _grown(words: list[tuple[int, ...]], root: str, pieces: dict) -> list[str]:
@@ -210,16 +228,19 @@ def _grown(words: list[tuple[int, ...]], root: str, pieces: dict) -> list[str]:
     return values[::-1]
 
 
-def _json_words(blocks, pad: str) -> str:
+def _json_words(texts, pad: str) -> str:
     """The JSON list of the element words, as json.dumps(..., indent=2) writes it.
 
     `pad` is the newline and indent of the line the list starts on.
     """
     inner, deeper = pad + "  ", pad + "    "
+    runs, lengths, (bare, joined), _, groups, words, _ = texts("," + deeper, "")
     items = [
-        f"[{deeper}{head}{rws}{inner}]" if length else "[]"
-        for length, head, _, group in blocks("," + deeper, "")
-        for _, rws, _ in group
+        f"[{deeper}{h}{words[q]}{inner}]" if n else "[]"
+        for n, run in runs
+        for p in run
+        for h in [joined[p] if n > lengths[p] else bare[p]]
+        for q in groups[n - lengths[p]]
     ]
     return "[" + inner + ("," + inner).join(items) + pad + "]"
 
@@ -231,19 +252,28 @@ def _csv_lines(sets: dict) -> list[str]:
     in the writer's line terminator, \\r\\n.
     """
     lines = []
-    for name, (_, _, blocks) in sets.items():
-        for length, head, lps, group in blocks(" ", " "):
-            end = f",{length},{-1 if length % 2 else 1}\r\n"
-            lines += [f"{name},{head}{rws},{lps}{rps}{end}" for _, rws, rps in group]
+    for name, (_, _, texts) in sets.items():
+        runs, lengths, (bare, joined), perms, groups, words, rperms = texts(" ", " ")
+        lines += [
+            f"{name},{h}{words[q]},{perms[p]}{rperms[q]}{end}"
+            for n, run in runs
+            for end in [f",{n},{-1 if n % 2 else 1}\r\n"]
+            for p in run
+            for h in [joined[p] if n > lengths[p] else bare[p]]
+            for q in groups[n - lengths[p]]
+        ]
     return lines
 
 
-def _table_lines(blocks) -> list[str]:
+def _table_lines(texts) -> list[str]:
     """The table lines (word, then `perm (...)`) of one set."""
+    runs, lengths, (bare, joined), perms, groups, words, rperms = texts(" ", ", ", "s")
     return [
-        f"  {head + rws or 'e':<20} perm ({lps}{rps})"
-        for _, head, lps, group in blocks(" ", ", ", "s")
-        for _, rws, rps in group
+        f"  {h + words[q] or 'e':<20} perm ({perms[p]}{rperms[q]})"
+        for n, run in runs
+        for p in run
+        for h in [joined[p] if n > lengths[p] else bare[p]]
+        for q in groups[n - lengths[p]]
     ]
 
 

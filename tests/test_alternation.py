@@ -23,6 +23,7 @@ from kostant import (
     zero_weight,
 )
 from kostant.alternation import (
+    by_length,
     canonical_blocks,
     characterized_sides,
     pruned_survivors,
@@ -383,6 +384,17 @@ def test_characterized_spot_check_raises(monkeypatch):
         alt_set_characterized(RootInterval(7, 3, 4))
 
 
+def _run_keys(left, right):
+    """(length, word) of each product, as the runs of `canonical_blocks` read them."""
+    groups = by_length(right)
+    return [
+        (n, left[p] + right[q])
+        for n, run in canonical_blocks(left, right)
+        for p in run
+        for q in groups[n - len(left[p])]
+    ]
+
+
 def test_factor_blocks_run_in_the_sorted_order_through_rank_22():
     # every interval through rank 22 (2,024 of them, up to 17,711 elements):
     # i = 1, j = r and the one-letter and empty free ranges among them
@@ -391,13 +403,23 @@ def test_factor_blocks_run_in_the_sorted_order_through_rank_22():
             left, right = characterized_sides(iv)
             assert len(left) == fibonacci(iv.i)
             assert len(right) == fibonacci(r - iv.j + 1)
-            keys = [
-                (length, lw + rw)
-                for length, (lw,), group in canonical_blocks(list(zip(left)), list(zip(right)))
-                for (rw,) in group
-            ]
+            keys = _run_keys(left, right)
             assert all(length == len(word) for length, word in keys), iv
             # strictly increasing: sorted(..., key=(length, reduced word)), no repeats
+            assert all(a < b for a, b in zip(keys, keys[1:])), iv
+            assert len(keys) == alt_cardinality(iv)
+
+
+def test_brute_force_runs_are_in_the_sorted_order_through_rank_8():
+    # a brute-force set, as `alt-set --method brute` renders it: its reduced
+    # words sorted by (length, word) as left words, with one empty right word
+    for r in range(1, 9):
+        for iv in _all_intervals(r):
+            found = pruned_survivors(highest_root(r), interval_root(iv))
+            left = sorted((s.reduced_word() for s, _ in found), key=lambda w: (len(w), w))
+            keys = _run_keys(left, [()])
+            assert [word for _, word in keys] == left, iv
+            assert all(length == len(word) for length, word in keys), iv
             assert all(a < b for a, b in zip(keys, keys[1:])), iv
             assert len(keys) == alt_cardinality(iv)
 
@@ -442,10 +464,11 @@ def test_side_walk_gives_the_nonconsecutive_choices_in_post_order_and_by_length(
             iv = RootInterval(m + 2 + shift, 1, 1 + shift)
             left, right = characterized_sides(iv)
             words = _nonconsecutive(sides(iv)[1].letters)
-            blocks = canonical_blocks(list(zip(left)), list(zip(right)))
-            assert [[w for (w,) in group] for _, _, group in blocks] == [
+            groups = by_length(right)
+            assert [[right[q] for q in groups[n]] for n, run in canonical_blocks(left, right)] == [
                 sorted(w for w in words if len(w) == k) for k in range((m + 1) // 2 + 1)
             ]
+            assert all(run == [0] for _, run in canonical_blocks(left, right))
 
 
 def test_spot_check_verifies_the_longest_products(monkeypatch):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -366,6 +367,19 @@ def test_a_refused_alt_set_builds_no_digit_table(capsys):
         tracemalloc.stop()
     assert "has F_1 * F_1000000 elements" in capsys.readouterr().err
     assert peak < 1_000_000, peak
+
+
+def test_the_pruned_search_refuses_at_rank_300000_in_time(capsys):
+    # A(highest root, highest root) is the identity alone, but its search passes
+    # the node budget; each node's Python work is O(children), so the refusal
+    # costs the budget, not budget * rank (about 7 s on a 2-vCPU VM when each
+    # node moved a rank-sized list)
+    start = time.perf_counter()
+    code = run(["alt-set", "--rank", "300000", "--mu", "1..300000", "--method", "brute"])
+    seconds = time.perf_counter() - start
+    assert code == EXIT_CAPACITY
+    assert "visited more than 131072 nodes, its fixed budget" in capsys.readouterr().err
+    assert seconds < 2, seconds
 
 
 @pytest.mark.parametrize(
