@@ -27,22 +27,25 @@ then the summary line, so its table view is None. The envelope is
 word lists, is spliced in as its own text at the indent of its line
 (``_json_text``). ``alt-set`` rows come in the
 alternation set's canonical order (by length, then by reduced word) and
-are joined from text rendered once per factor, through a table of each
-value's digits built once per call, after every route has returned, so a
-refused query builds none. Each side's word and perm texts are kept in
-plain lists read by position (``_texts``), and each format builds its
-rows in one comprehension over the runs of ``canonical_blocks``, one run
-per total length: the left factors that reach the length, each with the
-right factors of the rest. The theorem route takes
-the side words of ``characterized_sides``, never builds the set, and
-grows each factor's perm text from its parent's by one splice
-(``_grown``). A brute-force element, a member by the sign test read off
+are joined from text rendered once per factor, after every route has
+returned, so a refused query renders none. Each side's word and perm
+texts are kept in plain lists read by position (``_texts``), and each
+format builds its rows in one comprehension over the runs of
+``canonical_blocks``, one run per total length: the left factors that
+reach the length, each with the right factors of the rest. The theorem
+route takes the side words of ``characterized_sides`` for the runs and
+never builds the set; its texts come from the Fibonacci recurrence that
+builds the words (``_side_texts``): ``nonconsecutive_choices`` folds each
+text as one piece joined to its tail's, "letter x sep" for a word, "y + 1,
+y" for a perm that takes letter y and "y" for one that skips it. A
+brute-force element, a member by the sign test read off
 ``pruned_survivors`` (no subcommand runs the literal scan of the group),
-is a left factor with an empty right factor. The JSON word lists, the CSV
-word and perm fields and the table's word and ``perm (...)`` text are each
-a left factor's text then a right factor's. ``--method both`` passes when
-the two routes give the same words: the survivors' reduced words and the
-theorem's left word then right word, which is what each route prints.
+is a left factor with an empty right factor, its texts joined from its
+word and perm. The JSON word lists, the CSV word and perm fields and the
+table's word and ``perm (...)`` text are each a left factor's text then a
+right factor's. ``--method both`` passes when the two routes print the
+same words, as multisets: the CSV's word fields of the survivors and of
+the theorem's rows.
 
 Exit codes: 0 success or all-pass, 1 a comparison or verification failed
 (or stdout closed before the output was written, as under ``| head``), 2
@@ -55,8 +58,11 @@ the theorem's alternation sets (25 free letters a side, so at most F_27 =
 196418 elements), the height cap of ``partition --oracle`` and the
 ``identity`` table's cap of n = 1000; see ``errors``.
 
-The parser is built once per process and reused by every ``run`` call;
-each call parses into a fresh Namespace.
+The parsers are built once per process and reused by every ``run`` call,
+and each call parses once, into a fresh Namespace: a known command's own
+parser parses the arguments after its name, and the top-level parser
+handles only -h, a missing or unknown command, and reports the arguments
+the command's parser does not know, in the words of its own full parse.
 """
 
 from __future__ import annotations
@@ -68,7 +74,6 @@ import functools
 import json
 import os
 import sys
-from itertools import accumulate
 
 from .acceptance import DEFAULT_CLOSED_RANK, run_all
 from .alternation import (
@@ -77,8 +82,9 @@ from .alternation import (
     canonical_blocks,
     characterized_sides,
     pruned_survivors,
+    sides,
 )
-from .combinatorics import fibonacci, nonconsecutive_count_k
+from .combinatorics import fibonacci, nonconsecutive_choices, nonconsecutive_count_k
 from .errors import IDENTITY_MAX_N, CapacityError
 from .multiplicity import predicted_q_multiplicity, q_multiplicity, q_multiplicity_closed
 from .partition import kostant_q, kostant_q_oracle
@@ -129,31 +135,29 @@ def _cmd_alt_set(args, out):
     iv = _parse_mu(args.mu, args.rank)
     if iv is None:
         raise UsageError("--mu 0 is only supported by qmult with --method kwmf")
-    sets = {}  # name -> (provenance, count, the (iv, left, right) factors of its `_texts`)
+    sets = {}  # name -> (provenance, count, the `_texts` of its factors)
     if args.method in ("brute", "both"):
         lam, mu = highest_root(args.rank), interval_root(iv)
         # each member's (word, perm), in the canonical order: by length, then by word
         found = sorted(((s.reduced_word(), s.perm) for s, _ in pruned_survivors(lam, mu)),
                        key=lambda f: (len(f[0]), f[0]))
-        sets["brute"] = ("brute_force", len(found), (None, found, None))
+        sets["brute"] = ("brute_force", len(found), functools.partial(_texts, None, found, None))
     if args.method in ("theorem", "both"):
         left, right = characterized_sides(iv)
-        sets["theorem"] = ("characterized", alt_cardinality(iv), (iv, left, right))
+        sets["theorem"] = ("characterized", alt_cardinality(iv),
+                           functools.partial(_texts, iv, left, right))
     verdict = None
     if args.method == "both":  # the words each route prints, as multisets
-        verdict = sorted(w for w, _ in found) == sorted(lw + rw for lw in left for rw in right)
-    # built only once both routes have returned, so a refused query builds no table
-    names = [str(v) for v in range(args.rank + 2)]  # every letter and perm entry, as text
-    sets = {name: (provenance, count, functools.partial(_texts, *factors, names))
-            for name, (provenance, count, factors) in sets.items()}
+        verdict = sorted(_printed_words(sets["brute"][2])) == sorted(
+            _printed_words(sets["theorem"][2]))
     query = {"command": "alt-set", "rank": args.rank, "mu": [iv.i, iv.j], "method": args.method}
     if args.format == "json":
         view = {
             "sets": {
                 name: {"rank": args.rank, "mu": [iv.i, iv.j], "count": count,
-                       "elements": functools.partial(_json_words, blocks),
+                       "elements": functools.partial(_json_words, texts),
                        "provenance": provenance}
-                for name, (provenance, count, blocks) in sets.items()
+                for name, (provenance, count, texts) in sets.items()
             },
             "predicted_count": alt_cardinality(iv),
         }
@@ -164,13 +168,13 @@ def _cmd_alt_set(args, out):
             f"alternation set, rank {args.rank}, interval weight [{iv.i}, {iv.j}]",
             f"predicted count: {alt_cardinality(iv)}",
         ]
-        for name, (_, count, blocks) in sets.items():
+        for name, (_, count, texts) in sets.items():
             view.append(f"{name}: {count} elements")
-            view += _table_lines(blocks)
+            view += _table_lines(texts)
     return query, verdict, view
 
 
-def _texts(iv, left, right, names: list[str], sep: str, perm_sep: str, letter: str = ""):
+def _texts(iv, left, right, sep: str, perm_sep: str, letter: str = ""):
     """A set's runs and its factors' texts, in plain lists read by position.
 
     Returns (runs, lengths, (bare, joined), perms, groups, words, rperms):
@@ -181,51 +185,61 @@ def _texts(iv, left, right, names: list[str], sep: str, perm_sep: str, letter: s
     pairs a left factor p of the run with each right factor q of
     groups[n - lengths[p]]. A word's text is its letters after `letter`
     joined by `sep`, a perm's its entries joined by `perm_sep`, a right
-    factor's after a leading one. A brute-force set (iv None) has its
-    (word, perm) elements as left factors and one empty right factor. A
-    theorem set's perm texts, none when `perm_sep` is empty, grow by
-    `_grown` from the identity's, letter y swapping the fields "y" and
-    "y + 1": as "y + 1" then "y" spans exactly their characters, every
-    other field keeps its offset.
+    factor's after a leading one; with `perm_sep` empty the perm texts are
+    None. A brute-force set (iv None) has its (word, perm) elements as left
+    factors, each joined on its own, and one empty right factor. A theorem
+    set's texts are its sides' `_side_texts`, in the order of its words.
     """
-    word_text, perm_text = [letter + v for v in names].__getitem__, names.__getitem__
     if iv is None:
-        perms = [perm_sep.join(map(perm_text, p)) for _, p in left]
-        left, right, rperms = [w for w, _ in left], [()], [""]
+        word_text = (letter + "{}").format
+        bare = [sep.join(map(word_text, w)) for w, _ in left]
+        joined = [t + sep if t else t for t in bare]
+        perms = [perm_sep.join(map(str, p)) for _, p in left] if perm_sep else None
+        left, right, words, rperms = [w for w, _ in left], [()], [""], [""]
     else:
-        sides = []
-        for side, lo, hi, lead in ((left, 1, iv.j, ""), (right, iv.j + 1, iv.rank + 1, perm_sep)):
-            if not perm_sep:
-                sides.append([""] * len(side))
-                continue
-            at = accumulate((len(v) + len(perm_sep) for v in names[lo:hi]), initial=len(lead))
-            pieces = {y: (a, f"{y + 1}{perm_sep}{y}") for y, a in zip(range(lo, hi), at)}
-            sides.append(_grown(side, lead + perm_sep.join(names[lo:hi + 1]), pieces))
-        perms, rperms = sides
-    bare = [sep.join(map(word_text, w)) for w in left]
-    joined = [t + sep if t else t for t in bare]
-    words = [sep.join(map(word_text, w)) for w in right]
+        lside, rside = sides(iv)
+        joined, perms = _side_texts(lside.letters, iv.j, sep, perm_sep, letter)
+        rjoined, rperms = _side_texts(rside.letters, iv.rank + 1, sep, perm_sep, letter)
+        bare, words = ([t[:-len(sep)] for t in texts] for texts in (joined, rjoined))
+        if perm_sep:  # entry 1 comes first, and no free letter moves it
+            perms = ["1" + t for t in perms]
     runs = canonical_blocks(left, right)
     return runs, list(map(len, left)), (bare, joined), perms, by_length(right), words, rperms
 
 
-def _grown(words: list[tuple[int, ...]], root: str, pieces: dict) -> list[str]:
-    """Each word's text, grown from its parent's by one splice, in the order of `words`.
+def _side_texts(letters: range, last: int, sep: str, perm_sep: str, letter: str):
+    """A theorem side's word texts and perm texts, each from the recurrence of its words.
 
-    `words` is a post-order, so reversed a pre-order: a word's parent, the
-    word less its last letter y, is the last word seen one shorter, kept on
-    a depth stack. The empty word's text is `root`, a child's, with
-    (a, piece) = pieces[y], parent[:a] + piece + parent[a + len(piece):].
+    `nonconsecutive_choices` folds the texts over the side's free letters,
+    so they come in the order of its words, each a piece joined to its
+    tail's text. A word's text ends in `sep` unless it is empty, a piece
+    being `letter`, the letter and `sep`. A perm text holds the entries at
+    letters.start..last, each after `perm_sep`: a choice that takes y puts
+    "y + 1" then "y" at y and y + 1, one that skips it "y" at y, and the
+    entries past the last letter stay put. The perm texts are None when
+    `perm_sep` is empty.
     """
-    stack, values = [root] * (max(map(len, words)) + 1), []
-    for w in reversed(words):
-        d = len(w)
-        if d:
-            a, piece = pieces[w[-1]]
-            parent = stack[d - 1]
-            stack[d] = parent[:a] + piece + parent[a + len(piece):]
-        values.append(stack[d])
-    return values[::-1]
+    words = nonconsecutive_choices(letters, lambda x: f"{letter}{x}{sep}", None, ("", ""))
+    if not perm_sep:
+        return words, None
+    fixed = [f"{perm_sep}{v}" for v in range(letters.start + len(letters), last + 1)]
+    perms = nonconsecutive_choices(
+        letters, lambda y: f"{perm_sep}{y + 1}{perm_sep}{y}", lambda y: f"{perm_sep}{y}",
+        ("".join(fixed[1:]), "".join(fixed)),
+    )
+    return words, perms
+
+
+def _printed_words(texts) -> list[str]:
+    """A set's word texts, row by row, as the CSV prints them."""
+    runs, lengths, (bare, joined), _, groups, words, _ = texts(" ", "")
+    return [
+        h + words[q]
+        for n, run in runs
+        for p in run
+        for h in [joined[p] if n > lengths[p] else bare[p]]
+        for q in groups[n - lengths[p]]
+    ]
 
 
 def _json_words(texts, pad: str) -> str:
@@ -279,15 +293,13 @@ def _table_lines(texts) -> list[str]:
 
 def _cmd_qmult(args, out):
     iv = _parse_mu(args.mu, args.rank)
-    if iv is None:
-        if args.method != "kwmf":
-            raise UsageError("--mu 0 requires --method kwmf")
-        mu_weight, mu_label = zero_weight(args.rank), 0
-    else:
-        mu_weight, mu_label = interval_root(iv), [iv.i, iv.j]
+    if iv is None and args.method != "kwmf":
+        raise UsageError("--mu 0 requires --method kwmf")
+    mu_label = 0 if iv is None else [iv.i, iv.j]
     routes = {}  # name -> (polynomial, method tag, term count or None)
-    if args.method in ("kwmf", "all"):
-        rep = q_multiplicity(args.rank, highest_root(args.rank), mu_weight)
+    if args.method in ("kwmf", "all"):  # the one route that reads mu as a weight
+        mu = zero_weight(args.rank) if iv is None else interval_root(iv)
+        rep = q_multiplicity(args.rank, highest_root(args.rank), mu)
         routes["kwmf"] = (rep.q_multiplicity, "kwmf_full", rep.term_count)
     if args.method in ("closed", "all"):
         routes["closed"] = (q_multiplicity_closed(iv), "closed_form", alt_cardinality(iv))
@@ -481,8 +493,11 @@ def _add_output_flags(sp) -> None:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; each parse fills a fresh Namespace."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own, built once per process.
+
+    Each parse fills a fresh Namespace.
+    """
     p = argparse.ArgumentParser(
         prog="kostant",
         description="Alternation sets, partition polynomials, and q-multiplicities "
@@ -522,13 +537,30 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(ver)
     ver.set_defaults(handler=_cmd_verify)
 
-    return p
+    return p, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed once: a known command's arguments by its own parser, the rest by the top one.
+
+    The top-level parser handles -h, a missing command and an unknown one.
+    Arguments the command's parser does not know are reported by the
+    top-level parser, as its own parse of the whole argv reports them.
+    """
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def run(argv=None) -> int:
     """Parse argv and execute; returns the exit code instead of exiting."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:

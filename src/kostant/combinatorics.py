@@ -6,24 +6,39 @@ F_0 here; asking for it is an error). A subset S of {1, ..., n} is
 such subsets in total and C(n+1-k, k) of cardinality k, where the binomial
 is the zero-padded one below. `nonconsecutive_choices`, the one generator
 of such subsets here, builds those of any letter range by one Fibonacci
-recurrence, fresh on each call; no list of them stays resident.
+recurrence, fresh on each call; no list of them stays resident. The same
+recurrence folds other values of the subsets, as the CLI's texts of the
+words and permutations they give.
 """
 
 import math
 
 from .errors import DEFAULT_SUBSET_GROUND_CAP, CapacityError
 
-# Grows on demand; _FIB[n-1] == F_n.
+# F_1..F_128, each held in _FIB[n - 1]; the table never grows past them.
 _FIB = [1, 1]
+while len(_FIB) < 128:
+    _FIB.append(_FIB[-1] + _FIB[-2])
 
 
 def fibonacci(n: int) -> int:
-    """Return F_n with F_1 = F_2 = 1. n must be a positive integer."""
+    """Return F_n with F_1 = F_2 = 1. n must be a positive integer.
+
+    F_1..F_128 are read from a table built at import; a larger n is
+    computed by fast doubling, F_2k = F_k (2 F_(k+1) - F_k) and F_(2k+1) =
+    F_k^2 + F_(k+1)^2, over the bits of n, and nothing of it is kept, so a
+    long-lived process holds the same few kilobytes whatever it asks for.
+    """
     if n < 1:
         raise ValueError(f"fibonacci is 1-indexed with F_1 = F_2 = 1; got n={n}")
-    while len(_FIB) < n:
-        _FIB.append(_FIB[-1] + _FIB[-2])
-    return _FIB[n - 1]
+    if n <= len(_FIB):
+        return _FIB[n - 1]
+    a, b = 0, 1  # F_k, F_(k+1) for k the leading bits of n read so far
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a
 
 
 def binomial_safe(n: int, k: int) -> int:
@@ -38,7 +53,7 @@ def binomial_safe(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def nonconsecutive_choices(letters: range) -> list[tuple[int, ...]]:
+def nonconsecutive_choices(letters: range, take=lambda x: (x,), skip=None, ends=((), ())) -> list:
     """Every nonconsecutive subset of a range of letters, each increasing, in post-order.
 
     In the tree of the choices a child adds one letter at least two above
@@ -47,10 +62,25 @@ def nonconsecutive_choices(letters: range) -> list[tuple[int, ...]]:
     within one size lexicographically. The choices from x on are x then a
     choice from x + 2 on, then those from x + 1 on, so a Fibonacci
     recurrence builds each choice once.
+
+    The same recurrence folds any value of the choices that is a piece for
+    the first letter joined by + to the value of the rest, in the same
+    order: a choice from x on that takes x has take(x) + the value of its
+    tail from x + 2 on, and one that skips x has skip(x) + the value of
+    the choice from x + 1 on (the value itself when skip is None). `ends`
+    holds the empty choice's values from two and from one past the last
+    letter. By default the value is the choice: take(x) = (x,), no skip
+    piece and ends ((), ()).
     """
-    after, choices = [()], [()]  # the choices from x + 2 on and from x + 1 on
+    after, choices = [ends[0]], [ends[1]]  # the values of the choices from x + 2 on and from x + 1 on
     for x in reversed(letters):
-        after, choices = choices, [(x,) + c for c in after] + choices
+        piece = take(x)
+        taken = [piece + c for c in after]
+        after = choices
+        if skip is not None:
+            piece = skip(x)
+            choices = [piece + c for c in choices]
+        choices = taken + choices
     return choices
 
 

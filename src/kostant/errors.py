@@ -14,7 +14,10 @@ DEFAULT_ORACLE_HEIGHT_CAP = 24
 DEFAULT_SUBSET_GROUND_CAP = 25
 # Nodes (permutation prefixes) the pruned survivor search may enter. For
 # lam = highest root it enters 24,475 at mu = 0, rank 20; 14,222 at
-# mu = -[1, 12], rank 12; and 3,010,348 at mu = 0, rank 30.
+# mu = -[1, 12], rank 12; and 3,010,348 at mu = 0, rank 30. When lam - mu
+# >= 0 the identity's path alone enters rank + 1 nodes, so from rank
+# 2^17 on such a search is refused before anything as long as the rank
+# is built.
 SEARCH_NODE_BUDGET = 2**17
 # Block-boundary states the partition DP keeps between calls, all ranks
 # together; past it the memo is flushed wholesale.

@@ -14,6 +14,7 @@ The counter tests pin that a theorem query glues no element per product.
 """
 
 import csv
+import functools
 import io
 import json
 import random
@@ -28,10 +29,12 @@ from kostant import (
     alt_cardinality,
     alt_set_characterized,
     fibonacci,
+    from_nonconsecutive_letters,
     highest_root,
     interval_root,
 )
-from kostant.alternation import pruned_survivors
+from kostant import cli
+from kostant.alternation import characterized_sides, pruned_survivors
 from kostant.cli import EXIT_OK, run
 
 FORMATS = ("json", "csv", "table")
@@ -201,6 +204,59 @@ def test_both_json_is_the_stdlib_text_with_two_spliced_word_lists(capsys):
         assert set(sets) == {"brute", "theorem"}
         for name, got in sets.items():
             assert got["elements"] == expected[name]["elements"], (iv, name)
+
+
+def _sides_through_rank_22():
+    """Intervals of rank <= 22 whose sides are every side of every interval there.
+
+    A side's texts depend only on its letters and the entries it spans: the
+    left side of [i, j] on (i, j), the right side on (j, r). Each j pairs
+    its left sides i = 1..j with its right sides r = j..22.
+    """
+    return [
+        RootInterval(min(k + j, 22), min(k + 1, j), j)
+        for j in range(1, 23)
+        for k in range(max(j, 23 - j))
+    ]
+
+
+def test_recurrence_texts_equal_joined_words_and_element_perms_through_rank_22():
+    # each text from the side's recurrence, against its word joined letter by
+    # letter and the perm of the element built from its letters; the words at
+    # rank 22 hold every letter of a rank <= 22 side, and an entry past the
+    # rank stays put, so perm[:r + 1] is the perm at rank r
+    perms = {}
+
+    def perm(word):
+        if word not in perms:
+            perms[word] = from_nonconsecutive_letters(22, word).perm
+        return perms[word]
+
+    @functools.cache  # a side's words do not depend on the entries it spans
+    def joins(words, sep, letter):
+        return [sep.join(map((letter + "{}").format, w)) for w in words]
+
+    covered = set()
+    for iv in _sides_through_rank_22():
+        left, right = map(tuple, characterized_sides(iv))
+        covered |= {("left", iv.i, iv.j), ("right", iv.j, iv.rank)}
+        for sep, perm_sep, letter in ((",\n      ", "", ""), (" ", " ", ""), (" ", ", ", "s")):
+            _, lengths, (bare, joined), lperms, _, words, rperms = cli._texts(
+                iv, left, right, sep, perm_sep, letter)
+            assert lengths == list(map(len, left))
+            expected = [joins(words, sep, letter) for words in (left, right)]
+            assert bare == expected[0], iv
+            assert joined == [t + sep if t else t for t in expected[0]], iv
+            assert words == expected[1], iv
+            if not perm_sep:
+                assert lperms is rperms is None
+                continue
+            assert lperms == [perm_sep.join(map(str, perm(w)[:iv.j])) for w in left], iv
+            assert rperms == [
+                perm_sep + perm_sep.join(map(str, perm(w)[iv.j:iv.rank + 1])) for w in right
+            ], iv
+    assert covered == {(side, a, b) for side in ("left", "right")
+                       for a in range(1, 23) for b in range(a, 23)}
 
 
 @pytest.fixture

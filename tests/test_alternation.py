@@ -1,5 +1,6 @@
 """Alternation sets: brute force vs generated form, Fibonacci counts, length splits."""
 
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -242,6 +243,32 @@ def test_pruned_search_reaches_a_deep_leaf_within_the_real_budget(monkeypatch):
     monkeypatch.setattr(kostant.alternation, "SEARCH_NODE_BUDGET", r)
     with pytest.raises(CapacityError):
         pruned_survivors(highest_root(r), interval_root(RootInterval(r, 1, r)))
+
+
+def test_a_search_past_the_budget_by_the_identity_alone_is_refused_before_it_builds(monkeypatch):
+    # lam - mu >= 0 puts the identity among the survivors, and its path alone
+    # enters rank + 1 nodes: past the budget the refusal builds none of the
+    # walk's rank-long lists (68.5 MB at rank 300,000 when it built them)
+    r = kostant.alternation.SEARCH_NODE_BUDGET
+    lam, mu = highest_root(r), interval_root(RootInterval(r, 1, r))
+    built = []
+    monkeypatch.setattr(kostant.alternation, "_rho_shifted", built.append)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as refusal:
+            pruned_survivors(lam, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refusal.value) == (
+        f"the pruned search at rank {r} visited more than {r} nodes, "
+        f"its fixed budget; no flag raises it"
+    )
+    assert built == []
+    assert peak < 1_000_000, peak
+    # at the same rank, an identity that fails the sign test leaves the search to run
+    monkeypatch.undo()
+    assert pruned_survivors(zero_weight(r), Weight(r, (1,) + (0,) * (r - 1))) == []
 
 
 # ------------------------------------------------------- counts by length

@@ -358,7 +358,7 @@ def test_a_side_past_the_cap_is_refused_before_its_fibonacci_number(capsys, monk
 
 
 def test_a_refused_alt_set_builds_no_digit_table(capsys):
-    # the table of rank + 2 digit strings comes after both routes, so the refusal costs nothing
+    # no text is rendered before both routes have returned, so the refusal costs nothing
     tracemalloc.start()
     try:
         assert run(["alt-set", "--rank", "1000000", "--mu", "1..1"]) == EXIT_CAPACITY
@@ -382,15 +382,30 @@ def test_the_pruned_search_refuses_at_rank_300000_in_time(capsys):
     assert seconds < 2, seconds
 
 
-@pytest.mark.parametrize(
-    "tamper",
-    [
-        lambda words: words[:-1],  # the empty word, so the identity, dropped
-        # a word of the same length that is not a member: its letters do not commute
-        lambda words: [(2, 3) if w == (2, 4) else w for w in words],
-    ],
-    ids=["dropped", "replaced"],
-)
+def _drop_the_identity(cli, monkeypatch):
+    # the empty right word dropped, so no row of the identity is printed
+    real = cli.characterized_sides
+
+    def tampered(iv):
+        left, right = real(iv)
+        return left, right[:-1]
+
+    monkeypatch.setattr(cli, "characterized_sides", tampered)
+
+
+def _print_3_for_4(cli, monkeypatch):
+    # letter 4 printed as 3 wherever a word takes it: "2 3" has the length of "2 4", but
+    # its letters do not commute, so it is no member; the perm texts change alike
+    real = cli.nonconsecutive_choices
+
+    def tampered(letters, take, *rest):
+        return real(letters, lambda x: take(3 if x == 4 else x), *rest)
+
+    monkeypatch.setattr(cli, "nonconsecutive_choices", tampered)
+
+
+@pytest.mark.parametrize("tamper", [_drop_the_identity, _print_3_for_4],
+                         ids=["dropped", "replaced"])
 def test_the_both_verdict_compares_the_printed_words(capsys, monkeypatch, tamper):
     # untampered, both routes agree here and at ranks 9-12 (test_alt_set_output.py)
     import kostant.cli as cli
@@ -398,15 +413,68 @@ def test_the_both_verdict_compares_the_printed_words(capsys, monkeypatch, tamper
     argv = ["alt-set", "--rank", "9", "--mu", "1..1", "--method", "both"]
     assert run(argv) == EXIT_OK
     assert capsys.readouterr().out.endswith("verdict: pass\n")
-    real = cli.characterized_sides
-
-    def tampered(iv):
-        left, right = real(iv)
-        return left, tamper(right)
-
-    monkeypatch.setattr(cli, "characterized_sides", tampered)
+    tamper(cli, monkeypatch)
     assert run(argv) == EXIT_FAIL
-    assert capsys.readouterr().out.endswith("verdict: fail\n")
+    out = capsys.readouterr().out
+    assert out.endswith("verdict: fail\n")
+    theorem = out[out.index("theorem:"):]
+    assert ("  e " in theorem) == (tamper is _print_3_for_4)
+    assert ("s2 s3 " in theorem) == (tamper is _print_3_for_4)
+
+
+def _captured(call, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = call(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _parsed_whole(argv):
+    """The exit code of the top-level parser's own parse of the whole argv."""
+    import kostant.cli as cli
+
+    parser, _ = cli._build_parser()
+    try:
+        parser.parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    raise AssertionError(f"{argv} parsed")
+
+
+@pytest.mark.parametrize(
+    "argv, code, last_line",
+    [
+        (["alt-set", "--rank", "3", "--mu", "1..1", "--brute-cap", "3"], EXIT_USAGE,
+         "kostant: error: unrecognized arguments: --brute-cap 3"),
+        (["alt-set", "--rank", "3"], EXIT_USAGE,
+         "kostant alt-set: error: the following arguments are required: --mu"),
+        (["qmult", "--rank", "3", "--mu", "1..1", "--method", "brute"], EXIT_USAGE,
+         "kostant qmult: error: argument --method: invalid choice: "),
+        (["partition", "--rank", "x", "--weight", "1"], EXIT_USAGE,
+         "kostant partition: error: argument --rank: expected an integer, got 'x'"),
+        (["frobnicate", "--rank", "3"], EXIT_USAGE,
+         "kostant: error: argument command: invalid choice: "),
+        ([], EXIT_USAGE, "kostant: error: the following arguments are required: command"),
+        (["-h"], EXIT_OK, None),
+        (["alt-set", "-h"], EXIT_OK, None),
+    ],
+    ids=["unrecognized", "missing", "choice", "integer", "command", "none", "help", "alt-set-help"],
+)
+def test_a_call_the_parser_ends_prints_what_the_whole_parse_prints(argv, code, last_line):
+    # one parse per call: a known command's own parser takes the arguments
+    # after it; the stdout, stderr and exit code are the top-level parser's
+    # own parse of the whole argv, each byte
+    got = _captured(run, argv)
+    assert got == _captured(_parsed_whole, argv)
+    assert got[0] == code
+    _, out, err = got
+    if last_line is None:
+        assert err == ""
+        assert out.startswith(f"usage: {' '.join(['kostant', *argv[:-1]])} [-h]")
+    else:
+        assert out == ""
+        assert err.startswith("usage: kostant")
+        assert err.splitlines()[-1].startswith(last_line)
 
 
 def test_reused_parser_keeps_no_state_between_calls(capsys):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,26 @@ def test_fibonacci_values():
     assert [fibonacci(n) for n in range(1, 11)] == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
     assert fibonacci(16) == 987
     assert fibonacci(25) == 75025
+
+
+def test_fibonacci_past_its_table_holds_only_the_result():
+    # F_60000 has 41,667 bits; a table grown to it held 60,000 big ints, 160 MB
+    expected, a, b = [], 0, 1
+    for n in range(1, 60001):
+        a, b = b, a + b
+        if n in (127, 128, 129, 130, 255, 256, 257, 1000, 59999, 60000):
+            expected.append(a)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = fibonacci(60000)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert value == expected[-1]
+    # the int's allocation may keep a digit or two past its normalized size
+    assert held <= sys.getsizeof(value) + 64, held
+    assert [fibonacci(n) for n in (127, 128, 129, 130, 255, 256, 257, 1000, 59999)] == expected[:-1]
 
 
 @pytest.mark.parametrize("n", [0, -1, -7])

@@ -18,10 +18,10 @@ _FLAG = re.compile(r"(?<![\w-])--[a-z][a-z-]*")
 
 def _subparser_flags() -> dict[str, set[str]]:
     """Each subcommand's option strings, without argparse's own --help."""
-    (subcommands,) = _build_parser()._subparsers._group_actions
+    _, commands = _build_parser()
     return {
         name: set(sp._option_string_actions) - {"-h", "--help"}
-        for name, sp in subcommands.choices.items()
+        for name, sp in commands.items()
     }
 
 
