@@ -22,18 +22,19 @@ multiplicity sum. Two constructions are provided:
   pairwise nonconsecutive generators drawn from {2..i-1} and {j+1..r-1}.
   Nonconsecutive subsets of an n-set are Fibonacci-counted, so the set has
   exactly F_i * F_{r-j+1} elements and is cheap to generate at ranks far
-  beyond brute force reach. The set is described once, by its two sides'
-  words: `characterized_sides` builds each side's words once
-  (`nonconsecutive_choices`), and a product's word is a left word then a
-  right one. Every other view derives from those words: an element is
-  built from its word (`from_word`), and the CLI renders rows from the
-  words in the canonical order, read by runs: `canonical_blocks` gives,
-  for each total length, the positions of the left words that reach it,
-  and each pairs with the right words of the remaining length, read by
-  position from `by_length`. The set is refused with CapacityError,
-  before anything is built, past F_27 = 196,418 elements, the most one
-  side of 25 free letters gives (at rank 30, [15, 15] has 602,070); so it
-  also bounds each side.
+  beyond brute force reach. The set is described once, by its two
+  `sides`: `characterized_sides` builds each side's words once from its
+  free letters (`nonconsecutive_choices`), and a product's word is a left
+  word then a right one, from which its element is built (`from_word`).
+  The CLI folds the texts it prints from `sides` by the same recurrence,
+  in the order of the words, and reads the words only for their number
+  and their lengths: the runs of the canonical order, where
+  `canonical_blocks` gives, for each total length, the positions of the
+  left words that reach it, and each pairs with the right words of the
+  remaining length, read by position from `by_length`. The set is refused
+  with CapacityError, before anything is built, past F_27 = 196,418
+  elements, the most one side of 25 free letters gives (at rank 30,
+  [15, 15] has 602,070); so it also bounds each side.
 
 `sides` describes the theorem's two sides once: each side's free letter
 range and its boundary letter. `side_tally` counts a side's choices by
@@ -251,8 +252,10 @@ def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[Factor]]:
     canonical order off them. Past F_27 elements, what 25 free letters on
     one side give, the set is refused with CapacityError before any side
     is built; the cap is fixed. The spot check builds the 8 longest
-    products from their words through `from_word`, which checks the
-    letters the CLI prints, and re-runs the sign test on them.
+    products from their words through `from_word`, which checks their
+    letters, and re-runs the sign test on them. The CLI prints no text of
+    these words: it reads their lengths, for the runs, and their number,
+    for the count, and folds its texts from `sides` by the same recurrence.
     """
     r, i, j = iv.rank, iv.i, iv.j
     cap = DEFAULT_SUBSET_GROUND_CAP

@@ -44,8 +44,8 @@ is a left factor with an empty right factor, its texts joined from its
 word and perm. The JSON word lists, the CSV word and perm fields and the
 table's word and ``perm (...)`` text are each a left factor's text then a
 right factor's. ``--method both`` passes when the two routes print the
-same words, as multisets: the CSV's word fields of the survivors and of
-the theorem's rows.
+same CSV rows, in order and field for field (word, perm, length, sign):
+the survivors' rows and the theorem's.
 
 Exit codes: 0 success or all-pass, 1 a comparison or verification failed
 (or stdout closed before the output was written, as under ``| head``), 2
@@ -144,12 +144,11 @@ def _cmd_alt_set(args, out):
         sets["brute"] = ("brute_force", len(found), functools.partial(_texts, None, found, None))
     if args.method in ("theorem", "both"):
         left, right = characterized_sides(iv)
-        sets["theorem"] = ("characterized", alt_cardinality(iv),
+        sets["theorem"] = ("characterized", len(left) * len(right),
                            functools.partial(_texts, iv, left, right))
     verdict = None
-    if args.method == "both":  # the words each route prints, as multisets
-        verdict = sorted(_printed_words(sets["brute"][2])) == sorted(
-            _printed_words(sets["theorem"][2]))
+    if args.method == "both":  # the CSV rows each route prints, in order
+        verdict = _csv_lines({"": sets["brute"]}) == _csv_lines({"": sets["theorem"]})
     query = {"command": "alt-set", "rank": args.rank, "mu": [iv.i, iv.j], "method": args.method}
     if args.format == "json":
         view = {
@@ -192,8 +191,8 @@ def _texts(iv, left, right, sep: str, perm_sep: str, letter: str = ""):
     """
     if iv is None:
         word_text = (letter + "{}").format
-        bare = [sep.join(map(word_text, w)) for w, _ in left]
-        joined = [t + sep if t else t for t in bare]
+        # every row pairs with the one empty right factor, so none reads a joined text
+        joined = bare = [sep.join(map(word_text, w)) for w, _ in left]
         perms = [perm_sep.join(map(str, p)) for _, p in left] if perm_sep else None
         left, right, words, rperms = [w for w, _ in left], [()], [""], [""]
     else:
@@ -228,18 +227,6 @@ def _side_texts(letters: range, last: int, sep: str, perm_sep: str, letter: str)
         ("".join(fixed[1:]), "".join(fixed)),
     )
     return words, perms
-
-
-def _printed_words(texts) -> list[str]:
-    """A set's word texts, row by row, as the CSV prints them."""
-    runs, lengths, (bare, joined), _, groups, words, _ = texts(" ", "")
-    return [
-        h + words[q]
-        for n, run in runs
-        for p in run
-        for h in [joined[p] if n > lengths[p] else bare[p]]
-        for q in groups[n - lengths[p]]
-    ]
 
 
 def _json_words(texts, pad: str) -> str:

@@ -1,38 +1,32 @@
 """Fibonacci numbers and nonconsecutive-subset counts.
 
 Conventions: Fibonacci numbers are 1-indexed with F_1 = F_2 = 1 (there is no
-F_0 here; asking for it is an error). A subset S of {1, ..., n} is
-*nonconsecutive* when no two of its elements differ by 1. There are F_{n+2}
-such subsets in total and C(n+1-k, k) of cardinality k, where the binomial
-is the zero-padded one below. `nonconsecutive_choices`, the one generator
-of such subsets here, builds those of any letter range by one Fibonacci
-recurrence, fresh on each call; no list of them stays resident. The same
-recurrence folds other values of the subsets, as the CLI's texts of the
-words and permutations they give.
+F_0 here; asking for it is an error), and each is computed when asked for,
+with no table kept. A subset S of {1, ..., n} is *nonconsecutive* when no
+two of its elements differ by 1. There are F_{n+2} such subsets in total
+and C(n+1-k, k) of cardinality k, where the binomial is the zero-padded one
+below. `nonconsecutive_choices`, the one generator of such subsets here,
+builds those of any letter range by one Fibonacci recurrence, fresh on each
+call; no list of them stays resident. The same recurrence folds other
+values of the subsets, as the CLI's texts of the words and permutations
+they give.
 """
 
 import math
 
 from .errors import DEFAULT_SUBSET_GROUND_CAP, CapacityError
 
-# F_1..F_128, each held in _FIB[n - 1]; the table never grows past them.
-_FIB = [1, 1]
-while len(_FIB) < 128:
-    _FIB.append(_FIB[-1] + _FIB[-2])
-
 
 def fibonacci(n: int) -> int:
     """Return F_n with F_1 = F_2 = 1. n must be a positive integer.
 
-    F_1..F_128 are read from a table built at import; a larger n is
-    computed by fast doubling, F_2k = F_k (2 F_(k+1) - F_k) and F_(2k+1) =
-    F_k^2 + F_(k+1)^2, over the bits of n, and nothing of it is kept, so a
-    long-lived process holds the same few kilobytes whatever it asks for.
+    F_n is computed by fast doubling, F_2k = F_k (2 F_(k+1) - F_k) and
+    F_(2k+1) = F_k^2 + F_(k+1)^2, over the bits of n, and nothing of it
+    is kept, so a long-lived process holds the same few kilobytes whatever
+    it asks for.
     """
     if n < 1:
         raise ValueError(f"fibonacci is 1-indexed with F_1 = F_2 = 1; got n={n}")
-    if n <= len(_FIB):
-        return _FIB[n - 1]
     a, b = 0, 1  # F_k, F_(k+1) for k the leading bits of n read so far
     for bit in bin(n)[2:]:
         a, b = a * (2 * b - a), a * a + b * b

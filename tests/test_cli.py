@@ -404,10 +404,27 @@ def _print_3_for_4(cli, monkeypatch):
     monkeypatch.setattr(cli, "nonconsecutive_choices", tampered)
 
 
-@pytest.mark.parametrize("tamper", [_drop_the_identity, _print_3_for_4],
-                         ids=["dropped", "replaced"])
-def test_the_both_verdict_compares_the_printed_words(capsys, monkeypatch, tamper):
-    # untampered, both routes agree here and at ranks 9-12 (test_alt_set_output.py)
+def _swap_the_taken_perm_piece(cli, monkeypatch):
+    # the perm fold alone (the one with a skip piece) prints a taken letter y as "y, y + 1"
+    # where the swap puts "y + 1, y": every word stays, and s2's perm prints as the identity's
+    real = cli.nonconsecutive_choices
+
+    def tampered(letters, take, skip=None, *rest):
+        def unswapped(y):
+            return skip(y) + skip(y + 1)
+
+        return real(letters, take if skip is None else unswapped, skip, *rest)
+
+    monkeypatch.setattr(cli, "nonconsecutive_choices", tampered)
+
+
+@pytest.mark.parametrize(
+    "tamper", [_drop_the_identity, _print_3_for_4, _swap_the_taken_perm_piece],
+    ids=["dropped", "replaced", "perm"],
+)
+def test_the_both_verdict_compares_the_printed_rows(capsys, monkeypatch, tamper):
+    # untampered, both routes agree here and at ranks 9-12 (test_alt_set_output.py);
+    # the verdict compares every CSV field the two routes print, in order
     import kostant.cli as cli
 
     argv = ["alt-set", "--rank", "9", "--mu", "1..1", "--method", "both"]
@@ -418,8 +435,15 @@ def test_the_both_verdict_compares_the_printed_words(capsys, monkeypatch, tamper
     out = capsys.readouterr().out
     assert out.endswith("verdict: fail\n")
     theorem = out[out.index("theorem:"):]
-    assert ("  e " in theorem) == (tamper is _print_3_for_4)
+    assert ("  e " in theorem) == (tamper is not _drop_the_identity)
     assert ("s2 s3 " in theorem) == (tamper is _print_3_for_4)
+    s2 = next(line for line in theorem.splitlines() if line.startswith("  s2 "))
+    swapped = tamper is _swap_the_taken_perm_piece
+    assert s2.endswith("perm (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)" if swapped
+                       else "perm (1, 3, 2, 4, 5, 6, 7, 8, 9, 10)")
+    if tamper is _drop_the_identity:  # the count is of the products built, not the formula
+        predicted = int(out.split("predicted count: ")[1].split("\n")[0])
+        assert theorem.startswith(f"theorem: {predicted - 1} elements\n")
 
 
 def _captured(call, argv):

@@ -26,8 +26,8 @@ def test_fibonacci_values():
     assert fibonacci(25) == 75025
 
 
-def test_fibonacci_past_its_table_holds_only_the_result():
-    # F_60000 has 41,667 bits; a table grown to it held 60,000 big ints, 160 MB
+def test_fibonacci_by_fast_doubling_holds_only_the_result():
+    # F_60000 has 41,667 bits; a table grown to it would hold 60,000 big ints, 160 MB
     expected, a, b = [], 0, 1
     for n in range(1, 60001):
         a, b = b, a + b
