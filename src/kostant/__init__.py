@@ -13,7 +13,6 @@ from .alternation import (
     alt_set_characterized,
 )
 from .combinatorics import (
-    fib_identity_check,
     fibonacci,
     nonconsecutive_count_k,
     nonconsecutive_subsets,
@@ -67,7 +66,6 @@ __all__ = [
     "closed_form_term",
     "consecutive_closed_form",
     "enumerate_all",
-    "fib_identity_check",
     "fibonacci",
     "from_nonconsecutive_letters",
     "from_word",

@@ -36,7 +36,6 @@ from .alternation import (
     sides,
 )
 from .combinatorics import (
-    fib_identity_check,
     fibonacci,
     nonconsecutive_count_k,
     nonconsecutive_subsets,
@@ -204,7 +203,7 @@ def check_dp_vs_oracle() -> str:
 def check_fibonacci_identity() -> str:
     """Binomial sum hits the Fibonacci numbers; enumeration sizes agree."""
     for n in range(31):
-        if not fib_identity_check(n):
+        if sum(nonconsecutive_count_k(n, k) for k in range(n + 2)) != fibonacci(n + 2):
             raise CriterionFailed(f"identity fails at n={n}")
     for n in range(17):
         subsets = nonconsecutive_subsets(n)

@@ -25,7 +25,8 @@ multiplicity sum. Two constructions are provided:
   beyond brute force reach. The set is described once, by its two
   `sides`: `characterized_sides` builds each side's words once from its
   free letters (`nonconsecutive_choices`), and a product's word is a left
-  word then a right one, from which its element is built (`from_word`).
+  word then a right one, from which `from_nonconsecutive_letters` builds
+  its element and checks the gaps that make the word reduced.
   The CLI folds the texts it prints from `sides` by the same recurrence,
   in the order of the words, and reads the words only for their number
   and their lengths: the runs of the canonical order, where
@@ -61,8 +62,8 @@ from .weyl import (
     WeylElement,
     _element,
     _rho_shifted,
-    _with_reduced_word,
     enumerate_all,
+    from_nonconsecutive_letters,
     shifted_action,
 )
 
@@ -233,13 +234,13 @@ def alt_set_characterized(iv: RootInterval) -> AlternationSet:
     """Generate A(highest root, interval root [i, j]) from its description.
 
     Elements are the products of pairwise nonconsecutive generators taken
-    from the free ranges of the two `sides`: each is built from a left
-    word of `characterized_sides` followed by a right one, which is its
-    reduced word.
+    from the free ranges of the two `sides`: each is built by
+    `from_nonconsecutive_letters` from a left word of `characterized_sides`
+    followed by a right one, which is its reduced word.
     """
     left, right = characterized_sides(iv)
     r = iv.rank
-    members = frozenset(_with_reduced_word(r, lw + rw) for lw in left for rw in right)
+    members = frozenset(from_nonconsecutive_letters(r, lw + rw) for lw in left for rw in right)
     return AlternationSet(r, highest_root(r), interval_root(iv), members)
 
 
@@ -252,10 +253,11 @@ def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[Factor]]:
     canonical order off them. Past F_27 elements, what 25 free letters on
     one side give, the set is refused with CapacityError before any side
     is built; the cap is fixed. The spot check builds the 8 longest
-    products from their words through `from_word`, which checks their
-    letters, and re-runs the sign test on them. The CLI prints no text of
-    these words: it reads their lengths, for the runs, and their number,
-    for the count, and folds its texts from `sides` by the same recurrence.
+    products from their words through `from_nonconsecutive_letters`,
+    which checks their letters and gaps, and re-runs the sign test on
+    them. The CLI prints no text of these words: it reads their lengths,
+    for the runs, and their number, for the count, and folds its texts
+    from `sides` by the same recurrence.
     """
     r, i, j = iv.rank, iv.i, iv.j
     cap = DEFAULT_SUBSET_GROUND_CAP
@@ -270,7 +272,7 @@ def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[Factor]]:
     left, right = (nonconsecutive_choices(side.letters) for side in sides(iv))
     lefts, rights = (nlargest(_SPOT_CHECK, side, key=len) for side in (left, right))
     words = nlargest(_SPOT_CHECK, (lw + rw for lw in lefts for rw in rights), key=len)
-    spot = [_with_reduced_word(r, w) for w in words]
+    spot = [from_nonconsecutive_letters(r, w) for w in words]
     if sum(1 for _ in survivors(highest_root(r), interval_root(iv), spot)) != len(spot):
         raise RuntimeError(f"a characterized element of {iv} fails the membership test")
     return left, right

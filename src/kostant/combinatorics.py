@@ -4,12 +4,11 @@ Conventions: Fibonacci numbers are 1-indexed with F_1 = F_2 = 1 (there is no
 F_0 here; asking for it is an error), and each is computed when asked for,
 with no table kept. A subset S of {1, ..., n} is *nonconsecutive* when no
 two of its elements differ by 1. There are F_{n+2} such subsets in total
-and C(n+1-k, k) of cardinality k, where the binomial is the zero-padded one
-below. `nonconsecutive_choices`, the one generator of such subsets here,
-builds those of any letter range by one Fibonacci recurrence, fresh on each
-call; no list of them stays resident. The same recurrence folds other
-values of the subsets, as the CLI's texts of the words and permutations
-they give.
+and C(n+1-k, k) of cardinality k, which `nonconsecutive_count_k` counts.
+`nonconsecutive_choices`, the one generator of such subsets here, builds
+those of any letter range by one Fibonacci recurrence, fresh on each call;
+no list of them stays resident. The same recurrence folds other values of
+the subsets, as the CLI's texts of the words and permutations they give.
 """
 
 import math
@@ -33,18 +32,6 @@ def fibonacci(n: int) -> int:
         if bit == "1":
             a, b = b, a + b
     return a
-
-
-def binomial_safe(n: int, k: int) -> int:
-    """C(n, k), defined as 0 whenever k < 0, n < 0, or k > n.
-
-    In particular C(n, 0) = 1 only for n >= 0. The length-count formulas in
-    the alternation module rely on this zero-padding to vanish exactly when
-    a support condition is unsatisfiable.
-    """
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def nonconsecutive_choices(letters: range, take=lambda x: (x,), skip=None, ends=((), ())) -> list:
@@ -97,13 +84,13 @@ def nonconsecutive_subsets(n: int) -> list[tuple[int, ...]]:
 
 
 def nonconsecutive_count_k(n: int, k: int) -> int:
-    """Number of nonconsecutive k-subsets of {1, ..., n}: C(n+1-k, k)."""
-    return binomial_safe(n + 1 - k, k)
+    """Number of nonconsecutive k-subsets of {1, ..., n}: C(n+1-k, k).
 
-
-def fib_identity_check(n: int) -> bool:
-    """Verify sum_k C(n+1-k, k) == F_{n+2} for one n by direct evaluation."""
-    if n < 0:
-        raise ValueError(f"identity is stated for n >= 0, got {n}")
-    total = sum(nonconsecutive_count_k(n, k) for k in range(n + 2))
-    return total == fibonacci(n + 2)
+    The binomial is zero-padded: 0 when k < 0 or n + 1 - k < 0, so the
+    count is 1 at (n, k) = (-1, 0) and 0 at (-2, 0). `alternation.side_tally`
+    relies on that padding to count a side's choices with and without its
+    boundary letter, down to a side with no free letters.
+    """
+    if k < 0 or n + 1 - k < 0:
+        return 0
+    return math.comb(n + 1 - k, k)

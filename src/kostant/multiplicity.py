@@ -95,11 +95,6 @@ def _exponents(r: int, h: int, length: int, absent: int) -> tuple[int, int]:
     return length + absent, b
 
 
-def _term_poly(r: int, h: int, length: int, absent: int) -> QPolynomial:
-    a, b = _exponents(r, h, length, absent)
-    return QPolynomial((0,) * a + tuple(comb(b, y) for y in range(b + 1)))
-
-
 def closed_form_term(iv: RootInterval, sigma: WeylElement) -> QPolynomial:
     """The partition polynomial of sigma's shifted image, in closed form.
 
@@ -119,7 +114,8 @@ def closed_form_term(iv: RootInterval, sigma: WeylElement) -> QPolynomial:
     absent = sum(
         1 for side in (left, right) if side.boundary is not None and side.boundary not in supp
     )
-    return _term_poly(r, iv.height, sigma.length, absent)
+    a, b = _exponents(r, iv.height, sigma.length, absent)
+    return QPolynomial((0,) * a + tuple(comb(b, y) for y in range(b + 1)))
 
 
 def q_multiplicity_closed(iv: RootInterval) -> QPolynomial:

@@ -152,23 +152,15 @@ def from_nonconsecutive_letters(rank: int, letters) -> WeylElement:
     """Product of the commuting generators named by `letters`.
 
     Letters must be strictly increasing with gaps >= 2, so they pairwise
-    commute and the word is reduced; the word, and with it the length, is
-    known up front and cached.
+    commute and the word is the one `reduced_word` would find; the word,
+    and with it the length, is known up front and cached. `from_word`
+    checks that each letter is in range.
     """
     letters = tuple(letters)
     if any(b - a < 2 for a, b in zip(letters, letters[1:])):
         raise ValueError(f"letters must be nonconsecutive and increasing, got {letters}")
-    return _with_reduced_word(rank, letters)
-
-
-def _with_reduced_word(rank: int, word: tuple[int, ...]) -> WeylElement:
-    """from_word(rank, word), with `word` cached as its reduced word and its length.
-
-    `from_word` checks the letters; the caller vouches that `word` is what
-    `reduced_word` would find, as an increasing word of commuting letters is.
-    """
-    el = from_word(rank, word)
-    el._length, el._word = len(word), word
+    el = from_word(rank, letters)
+    el._length, el._word = len(letters), letters
     return el
 
 

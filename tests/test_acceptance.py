@@ -7,7 +7,14 @@ CriterionFailed, which fails its test with the mismatch as the message.
 """
 
 import ast
+import csv
+import io
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import kostant.acceptance as acceptance
 from kostant.acceptance import (
@@ -25,6 +32,8 @@ from kostant.acceptance import (
     check_zero_weight_sum,
 )
 from kostant.cli import EXIT_FAIL, run
+from kostant.multiplicity import MultiplicityReport
+from kostant.partition import QPolynomial
 
 SRC = Path(acceptance.__file__).parent
 
@@ -71,6 +80,83 @@ def test_criterion_boundary_length_counts():
 
 def test_criterion_zero_weight_sum():
     print(check_zero_weight_sum())
+
+
+def _plus_one(route):
+    return lambda *args: route(*args) + QPolynomial.one()
+
+
+def _report_plus_one(route):
+    def tampered(*args):
+        rep = route(*args)
+        return MultiplicityReport(rep.q_multiplicity + QPolynomial.one(), rep.term_count)
+    return tampered
+
+
+# (criterion, the route it reads that is tampered, the tamper, the criterion's arguments)
+TAMPERS = [
+    ("check_alt_sets_agree", "pruned_survivors", lambda route: lambda *a: route(*a)[1:], ()),
+    ("check_cardinality_fibonacci", "alt_cardinality", lambda route: lambda iv: route(iv) + 1, ()),
+    (
+        "check_power_of_q_full",
+        "predicted_q_multiplicity",
+        lambda route: lambda iv: route(iv) * QPolynomial.monomial(1),
+        (),
+    ),
+    ("check_power_of_q_closed", "q_multiplicity_closed", _plus_one, (3,)),
+    ("check_multiplicity_one", "q_multiplicity", _report_plus_one, ()),
+    ("check_interval_partition_closed", "consecutive_closed_form", _plus_one, ()),
+    ("check_per_element_terms", "closed_form_term", _plus_one, ()),
+    ("check_dp_vs_oracle", "kostant_q_oracle", _plus_one, ()),
+    (
+        "check_fibonacci_identity",
+        "nonconsecutive_count_k",
+        lambda route: lambda n, k: route(n, k) + 1,
+        (),
+    ),
+    (
+        "check_boundary_length_counts",
+        "side_tally",
+        lambda route: lambda side: [(n, has, c + (n == 0)) for n, has, c in route(side)],
+        (),
+    ),
+    ("check_zero_weight_sum", "q_multiplicity", _report_plus_one, ()),
+]
+
+
+def test_every_criterion_has_a_tamper_case():
+    checks = sorted(name for name in dir(acceptance) if name.startswith("check_"))
+    assert sorted(t[0] for t in TAMPERS) == checks
+
+
+@pytest.mark.parametrize("check,route,tamper,args", TAMPERS, ids=[t[0] for t in TAMPERS])
+def test_criterion_fails_when_a_route_it_reads_is_wrong(monkeypatch, check, route, tamper, args):
+    monkeypatch.setattr(acceptance, route, tamper(getattr(acceptance, route)))
+    with pytest.raises(CriterionFailed):
+        getattr(acceptance, check)(*args)
+
+
+def test_verify_under_dash_O_fails_a_tampered_criterion_without_assert():
+    # a side tally missing its first count must fail the one criterion that reads it,
+    # and the exit code, with asserts stripped
+    probe = (
+        "import sys\n"
+        "import kostant.acceptance as acceptance\n"
+        "from kostant.cli import run\n"
+        "route = acceptance.side_tally\n"
+        "acceptance.side_tally = lambda side: route(side)[1:]\n"
+        "sys.exit(run(['verify', '--max-closed-rank', '2', '--format', 'csv']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == EXIT_FAIL, done.stderr
+    rows = list(csv.reader(io.StringIO(done.stdout)))[1:]
+    assert len(rows) == 11
+    failed = [(name, passed, detail) for name, passed, _, detail in rows if passed != "True"]
+    assert [row[:2] for row in failed] == [("boundary-letter-length-counts", "False")]
+    assert "side tally" in failed[0][2]  # the mismatch, not a crash
 
 
 def test_verify_reports_a_mismatch_and_a_crash(capsys, monkeypatch, tmp_path):

@@ -29,7 +29,7 @@ from kostant import (
     alt_cardinality,
     alt_set_characterized,
     fibonacci,
-    from_nonconsecutive_letters,
+    from_word,
     highest_root,
     interval_root,
 )
@@ -229,7 +229,7 @@ def test_recurrence_texts_equal_joined_words_and_element_perms_through_rank_22()
 
     def perm(word):
         if word not in perms:
-            perms[word] = from_nonconsecutive_letters(22, word).perm
+            perms[word] = from_word(22, word).perm
         return perms[word]
 
     @functools.cache  # a side's words do not depend on the entries it spans
@@ -261,10 +261,12 @@ def test_recurrence_texts_equal_joined_words_and_element_perms_through_rank_22()
 
 @pytest.fixture
 def counters(monkeypatch):
-    """Counts of glued elements, side factors built and WeylElement.__init__ calls."""
+    """Counts of theorem products built, side factors built and WeylElement.__init__ calls."""
     counts = {"glued": 0, "factors": [], "init": 0}
     glue, side_factors, init = (
-        alternation._with_reduced_word, alternation.nonconsecutive_choices, WeylElement.__init__
+        alternation.from_nonconsecutive_letters,
+        alternation.nonconsecutive_choices,
+        WeylElement.__init__,
     )
 
     def counted_glue(*args):
@@ -280,7 +282,7 @@ def counters(monkeypatch):
         counts["init"] += 1
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(alternation, "_with_reduced_word", counted_glue)
+    monkeypatch.setattr(alternation, "from_nonconsecutive_letters", counted_glue)
     monkeypatch.setattr(alternation, "nonconsecutive_choices", counted_factors)
     monkeypatch.setattr(weyl.WeylElement, "__init__", counted_init)
     return counts

@@ -16,7 +16,6 @@ from kostant import (
     alt_set_bruteforce,
     alt_set_characterized,
     fibonacci,
-    from_nonconsecutive_letters,
     from_word,
     highest_root,
     identity,
@@ -356,9 +355,9 @@ def test_characterized_bounds_the_product_not_only_each_side(monkeypatch):
 
 
 def _validated_products(iv):
-    """The characterized set built the slow way: every product validated on its own."""
+    """The characterized set built the slow way: each product by `from_word`, nothing cached."""
     left, right = (_nonconsecutive(side.letters) for side in kostant.alternation.sides(iv))
-    return {ls + rs: from_nonconsecutive_letters(iv.rank, ls + rs) for ls in left for rs in right}
+    return {ls + rs: from_word(iv.rank, ls + rs) for ls in left for rs in right}
 
 
 def _nonconsecutive(letters):
@@ -459,14 +458,14 @@ def test_side_factors_are_the_side_elements_on_their_slots():
             products = {el.reduced_word(): el for el in alt_set_characterized(iv).elements}
             for lw in left:
                 assert set(lw) <= set(left_side.letters)
-                lp = from_nonconsecutive_letters(r, lw).perm
+                lp = from_word(r, lw).perm
                 # a left factor moves only slots 1..j, a right one only j+1..r+1
                 assert lp[iv.j:] == tuple(range(iv.j + 1, r + 2))
                 for rw in right:
                     assert set(rw) <= set(right_side.letters)
-                    rp = from_nonconsecutive_letters(r, rw).perm
+                    rp = from_word(r, rw).perm
                     assert rp[:iv.j] == tuple(range(1, iv.j + 1))
-                    product = from_nonconsecutive_letters(r, lw + rw)
+                    product = from_word(r, lw + rw)
                     assert product.perm == lp[:iv.j] + rp[iv.j:]
                     assert products[lw + rw].perm == product.perm
 

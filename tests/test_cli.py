@@ -191,14 +191,16 @@ def test_partition_negative_coordinate_is_zero(capsys):
 
 
 def test_identity_rows(capsys):
-    code, data = _run_json(capsys, ["identity", "--max-n", "9", "--format", "json"])
-    assert code == EXIT_OK
-    assert data["verdict"] == "pass"
-    rows = data["result"]["rows"]
-    assert len(rows) == 10
-    for row in rows:
-        assert row["fibonacci"] == fibonacci(row["n"] + 2)
-        assert row["equal"] is True
+    # without --max-n the table runs to its default, n = 16
+    for flags, max_n in ((["--max-n", "9"], 9), ([], 16)):
+        code, data = _run_json(capsys, ["identity", *flags, "--format", "json"])
+        assert code == EXIT_OK
+        assert data["verdict"] == "pass"
+        rows = data["result"]["rows"]
+        assert [row["n"] for row in rows] == list(range(max_n + 1))
+        for row in rows:
+            assert row["fibonacci"] == fibonacci(row["n"] + 2)
+            assert row["equal"] is True
 
 
 def test_mu_zero_needs_kwmf(capsys):

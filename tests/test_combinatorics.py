@@ -1,4 +1,4 @@
-"""Fibonacci numbers, zero-padded binomials, nonconsecutive subsets."""
+"""Fibonacci numbers, nonconsecutive subsets and their zero-padded counts."""
 
 import math
 import os
@@ -12,12 +12,10 @@ from hypothesis import given, strategies as st
 
 from kostant import (
     CapacityError,
-    fib_identity_check,
     fibonacci,
     nonconsecutive_count_k,
     nonconsecutive_subsets,
 )
-from kostant.combinatorics import binomial_safe
 
 
 def test_fibonacci_values():
@@ -52,25 +50,26 @@ def test_fibonacci_rejects_nonpositive_index(n):
         fibonacci(n)
 
 
-def test_binomial_safe_matches_comb_in_range():
-    for n in range(0, 12):
-        for k in range(0, n + 1):
-            assert binomial_safe(n, k) == math.comb(n, k)
+def test_count_k_matches_comb_in_range():
+    # C(m, k) for 0 <= k <= m is the count at n = m + k - 1
+    for m in range(0, 12):
+        for k in range(0, m + 1):
+            assert nonconsecutive_count_k(m + k - 1, k) == math.comb(m, k)
 
 
 @pytest.mark.parametrize(
     "n,k,expected",
     [
-        (0, 0, 1),
-        (-1, 0, 0),  # C(n, 0) is 1 only for n >= 0
-        (-3, 2, 0),
-        (4, -1, 0),
-        (3, 5, 0),
-        (5, 0, 1),
+        (-1, 0, 1),  # C(0, 0): a side with no free letters has its empty choice
+        (-2, 0, 0),  # C(-1, 0): nor any choice that holds its boundary letter
+        (-2, 2, 0),  # C(-3, 2)
+        (2, -1, 0),  # C(4, -1)
+        (7, 5, 0),  # C(3, 5)
+        (4, 0, 1),  # C(5, 0)
     ],
 )
-def test_binomial_safe_zero_padding(n, k, expected):
-    assert binomial_safe(n, k) == expected
+def test_count_k_zero_padding(n, k, expected):
+    assert nonconsecutive_count_k(n, k) == expected
 
 
 def test_subsets_small_cases():
@@ -99,16 +98,6 @@ def test_count_k_matches_enumeration():
         subs = nonconsecutive_subsets(n)
         for k in range(0, n + 2):
             assert nonconsecutive_count_k(n, k) == sum(1 for s in subs if len(s) == k)
-
-
-def test_identity_holds_through_30():
-    for n in range(0, 31):
-        assert fib_identity_check(n)
-
-
-def test_identity_rejects_negative():
-    with pytest.raises(ValueError):
-        fib_identity_check(-1)
 
 
 def test_subsets_ground_cap():

@@ -34,7 +34,7 @@ from kostant import (
 )
 from kostant.alternation import pruned_survivors, survivors
 from kostant.cli import run
-from kostant.multiplicity import _term_poly
+from kostant.multiplicity import _exponents
 
 
 def _all_intervals(r):
@@ -390,10 +390,9 @@ def test_closed_route_has_no_subset_cap():
     assert q_multiplicity_closed(RootInterval(100, 40, 45)) == QPolynomial.monomial(94)
 
 
-def test_term_poly_rejects_a_negative_exponent():
-    assert _term_poly(5, 2, 0, 2) == QPolynomial((0, 0, 1, 1))  # q^2 (1+q)
-    with pytest.raises(RuntimeError):
-        _term_poly(5, 2, 2, 0)  # b = 5 - 2 - 4 = -1
+def test_exponents_reject_a_negative_b():
+    with pytest.raises(RuntimeError, match="b = -1"):
+        _exponents(5, 2, 2, 0)  # b = 5 - 2 - 4 = -1
 
 
 def test_closed_form_report(capsys):

@@ -28,7 +28,6 @@ def test_all_names_exactly_the_public_surface():
         "closed_form_term",
         "consecutive_closed_form",
         "enumerate_all",
-        "fib_identity_check",
         "fibonacci",
         "from_nonconsecutive_letters",
         "from_word",
