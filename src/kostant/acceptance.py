@@ -89,10 +89,10 @@ def check_cardinality_fibonacci() -> str:
     checked = largest = 0
     for r in range(1, 17):
         for iv in _intervals(r):
-            n = len(alt_set_characterized(iv))
+            n, closed = len(alt_set_characterized(iv)), alt_cardinality(iv)
             want = fibonacci(iv.i) * fibonacci(r - iv.j + 1)
-            if n != want or n != alt_cardinality(iv):
-                raise CriterionFailed(f"{iv}: built {n}, expected {want}")
+            if n != want or n != closed:
+                raise CriterionFailed(f"{iv}: built {n}, F_i * F_(r-j+1) {want}, closed {closed}")
             checked += 1
             largest = max(largest, n)
     return f"{checked} intervals through rank 16, largest set {largest}"

@@ -24,18 +24,13 @@ multiplicity sum. Two constructions are provided:
   exactly F_i * F_{r-j+1} elements and is cheap to generate at ranks far
   beyond brute force reach. The set is described once, by its two
   `sides`: `characterized_sides` builds each side's words once from its
-  free letters (`nonconsecutive_choices`), and a product's word is a left
-  word then a right one, from which `from_nonconsecutive_letters` builds
-  its element and checks the gaps that make the word reduced.
-  The CLI folds the texts it prints from `sides` by the same recurrence,
-  in the order of the words, and reads the words only for their number
-  and their lengths: the runs of the canonical order, where
-  `canonical_blocks` gives, for each total length, the positions of the
-  left words that reach it, and each pairs with the right words of the
-  remaining length, read by position from `by_length`. The set is refused
-  with CapacityError, before anything is built, past F_27 = 196,418
-  elements, the most one side of 25 free letters gives (at rank 30,
-  [15, 15] has 602,070); so it also bounds each side.
+  free letters (`nonconsecutive_choices`), in post-order, and a product's
+  word is a left word then a right one, from which
+  `from_nonconsecutive_letters` builds its element and checks the gaps
+  that make the word reduced. The set is refused with CapacityError,
+  before anything is built, past F_27 = 196,418 elements, the most one
+  side of 25 free letters gives (at rank 30, [15, 15] has 602,070); so it
+  also bounds each side.
 
 `sides` describes the theorem's two sides once: each side's free letter
 range and its boundary letter. `side_tally` counts a side's choices by
@@ -45,7 +40,6 @@ closed route in `multiplicity` read only these two.
 
 from collections import namedtuple
 from heapq import nlargest
-from itertools import chain
 from operator import ge, sub
 from typing import Iterator
 
@@ -249,15 +243,12 @@ def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[Factor]]:
 
     Each side's words are the `nonconsecutive_choices` of its free letters.
     Post-order sorts the left words by word + (r+1,) and the right ones of
-    one length lexicographically, so `canonical_blocks` reads the
-    canonical order off them. Past F_27 elements, what 25 free letters on
-    one side give, the set is refused with CapacityError before any side
-    is built; the cap is fixed. The spot check builds the 8 longest
+    one length lexicographically. Past F_27 elements, what 25 free letters
+    on one side give, the set is refused with CapacityError before any
+    side is built; the cap is fixed. The spot check builds the 8 longest
     products from their words through `from_nonconsecutive_letters`,
     which checks their letters and gaps, and re-runs the sign test on
-    them. The CLI prints no text of these words: it reads their lengths,
-    for the runs, and their number, for the count, and folds its texts
-    from `sides` by the same recurrence.
+    them.
     """
     r, i, j = iv.rank, iv.i, iv.j
     cap = DEFAULT_SUBSET_GROUND_CAP
@@ -276,30 +267,6 @@ def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[Factor]]:
     if sum(1 for _ in survivors(highest_root(r), interval_root(iv), spot)) != len(spot):
         raise RuntimeError(f"a characterized element of {iv} fails the membership test")
     return left, right
-
-
-def by_length(words: list) -> list[list[int]]:
-    """The positions of the words of each length, in order: entry n lists those of length n."""
-    groups = [[] for _ in range(max(map(len, words)) + 1)]
-    for q, w in enumerate(words):
-        groups[len(w)].append(q)
-    return groups
-
-
-def canonical_blocks(left: list, right: list) -> Iterator[tuple[int, list[int]]]:
-    """(n, run) for each total length n, the runs reading the products in the canonical order.
-
-    The canonical order is by length, then by reduced word. A run lists,
-    in order, the positions of the left words that reach n with some right
-    word; the products of length n are then left[p] + right[q] for p in the
-    run and q in by_length(right)[n - len(left[p])], in that order. One
-    run is built per length from the left words grouped by length, so
-    nothing is built or resumed per left word.
-    """
-    at = by_length(left)
-    width = max(map(len, right)) + 1
-    for n in range(len(at) + width - 1):
-        yield n, sorted(chain.from_iterable(at[max(0, n - width + 1):n + 1]))
 
 
 def alt_cardinality(iv: RootInterval) -> int:

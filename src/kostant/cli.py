@@ -16,8 +16,8 @@ the requested format only: the JSON result dict, a CSV ``(header, rows)``
 pair, or the table's lines. ``_render`` writes the envelope, the CSV or
 the lines (plus a ``verdict:`` line when there is a verdict) to the stream
 and maps the verdict to the exit code. CSV rows go through csv.writer,
-except ``alt-set``'s: there the rows are a callable that returns the
-body's lines as text. csv.writer quotes only a field holding a comma, a
+except ``alt-set``'s: there the rows are the body's lines as text, in an
+iterator. csv.writer quotes only a field holding a comma, a
 quote or a line break, and an alt-set field is a set's name, digits and
 spaces, or an int, so those lines are the bytes the writer would write.
 ``verify`` writes its table itself,
@@ -28,24 +28,28 @@ word lists, is spliced in as its own text at the indent of its line
 (``_json_text``). ``alt-set`` rows come in the
 alternation set's canonical order (by length, then by reduced word) and
 are joined from text rendered once per factor, after every route has
-returned, so a refused query renders none. Each side's word and perm
-texts are kept in plain lists read by position (``_texts``), and each
-format builds its rows in one comprehension over the runs of
-``canonical_blocks``, one run per total length: the left factors that
-reach the length, each with the right factors of the rest. The theorem
-route takes the side words of ``characterized_sides`` for the runs and
-never builds the set; its texts come from the Fibonacci recurrence that
-builds the words (``_side_texts``): ``nonconsecutive_choices`` folds each
-text as one piece joined to its tail's, "letter x sep" for a word, "y + 1,
-y" for a perm that takes letter y and "y" for one that skips it. A
-brute-force element, a member by the sign test read off
-``pruned_survivors`` (no subcommand runs the literal scan of the group),
-is a left factor with an empty right factor, its texts joined from its
-word and perm. The JSON word lists, the CSV word and perm fields and the
-table's word and ``perm (...)`` text are each a left factor's text then a
-right factor's. ``--method both`` passes when the two routes print the
-same CSV rows, in order and field for field (word, perm, length, sign):
-the survivors' rows and the theorem's.
+returned, so a refused query renders none. The row order lives here:
+``_row_order`` computes it once per set and call from the factors' words,
+each word's length read once, as the left factors' lengths, the right
+factors' positions grouped by length and one run per total length, the
+left factors that reach the length. Each side's word and perm texts are
+kept in plain lists read by position (``_texts``), and each format builds
+its rows in one comprehension over the runs: the left factors of a run,
+each with the right factors of the rest. The theorem route takes the side
+words of ``characterized_sides`` for the order and never builds the set;
+its texts come from the Fibonacci recurrence that builds the words
+(``_side_texts``): ``nonconsecutive_choices`` folds each text as one piece
+joined to its tail's, "letter x sep" for a word, "y + 1, y" for a perm
+that takes letter y and "y" for one that skips it. A brute-force element,
+a member by the sign test read off ``pruned_survivors`` (no subcommand
+runs the literal scan of the group), is a left factor with an empty right
+factor, its texts joined from its word and perm. The JSON word lists, the
+CSV word and perm fields and the table's word and ``perm (...)`` text are
+each a left factor's text then a right factor's. ``--method both`` passes
+when the two routes print the same CSV rows, in order and field for field
+(word, perm, length, sign): the survivors' rows and the theorem's. Each
+route's rows are rendered once, without the method field, and ``--format
+csv`` prints those same rows, each after its method.
 
 Exit codes: 0 success or all-pass, 1 a comparison or verification failed
 (or stdout closed before the output was written, as under ``| head``), 2
@@ -74,16 +78,10 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
 
 from .acceptance import DEFAULT_CLOSED_RANK, run_all
-from .alternation import (
-    alt_cardinality,
-    by_length,
-    canonical_blocks,
-    characterized_sides,
-    pruned_survivors,
-    sides,
-)
+from .alternation import alt_cardinality, characterized_sides, pruned_survivors, sides
 from .combinatorics import fibonacci, nonconsecutive_choices, nonconsecutive_count_k
 from .errors import IDENTITY_MAX_N, CapacityError
 from .multiplicity import predicted_q_multiplicity, q_multiplicity, q_multiplicity_closed
@@ -135,75 +133,107 @@ def _cmd_alt_set(args, out):
     iv = _parse_mu(args.mu, args.rank)
     if iv is None:
         raise UsageError("--mu 0 is only supported by qmult with --method kwmf")
-    sets = {}  # name -> (provenance, count, the `_texts` of its factors)
+    sets = {}  # name -> (provenance, count, its `_row_order`, the `_texts` of its factors)
     if args.method in ("brute", "both"):
         lam, mu = highest_root(args.rank), interval_root(iv)
         # each member's (word, perm), in the canonical order: by length, then by word
         found = sorted(((s.reduced_word(), s.perm) for s, _ in pruned_survivors(lam, mu)),
                        key=lambda f: (len(f[0]), f[0]))
-        sets["brute"] = ("brute_force", len(found), functools.partial(_texts, None, found, None))
+        sets["brute"] = ("brute_force", len(found), _row_order([w for w, _ in found], [()]),
+                         functools.partial(_texts, None, found))
     if args.method in ("theorem", "both"):
         left, right = characterized_sides(iv)
-        sets["theorem"] = ("characterized", len(left) * len(right),
-                           functools.partial(_texts, iv, left, right))
+        sets["theorem"] = ("characterized", len(left) * len(right), _row_order(left, right),
+                           functools.partial(_texts, iv, None))
+    rows = {}  # each route's CSV rows without the method field, rendered once
+    if args.format == "csv" or args.method == "both":
+        rows = {name: _csv_rows(*order, texts) for name, (_, _, order, texts) in sets.items()}
     verdict = None
-    if args.method == "both":  # the CSV rows each route prints, in order
-        verdict = _csv_lines({"": sets["brute"]}) == _csv_lines({"": sets["theorem"]})
+    if args.method == "both":  # the rows each route prints, in order
+        verdict = rows["brute"] == rows["theorem"]
     query = {"command": "alt-set", "rank": args.rank, "mu": [iv.i, iv.j], "method": args.method}
     if args.format == "json":
         view = {
             "sets": {
                 name: {"rank": args.rank, "mu": [iv.i, iv.j], "count": count,
-                       "elements": functools.partial(_json_words, texts),
+                       "elements": functools.partial(_json_words, *order, texts),
                        "provenance": provenance}
-                for name, (provenance, count, texts) in sets.items()
+                for name, (provenance, count, order, texts) in sets.items()
             },
             "predicted_count": alt_cardinality(iv),
         }
     elif args.format == "csv":
-        view = (["method", "word", "perm", "length", "sign"], functools.partial(_csv_lines, sets))
+        view = (["method", "word", "perm", "length", "sign"],
+                chain.from_iterable(map(f"{name},".__add__, body) for name, body in rows.items()))
     else:
         view = [
             f"alternation set, rank {args.rank}, interval weight [{iv.i}, {iv.j}]",
             f"predicted count: {alt_cardinality(iv)}",
         ]
-        for name, (_, count, texts) in sets.items():
+        for name, (_, count, order, texts) in sets.items():
             view.append(f"{name}: {count} elements")
-            view += _table_lines(texts)
+            view += _table_lines(*order, texts)
     return query, verdict, view
 
 
-def _texts(iv, left, right, sep: str, perm_sep: str, letter: str = ""):
-    """A set's runs and its factors' texts, in plain lists read by position.
+def _row_order(left: list, right: list):
+    """A set's row order from its factors' words: (lengths, groups, runs).
 
-    Returns (runs, lengths, (bare, joined), perms, groups, words, rperms):
-    the runs of `canonical_blocks`; each left factor's length, its word
-    text bare and ending in `sep` (a row takes the second when both its
-    words have letters) and its perm text; the right factors' positions by
-    length (`by_length`) and their word and perm texts. A row of length n
-    pairs a left factor p of the run with each right factor q of
-    groups[n - lengths[p]]. A word's text is its letters after `letter`
-    joined by `sep`, a perm's its entries joined by `perm_sep`, a right
-    factor's after a leading one; with `perm_sep` empty the perm texts are
-    None. A brute-force set (iv None) has its (word, perm) elements as left
-    factors, each joined on its own, and one empty right factor. A theorem
-    set's texts are its sides' `_side_texts`, in the order of its words.
+    The rows come in the canonical order, by length, then by reduced word.
+    `lengths` holds each left word's length, `groups` the positions of the
+    right words of each length (entry n lists those of length n, in order)
+    and `runs` one (n, run) per total length n: the positions, in order, of
+    the left words that reach n with some right word. The rows of length n
+    are then left[p] + right[q] for p in the run and q in
+    groups[n - lengths[p]], in that order. That holds for a theorem set,
+    whose left words come in post-order and right words of one length
+    lexicographically (`characterized_sides`), and for sorted words with
+    one empty right word, as a brute-force set's. Each word's length is
+    read once, and each run is built from the left words grouped by length,
+    so nothing is built or resumed per left word.
+    """
+    lengths = list(map(len, left))
+    at, groups = _by_length(lengths), _by_length(list(map(len, right)))
+    width = len(groups)
+    runs = [(n, sorted(chain.from_iterable(at[max(0, n - width + 1):n + 1])))
+            for n in range(len(at) + width - 1)]
+    return lengths, groups, runs
+
+
+def _by_length(lengths: list[int]) -> list[list[int]]:
+    """The positions of each length, in order: entry n lists those of length n."""
+    groups = [[] for _ in range(max(lengths) + 1)]
+    for q, n in enumerate(lengths):
+        groups[n].append(q)
+    return groups
+
+
+def _texts(iv, found, sep: str, perm_sep: str, letter: str = ""):
+    """A set's factors' texts in plain lists read by position: bare, joined, perms, words, rperms.
+
+    Each left factor's word text bare and ending in `sep` (a row takes the
+    second when both its words have letters) and its perm text; the right
+    factors' word and perm texts. A word's text is its letters after
+    `letter` joined by `sep`, a perm's its entries joined by `perm_sep`, a
+    right factor's after a leading one; with `perm_sep` empty the perm
+    texts are None. A brute-force set (iv None) has its `found` (word, perm)
+    elements as left factors, each joined on its own, and one empty right
+    factor. A theorem set's texts are its sides' `_side_texts`, in the
+    order of its words.
     """
     if iv is None:
         word_text = (letter + "{}").format
         # every row pairs with the one empty right factor, so none reads a joined text
-        joined = bare = [sep.join(map(word_text, w)) for w, _ in left]
-        perms = [perm_sep.join(map(str, p)) for _, p in left] if perm_sep else None
-        left, right, words, rperms = [w for w, _ in left], [()], [""], [""]
-    else:
-        lside, rside = sides(iv)
-        joined, perms = _side_texts(lside.letters, iv.j, sep, perm_sep, letter)
-        rjoined, rperms = _side_texts(rside.letters, iv.rank + 1, sep, perm_sep, letter)
-        bare, words = ([t[:-len(sep)] for t in texts] for texts in (joined, rjoined))
-        if perm_sep:  # entry 1 comes first, and no free letter moves it
-            perms = ["1" + t for t in perms]
-    runs = canonical_blocks(left, right)
-    return runs, list(map(len, left)), (bare, joined), perms, by_length(right), words, rperms
+        joined = bare = [sep.join(map(word_text, w)) for w, _ in found]
+        perms = [perm_sep.join(map(str, p)) for _, p in found] if perm_sep else None
+        return bare, joined, perms, [""], [""]
+    lside, rside = sides(iv)
+    joined, perms = _side_texts(lside.letters, iv.j, sep, perm_sep, letter)
+    rjoined, rperms = _side_texts(rside.letters, iv.rank + 1, sep, perm_sep, letter)
+    bare, words = ([t[:-len(sep)] for t in texts] for texts in (joined, rjoined))
+    if perm_sep:  # entry 1 comes first, and no free letter moves it
+        perms = ["1" + t for t in perms]
+    return bare, joined, perms, words, rperms
 
 
 def _side_texts(letters: range, last: int, sep: str, perm_sep: str, letter: str):
@@ -229,13 +259,13 @@ def _side_texts(letters: range, last: int, sep: str, perm_sep: str, letter: str)
     return words, perms
 
 
-def _json_words(texts, pad: str) -> str:
+def _json_words(lengths, groups, runs, texts, pad: str) -> str:
     """The JSON list of the element words, as json.dumps(..., indent=2) writes it.
 
     `pad` is the newline and indent of the line the list starts on.
     """
     inner, deeper = pad + "  ", pad + "    "
-    runs, lengths, (bare, joined), _, groups, words, _ = texts("," + deeper, "")
+    bare, joined, _, words, _ = texts("," + deeper, "")
     items = [
         f"[{deeper}{h}{words[q]}{inner}]" if n else "[]"
         for n, run in runs
@@ -246,29 +276,26 @@ def _json_words(texts, pad: str) -> str:
     return "[" + inner + ("," + inner).join(items) + pad + "]"
 
 
-def _csv_lines(sets: dict) -> list[str]:
-    """The CSV lines (method, word, perm, length, sign) of every set, as csv.writer writes them.
+def _csv_rows(lengths, groups, runs, texts) -> list[str]:
+    """A set's CSV lines without the method field (word, perm, length, sign), as csv.writer would.
 
     No field needs quoting (see the module docstring), and each line ends
     in the writer's line terminator, \\r\\n.
     """
-    lines = []
-    for name, (_, _, texts) in sets.items():
-        runs, lengths, (bare, joined), perms, groups, words, rperms = texts(" ", " ")
-        lines += [
-            f"{name},{h}{words[q]},{perms[p]}{rperms[q]}{end}"
-            for n, run in runs
-            for end in [f",{n},{-1 if n % 2 else 1}\r\n"]
-            for p in run
-            for h in [joined[p] if n > lengths[p] else bare[p]]
-            for q in groups[n - lengths[p]]
-        ]
-    return lines
+    bare, joined, perms, words, rperms = texts(" ", " ")
+    return [
+        f"{h}{words[q]},{perms[p]}{rperms[q]}{end}"
+        for n, run in runs
+        for end in [f",{n},{-1 if n % 2 else 1}\r\n"]
+        for p in run
+        for h in [joined[p] if n > lengths[p] else bare[p]]
+        for q in groups[n - lengths[p]]
+    ]
 
 
-def _table_lines(texts) -> list[str]:
+def _table_lines(lengths, groups, runs, texts) -> list[str]:
     """The table lines (word, then `perm (...)`) of one set."""
-    runs, lengths, (bare, joined), perms, groups, words, rperms = texts(" ", ", ", "s")
+    bare, joined, perms, words, rperms = texts(" ", ", ", "s")
     return [
         f"  {h + words[q] or 'e':<20} perm ({perms[p]}{rperms[q]})"
         for n, run in runs
@@ -463,10 +490,10 @@ def _render(args, out, query: dict, verdict: bool | None, view) -> int:
         header, rows = view
         writer = csv.writer(out)
         writer.writerow(header)
-        if callable(rows):  # lines the view renders itself, as alt-set's
-            out.writelines(rows())
-        else:
+        if isinstance(rows, list):
             writer.writerows(rows)
+        else:  # alt-set's rows, already CSV text
+            out.writelines(rows)
     elif view is not None:  # verify has written its table already
         if verdict is not None:
             view.append(f"verdict: {'pass' if verdict else 'fail'}")

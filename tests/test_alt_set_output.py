@@ -241,9 +241,7 @@ def test_recurrence_texts_equal_joined_words_and_element_perms_through_rank_22()
         left, right = map(tuple, characterized_sides(iv))
         covered |= {("left", iv.i, iv.j), ("right", iv.j, iv.rank)}
         for sep, perm_sep, letter in ((",\n      ", "", ""), (" ", " ", ""), (" ", ", ", "s")):
-            _, lengths, (bare, joined), lperms, _, words, rperms = cli._texts(
-                iv, left, right, sep, perm_sep, letter)
-            assert lengths == list(map(len, left))
+            bare, joined, lperms, words, rperms = cli._texts(iv, None, sep, perm_sep, letter)
             expected = [joins(words, sep, letter) for words in (left, right)]
             assert bare == expected[0], iv
             assert joined == [t + sep if t else t for t in expected[0]], iv
@@ -306,3 +304,21 @@ def test_method_both_builds_the_theorem_side_once(capsys, counters):
     assert "verdict: pass" in capsys.readouterr().out
     assert counters["factors"] == [fibonacci(3), fibonacci(4)]
     assert counters["glued"] == 6  # the spot check of a 6-element set
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_method_both_orders_each_set_once_and_renders_each_route_once(capsys, monkeypatch, fmt):
+    # each set's row order is computed once per call, and each route's CSV rows
+    # are rendered once, for the verdict and, in CSV, for the output: a theorem
+    # side's texts are folded once per render, twice more where JSON or the
+    # table renders its own
+    calls = {"_row_order": 0, "_side_texts": 0}
+    for name in calls:
+        def counted(*args, real=getattr(cli, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(cli, name, counted)
+    iv = RootInterval(12, 4, 6)
+    text = _cli_stdout(capsys, iv, fmt, "both")  # exits 0
+    assert calls == {"_row_order": 2, "_side_texts": 2 if fmt == "csv" else 4}
+    _assert_same_text(text, _reference_stdouts(iv, "both")[fmt], fmt)

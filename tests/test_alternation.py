@@ -23,14 +23,13 @@ from kostant import (
     zero_weight,
 )
 from kostant.alternation import (
-    by_length,
-    canonical_blocks,
     characterized_sides,
     pruned_survivors,
     side_tally,
     sides,
     survivors,
 )
+from kostant.cli import _row_order
 from kostant.combinatorics import nonconsecutive_choices
 from kostant.weyl import enumerate_all
 
@@ -411,13 +410,13 @@ def test_characterized_spot_check_raises(monkeypatch):
 
 
 def _run_keys(left, right):
-    """(length, word) of each product, as the runs of `canonical_blocks` read them."""
-    groups = by_length(right)
+    """(length, word) of each product, as the CLI's row order reads them."""
+    lengths, groups, runs = _row_order(left, right)
     return [
         (n, left[p] + right[q])
-        for n, run in canonical_blocks(left, right)
+        for n, run in runs
         for p in run
-        for q in groups[n - len(left[p])]
+        for q in groups[n - lengths[p]]
     ]
 
 
@@ -490,11 +489,11 @@ def test_side_walk_gives_the_nonconsecutive_choices_in_post_order_and_by_length(
             iv = RootInterval(m + 2 + shift, 1, 1 + shift)
             left, right = characterized_sides(iv)
             words = _nonconsecutive(sides(iv)[1].letters)
-            groups = by_length(right)
-            assert [[right[q] for q in groups[n]] for n, run in canonical_blocks(left, right)] == [
+            _, groups, runs = _row_order(left, right)
+            assert [[right[q] for q in groups[n]] for n, run in runs] == [
                 sorted(w for w in words if len(w) == k) for k in range((m + 1) // 2 + 1)
             ]
-            assert all(run == [0] for _, run in canonical_blocks(left, right))
+            assert all(run == [0] for _, run in runs)
 
 
 def test_spot_check_verifies_the_longest_products(monkeypatch):
