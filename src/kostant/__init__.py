@@ -27,7 +27,6 @@ from .multiplicity import (
 )
 from .partition import (
     QPolynomial,
-    consecutive_closed_form,
     kostant_q,
     kostant_q_oracle,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "alt_set_characterized",
     "apply",
     "closed_form_term",
-    "consecutive_closed_form",
     "enumerate_all",
     "fibonacci",
     "from_nonconsecutive_letters",

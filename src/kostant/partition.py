@@ -39,7 +39,6 @@ GIL concurrent callers at worst duplicate work, and since every entry is a
 pure function of its key the results are identical either way.
 """
 
-from math import comb
 from operator import index
 
 from .errors import DEFAULT_ORACLE_HEIGHT_CAP, PARTITION_MEMO_BOUND, CapacityError
@@ -157,32 +156,32 @@ class QPolynomial:
 _MEMO: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
-def _block_coeffs(blocks, scratch, last: int, rem: tuple[int, ...]):
+def _block_coeffs(scratch, rem: tuple[int, ...]):
     # rem is nonnegative and nonzero. Every root that can still clear its
     # first nonzero position f starts at f, so rem alone fixes the state.
-    hit = blocks.get(rem)
+    hit = _MEMO.get(rem)
     if hit is not None:
         return hit
     f = 0
     while not rem[f]:
         f += 1
-    result = _copies_coeffs(blocks, scratch, last, f, f, rem)
-    blocks[rem] = result
+    result = _copies_coeffs(scratch, f, f, rem)
+    _MEMO[rem] = result
     return result
 
 
-def _copies_coeffs(blocks, scratch, last: int, f: int, j: int, rem: tuple[int, ...]):
+def _copies_coeffs(scratch, f: int, j: int, rem: tuple[int, ...]):
     # Take m copies of [f, j], then the longer roots [f, j+1..] take the
     # other rem[f] - m; all of those cover position j+1, so m starts at
-    # rem[f] - rem[j+1], and at j = last it must be rem[f]. Every state
-    # reached is therefore feasible. Positions before f are zero, so rem
-    # fixes f, and (j, rem) is the key.
+    # rem[f] - rem[j+1], and at the last position there is no longer root,
+    # so it must be rem[f]. Every state reached is therefore feasible.
+    # Positions before f are zero, so rem fixes f, and (j, rem) is the key.
     key = (j, rem)
     hit = scratch.get(key)
     if hit is not None:
         return hit
     a = rem[f]
-    lo = a if j == last else max(0, a - rem[j + 1])
+    lo = max(0, a - rem[j + 1]) if j + 1 < len(rem) else a
     out: list[int] = []
     work = list(rem)
     if lo:
@@ -191,9 +190,9 @@ def _copies_coeffs(blocks, scratch, last: int, f: int, j: int, rem: tuple[int, .
     for m in range(lo, a + 1):
         nxt = tuple(work)
         if m < a:
-            sub = _copies_coeffs(blocks, scratch, last, f, j + 1, nxt)
+            sub = _copies_coeffs(scratch, f, j + 1, nxt)
         elif any(nxt):
-            sub = _block_coeffs(blocks, scratch, last, nxt)
+            sub = _block_coeffs(scratch, nxt)
         else:
             sub = (1,)
         need = m + len(sub)
@@ -221,7 +220,7 @@ def kostant_q(rank: int, xi: Weight) -> QPolynomial:
         return QPolynomial.zero()
     if xi.is_zero:
         return QPolynomial.one()
-    coeffs = _block_coeffs(_MEMO, {}, rank - 1, xi.coords)
+    coeffs = _block_coeffs({}, xi.coords)
     if len(_MEMO) > PARTITION_MEMO_BOUND:
         _MEMO.clear()
     return QPolynomial(coeffs)
@@ -280,13 +279,3 @@ def _oracle_dfs(spans, counts, hi: int, rem: tuple[int, ...], depth: int) -> Non
         else:
             counts[depth + 1] += 1
 
-
-def consecutive_closed_form(s: int) -> QPolynomial:
-    """q(1+q)^(s-1): the partition q-analog of any height-s interval root.
-
-    An interval root of height s splits into consecutive blocks in exactly
-    C(s-1, y-1) ways using y parts, hence the binomial coefficients.
-    """
-    if s < 1:
-        raise ValueError(f"interval height must be >= 1, got {s}")
-    return QPolynomial((0,) + tuple(comb(s - 1, y) for y in range(s)))

@@ -107,20 +107,25 @@ class WeylElement:
         the smallest right descent of the inverse); each strip removes one
         inversion, so the word length equals `length`, and a product of
         pairwise commuting generators yields its letters in increasing order.
+        One forward scan finds each smallest descent: a swap at slot x
+        changes only the pairs at x - 1, x and x + 1, and none below x - 1
+        was a descent, so the scan steps back one slot and goes on, in
+        O(rank + length) steps.
         """
         if self._word is None:
             inv = [0] * len(self.perm)
             for x, v in enumerate(self.perm):
                 inv[v - 1] = x + 1
             word = []
-            while True:
-                for x in range(len(inv) - 1):
-                    if inv[x] > inv[x + 1]:
-                        inv[x], inv[x + 1] = inv[x + 1], inv[x]
-                        word.append(x + 1)
-                        break
+            last, x = len(inv) - 1, 0
+            while x < last:
+                if inv[x] > inv[x + 1]:
+                    inv[x], inv[x + 1] = inv[x + 1], inv[x]
+                    word.append(x + 1)
+                    if x:
+                        x -= 1
                 else:
-                    break
+                    x += 1
             self._word = tuple(word)
             if self._length is None:
                 self._length = len(self._word)

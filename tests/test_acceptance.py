@@ -105,7 +105,7 @@ TAMPERS = [
     ),
     ("check_power_of_q_closed", "q_multiplicity_closed", _plus_one, (3,)),
     ("check_multiplicity_one", "q_multiplicity", _report_plus_one, ()),
-    ("check_interval_partition_closed", "consecutive_closed_form", _plus_one, ()),
+    ("check_interval_partition_closed", "kostant_q", _plus_one, ()),
     ("check_per_element_terms", "closed_form_term", _plus_one, ()),
     ("check_dp_vs_oracle", "kostant_q_oracle", _plus_one, ()),
     (

@@ -12,7 +12,6 @@ from kostant import (
     QPolynomial,
     RootInterval,
     Weight,
-    consecutive_closed_form,
     height,
     highest_root,
     interval_root,
@@ -182,15 +181,16 @@ def test_translation_invariance_of_interval_polys():
 
 
 def test_consecutive_closed_form():
-    assert consecutive_closed_form(1).coeffs == (0, 1)
-    assert consecutive_closed_form(2).coeffs == (0, 1, 1)
-    assert consecutive_closed_form(3).coeffs == (0, 1, 2, 1)
-    with pytest.raises(ValueError):
-        consecutive_closed_form(0)
+    # q(1+q)^(s-1) for an interval root of height s: its literal first rows, and the
+    # oracle's enumeration at every height through rank 8
+    rows = {1: (0, 1), 2: (0, 1, 1), 3: (0, 1, 2, 1)}
     for r in range(1, 9):
         for s in range(1, r + 1):
-            iv = RootInterval(r, 1, s)
-            assert kostant_q(r, interval_root(iv)) == consecutive_closed_form(s)
+            xi = interval_root(RootInterval(r, 1, s))
+            got = kostant_q(r, xi)
+            assert got == kostant_q_oracle(r, xi)
+            if s in rows:
+                assert got.coeffs == rows[s]
 
 
 def test_oracle_height_cap():
@@ -216,7 +216,7 @@ def test_memo_limit_flush_keeps_results_correct(monkeypatch):
     try:
         assert kostant_q(3, xi) == expected
         assert len(partition._MEMO) <= 2
-        assert kostant_q(3, highest_root(3)) == consecutive_closed_form(3)
+        assert kostant_q(3, highest_root(3)) == QPolynomial((0, 1, 2, 1))
         assert len(partition._MEMO) <= 2
     finally:
         monkeypatch.undo()

@@ -26,7 +26,6 @@ def test_all_names_exactly_the_public_surface():
         "alt_set_characterized",
         "apply",
         "closed_form_term",
-        "consecutive_closed_form",
         "enumerate_all",
         "fibonacci",
         "from_nonconsecutive_letters",

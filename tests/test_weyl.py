@@ -6,6 +6,8 @@ its neighbors), letter by letter; the implementation under test goes
 through epsilon coordinates instead.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from kostant import (
     CapacityError,
     RootInterval,
     Weight,
+    WeylElement,
     apply,
     enumerate_all,
     from_nonconsecutive_letters,
@@ -93,6 +96,38 @@ def test_reduced_word_roundtrip_exhaustive():
             word = sigma.reduced_word()
             assert len(word) == sigma.length
             assert from_word(r, word) == sigma
+
+
+def _restart_scan_word(perm):
+    """Reference: strip the smallest left descent, rescanning from slot 1 after each strip."""
+    inv = [0] * len(perm)
+    for x, v in enumerate(perm):
+        inv[v - 1] = x + 1
+    word = []
+    while True:
+        for x in range(len(inv) - 1):
+            if inv[x] > inv[x + 1]:
+                inv[x], inv[x + 1] = inv[x + 1], inv[x]
+                word.append(x + 1)
+                break
+        else:
+            return tuple(word)
+
+
+def test_reduced_word_equals_the_restart_scan():
+    # every element through rank 7, then seeded random permutations at ranks 8-40
+    for r in range(1, 8):
+        for sigma in enumerate_all(r):
+            assert sigma.reduced_word() == _restart_scan_word(sigma.perm), sigma.perm
+    rng = random.Random(34)
+    for r in range(8, 41):
+        for _ in range(20):
+            perm = list(range(1, r + 2))
+            rng.shuffle(perm)
+            sigma = WeylElement(r, perm)
+            word = sigma.reduced_word()
+            assert word == _restart_scan_word(sigma.perm), perm
+            assert len(word) == sigma.length
 
 
 def test_sign_matches_length_parity():
