@@ -71,17 +71,17 @@ Factor = tuple[int, ...]  # a side's factor of a characterized product: its redu
 class AlternationSet(Value):
     """The elements sigma with a nonzero partition count after the shifted action.
 
-    `elements` is a frozenset of WeylElements. Iterating the set sorts them
-    by length and then by reduced word, each time, so two constructions of
-    one set compare equal and iterate alike, and a set that is never
-    iterated never computes a reduced word.
+    `elements`, a frozenset of WeylElements, is the whole value. Iterating
+    the set sorts them by length and then by reduced word, each time,
+    computing each element's word once, so two constructions of one set
+    compare equal and iterate alike.
     """
 
-    _fields = ("rank", "lam", "mu", "elements")
+    _fields = ("elements",)
     __slots__ = _fields
 
-    def __init__(self, rank: int, lam: Weight, mu: Weight, elements: frozenset[WeylElement]):
-        self._fill(rank, lam, mu, elements)
+    def __init__(self, elements: frozenset[WeylElement]):
+        self._fill(elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -90,7 +90,7 @@ class AlternationSet(Value):
         return sigma in self.elements
 
     def __iter__(self):
-        return iter(sorted(self.elements, key=lambda s: (s.length, s.reduced_word())))
+        return iter(sorted(self.elements, key=lambda s: (len(w := s.reduced_word()), w)))
 
 
 def survivors(lam: Weight, mu: Weight, sigmas) -> list[tuple[WeylElement, tuple[int, ...]]]:
@@ -150,7 +150,7 @@ def pruned_survivors(lam: Weight, mu: Weight) -> list[tuple[WeylElement, tuple[i
     for _ in _walk(entries, floors):
         pass
     return [
-        (_element(rank, tuple(perm)), tuple(map(sub, sums[1:], floors)))
+        (_element(tuple(perm)), tuple(map(sub, sums[1:], floors)))
         for perm, sums in _walk(entries, floors)
     ]
 
@@ -221,7 +221,7 @@ def alt_set_bruteforce(rank: int, lam: Weight, mu: Weight) -> AlternationSet:
             f"rank mismatch: rank={rank}, lam rank {lam.rank}, mu rank {mu.rank}"
         )
     members = frozenset(sigma for sigma, _ in survivors(lam, mu, enumerate_all(rank)))
-    return AlternationSet(rank, lam, mu, members)
+    return AlternationSet(members)
 
 
 def alt_set_characterized(iv: RootInterval) -> AlternationSet:
@@ -235,7 +235,7 @@ def alt_set_characterized(iv: RootInterval) -> AlternationSet:
     left, right = characterized_sides(iv)
     r = iv.rank
     members = frozenset(from_nonconsecutive_letters(r, lw + rw) for lw in left for rw in right)
-    return AlternationSet(r, highest_root(r), interval_root(iv), members)
+    return AlternationSet(members)
 
 
 def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[Factor]]:

@@ -28,7 +28,7 @@ IDENTITY_MAX_N = 1000
 
 
 class CapacityError(RuntimeError):
-    """A computation was asked to exceed one of the limits above.
+    """A computation was asked to exceed one of the limits above, or Python's recursion limit.
 
     Distinct from ValueError: the request is mathematically valid, just too big.
     The message names the limit and says that no flag raises it; the

@@ -114,7 +114,7 @@ def closed_form_term(iv: RootInterval, sigma: WeylElement) -> QPolynomial:
     absent = sum(
         1 for side in (left, right) if side.boundary is not None and side.boundary not in supp
     )
-    a, b = _exponents(r, iv.height, sigma.length, absent)
+    a, b = _exponents(r, iv.height, len(supp), absent)
     return QPolynomial((0,) * a + tuple(comb(b, y) for y in range(b + 1)))
 
 

@@ -40,6 +40,7 @@ pure function of its key the results are identical either way.
 """
 
 from operator import index
+from sys import getrecursionlimit
 
 from .errors import DEFAULT_ORACLE_HEIGHT_CAP, PARTITION_MEMO_BOUND, CapacityError
 from .weights import Weight, height
@@ -212,7 +213,8 @@ def kostant_q(rank: int, xi: Weight) -> QPolynomial:
     """The q-analog partition polynomial of xi over the positive roots of A_rank.
 
     Zero polynomial iff xi has a negative coordinate (checked up front, no
-    enumeration); constant 1 for xi = 0.
+    enumeration); constant 1 for xi = 0. A call that nests past Python's
+    recursion limit, as the highest root at rank 1000 does, is refused.
     """
     if xi.rank != rank:
         raise ValueError(f"rank mismatch: {rank} vs weight of rank {xi.rank}")
@@ -220,9 +222,16 @@ def kostant_q(rank: int, xi: Weight) -> QPolynomial:
         return QPolynomial.zero()
     if xi.is_zero:
         return QPolynomial.one()
-    coeffs = _block_coeffs({}, xi.coords)
-    if len(_MEMO) > PARTITION_MEMO_BOUND:
-        _MEMO.clear()
+    try:
+        coeffs = _block_coeffs({}, xi.coords)
+    except RecursionError:
+        raise CapacityError(
+            f"the partition DP at rank {rank} nests deeper than Python's recursion limit "
+            f"of {getrecursionlimit()}; no flag raises it"
+        ) from None
+    finally:
+        if len(_MEMO) > PARTITION_MEMO_BOUND:
+            _MEMO.clear()
     return QPolynomial(coeffs)
 
 
@@ -233,7 +242,8 @@ def kostant_q_oracle(rank: int, xi: Weight, max_height: int | None = None) -> QP
     roots (each multiset exactly once); there is no memoization and the only
     pruning is nonnegativity, which keeps this implementation independent of
     the DP. Heights above the cap (default 24) are refused; pass max_height
-    to override.
+    to override. It nests once per root, so no max_height lifts Python's
+    recursion limit.
     """
     if xi.rank != rank:
         raise ValueError(f"rank mismatch: {rank} vs weight of rank {xi.rank}")
@@ -251,7 +261,13 @@ def kostant_q_oracle(rank: int, xi: Weight, max_height: int | None = None) -> QP
     # the positive roots as (i, j) index pairs, lexicographic
     spans = [(i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
     counts = [0] * (h + 1)
-    _oracle_dfs(spans, counts, len(spans) - 1, xi.coords, 0)
+    try:
+        _oracle_dfs(spans, counts, len(spans) - 1, xi.coords, 0)
+    except RecursionError:
+        raise CapacityError(
+            f"oracle enumeration for a weight of height {h} nests deeper than Python's "
+            f"recursion limit of {getrecursionlimit()}; no flag raises it"
+        ) from None
     return QPolynomial(counts)
 
 

@@ -23,7 +23,7 @@ sum over the slots; the shifted action subtracts its offsets as it sums.
 """
 
 from bisect import bisect_left
-from itertools import accumulate, permutations, repeat
+from itertools import accumulate, permutations
 from operator import index, sub
 from typing import Iterator
 
@@ -34,15 +34,16 @@ from .weights import Weight, _set, _weight
 class WeylElement:
     """A permutation of {1, ..., rank+1} acting on the rank-r root lattice.
 
-    Treat it as a value, but nothing guards its slots: a field can be
+    The one-line notation `perm` is the whole value: the rank is
+    len(perm) - 1, and equality and hashing use perm alone. Length, sign
+    and a reduced word are computed from perm each time they are read;
+    every reduced word has the same letters, the element's support.
+    Treat it as a value, but nothing guards its slot: perm can be
     reassigned, and then the element is lost from any set or dict it was
     hashed into. A guard would slow every construction several times over.
-    Equality uses (rank, perm) and hashing perm alone, which fixes the rank.
-    Length and a reduced word are computed lazily and cached; every
-    reduced word has the same letters, the element's support.
     """
 
-    __slots__ = ("rank", "perm", "_length", "_word")
+    __slots__ = ("perm",)
 
     def __init__(self, rank: int, perm: tuple[int, ...]):
         rank, perm = index(rank), tuple(map(index, perm))
@@ -52,17 +53,14 @@ class WeylElement:
             raise ValueError(
                 f"one-line notation for rank {rank} must permute 1..{rank + 1}, got {perm}"
             )
-        self.rank = rank
         self.perm = perm
-        self._length: int | None = None
-        self._word: tuple[int, ...] | None = None
+
+    @property
+    def rank(self) -> int:
+        return len(self.perm) - 1
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WeylElement)
-            and self.rank == other.rank
-            and self.perm == other.perm
-        )
+        return isinstance(other, WeylElement) and self.perm == other.perm
 
     def __hash__(self) -> int:
         return hash(self.perm)
@@ -77,7 +75,7 @@ class WeylElement:
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
         sp, op = self.perm, other.perm
-        return _element(self.rank, tuple(sp[op[x] - 1] for x in range(len(sp))))
+        return _element(tuple(sp[op[x] - 1] for x in range(len(sp))))
 
     @property
     def length(self) -> int:
@@ -85,15 +83,13 @@ class WeylElement:
 
         Each entry adds the count of later, smaller entries, found by bisection.
         """
-        if self._length is None:
-            later: list[int] = []
-            count = 0
-            for v in reversed(self.perm):
-                k = bisect_left(later, v)
-                count += k
-                later.insert(k, v)
-            self._length = count
-        return self._length
+        later: list[int] = []
+        count = 0
+        for v in reversed(self.perm):
+            k = bisect_left(later, v)
+            count += k
+            later.insert(k, v)
+        return count
 
     @property
     def sign(self) -> int:
@@ -112,24 +108,20 @@ class WeylElement:
         was a descent, so the scan steps back one slot and goes on, in
         O(rank + length) steps.
         """
-        if self._word is None:
-            inv = [0] * len(self.perm)
-            for x, v in enumerate(self.perm):
-                inv[v - 1] = x + 1
-            word = []
-            last, x = len(inv) - 1, 0
-            while x < last:
-                if inv[x] > inv[x + 1]:
-                    inv[x], inv[x + 1] = inv[x + 1], inv[x]
-                    word.append(x + 1)
-                    if x:
-                        x -= 1
-                else:
-                    x += 1
-            self._word = tuple(word)
-            if self._length is None:
-                self._length = len(self._word)
-        return self._word
+        inv = [0] * len(self.perm)
+        for x, v in enumerate(self.perm):
+            inv[v - 1] = x + 1
+        word = []
+        last, x = len(inv) - 1, 0
+        while x < last:
+            if inv[x] > inv[x + 1]:
+                inv[x], inv[x + 1] = inv[x + 1], inv[x]
+                word.append(x + 1)
+                if x:
+                    x -= 1
+            else:
+                x += 1
+        return tuple(word)
 
 
 def identity(rank: int) -> WeylElement:
@@ -150,30 +142,26 @@ def from_word(rank: int, word) -> WeylElement:
         if not 1 <= letter <= rank:
             raise ValueError(f"letter {letter} out of range 1..{rank}")
         perm[letter - 1], perm[letter] = perm[letter], perm[letter - 1]
-    return _element(rank, tuple(perm))
+    return _element(tuple(perm))
 
 
 def from_nonconsecutive_letters(rank: int, letters) -> WeylElement:
     """Product of the commuting generators named by `letters`.
 
     Letters must be strictly increasing with gaps >= 2, so they pairwise
-    commute and the word is the one `reduced_word` would find; the word,
-    and with it the length, is known up front and cached. `from_word`
+    commute and the word is the one `reduced_word` finds. `from_word`
     checks that each letter is in range.
     """
     letters = tuple(letters)
     if any(b - a < 2 for a, b in zip(letters, letters[1:])):
         raise ValueError(f"letters must be nonconsecutive and increasing, got {letters}")
-    el = from_word(rank, letters)
-    el._length, el._word = len(letters), letters
-    return el
+    return from_word(rank, letters)
 
 
-def _element(rank: int, perm: tuple[int, ...]) -> WeylElement:
-    """The element with one-line notation `perm`, unchecked; its caches start empty."""
+def _element(perm: tuple[int, ...]) -> WeylElement:
+    """The element with one-line notation `perm`, unchecked."""
     el = WeylElement.__new__(WeylElement)
-    el.rank, el.perm = rank, perm
-    el._length = el._word = None
+    el.perm = perm
     return el
 
 
@@ -207,7 +195,8 @@ def shifted_action(sigma: WeylElement, lam: Weight) -> Weight:
     per element, so it is written out here rather than shared with `apply`.
     """
     rank = lam.rank
-    if sigma.rank != rank:
+    # len(perm), not the `rank` property: a scan runs this check once per element
+    if len(sigma.perm) != rank + 1:
         raise ValueError(f"rank mismatch: element {sigma.rank} vs weight {rank}")
     shift = lam._shift
     if shift is None:
@@ -243,4 +232,4 @@ def enumerate_all(rank: int) -> Iterator[WeylElement]:
             f"the literal scan of the Weyl group at rank {rank} would visit {rank + 1}! "
             f"elements; its rank cap of {cap} is fixed and no flag raises it"
         )
-    return map(_element, repeat(rank), permutations(range(1, rank + 2)))
+    return map(_element, permutations(range(1, rank + 2)))

@@ -11,11 +11,11 @@ from kostant import (
     CapacityError,
     RootInterval,
     Weight,
-    WeylElement,
     alt_cardinality,
     alt_set_bruteforce,
     alt_set_characterized,
     fibonacci,
+    from_nonconsecutive_letters,
     from_word,
     highest_root,
     identity,
@@ -145,12 +145,11 @@ def test_both_constructions_iterate_in_the_canonical_order_through_rank_6():
             assert list(brute) == list(brute)
 
 
-def test_a_brute_force_set_computes_no_word_until_it_is_iterated():
+def test_a_brute_force_set_iterates_by_length_then_word():
     aset = alt_set_bruteforce(5, highest_root(5), interval_root(RootInterval(5, 3, 3)))
     assert len(aset) == 4
-    assert all(s._word is None for s in aset.elements)
     first = list(aset)
-    assert all(s._word is not None for s in aset.elements)
+    assert [s.reduced_word() for s in first] == [(), (2,), (4,), (2, 4)]
     assert list(aset) == first == _canonical(aset)
 
 
@@ -220,7 +219,7 @@ def test_a_refused_search_builds_no_element(monkeypatch):
     # the budget trips on the last of 24 leaves, and not one of the 23 before it is built
     lam, mu = zero_weight(3), Weight(3, (-10, -10, -10))
 
-    def no_leaf(rank, perm):
+    def no_leaf(perm):
         raise AssertionError("a refused search built an element")
 
     monkeypatch.setattr(kostant.alternation, "SEARCH_NODE_BUDGET", 40)
@@ -354,7 +353,7 @@ def test_characterized_bounds_the_product_not_only_each_side(monkeypatch):
 
 
 def _validated_products(iv):
-    """The characterized set built the slow way: each product by `from_word`, nothing cached."""
+    """The characterized set built the slow way: each product by `from_word`."""
     left, right = (_nonconsecutive(side.letters) for side in kostant.alternation.sides(iv))
     return {ls + rs: from_word(iv.rank, ls + rs) for ls in left for rs in right}
 
@@ -377,15 +376,22 @@ def _assert_glued_equals_validated(iv):
         assert el.reduced_word() == ref.reduced_word()
         assert el.length == ref.length
         assert el.sign == ref.sign
-        fresh = WeylElement(iv.rank, el.perm)  # nothing cached: word and sign from perm
-        assert fresh.reduced_word() == el.reduced_word()
-        assert fresh.sign == el.sign
 
 
 def test_glued_products_equal_validated_products_through_rank_12():
     for r in range(1, 13):
         for iv in _all_intervals(r):
             _assert_glued_equals_validated(iv)
+
+
+def test_every_product_reduced_word_is_its_letters_through_rank_12():
+    # a product's letters, a left word then a right one, are the word reduced_word finds
+    for r in range(1, 13):
+        for iv in _all_intervals(r):
+            left, right = characterized_sides(iv)
+            for lw in left:
+                for rw in right:
+                    assert from_nonconsecutive_letters(r, lw + rw).reduced_word() == lw + rw, iv
 
 
 @st.composite

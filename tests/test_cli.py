@@ -315,6 +315,21 @@ def test_a_closed_stdout_ends_the_script_quietly():
     assert err == ""  # no BrokenPipeError traceback, and no warning at exit
 
 
+def test_a_dp_past_the_recursion_limit_exits_3_without_a_traceback():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "kostant", "partition", "--rank", "1000",
+         "--weight", ",".join(["1"] * 1000)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == EXIT_CAPACITY
+    assert done.stdout == ""
+    assert done.stderr == (
+        "capacity: the partition DP at rank 1000 nests deeper than Python's recursion "
+        "limit of 1000; no flag raises it\n"
+    )
+
+
 def test_kwmf_past_the_old_rank_cap(capsys):
     assert run(["qmult", "--rank", "9", "--mu", "1..1", "--method", "kwmf"]) == EXIT_OK
     assert "q^8 " in capsys.readouterr().out

@@ -201,6 +201,20 @@ def test_oracle_height_cap():
     assert kostant_q_oracle(1, Weight(1, (25,)), max_height=25).evaluate(1) == 1
 
 
+def test_recursion_past_the_limit_is_refused_as_capacity():
+    # the DP nests about once per position and the oracle once per root taken: past
+    # Python's recursion limit each is refused by name, not with a RecursionError
+    with pytest.raises(CapacityError, match="partition DP at rank 1000 nests deeper than "
+                       "Python's recursion limit of 1000; no flag raises it") as exc:
+        kostant_q(1000, highest_root(1000))
+    assert exc.value.__suppress_context__
+    with pytest.raises(CapacityError, match="height 1200 nests deeper than Python's "
+                       "recursion limit of 1000; no flag raises it") as exc:
+        kostant_q_oracle(1, Weight(1, (1200,)), max_height=5000)
+    assert exc.value.__suppress_context__
+    assert kostant_q(3, highest_root(3)) == QPolynomial((0, 1, 2, 1))
+
+
 def test_rank_mismatch_errors():
     with pytest.raises(ValueError):
         kostant_q(3, zero_weight(2))

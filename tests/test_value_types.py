@@ -25,7 +25,6 @@ from kostant import (
     highest_root,
     identity,
     shifted_action,
-    zero_weight,
 )
 from kostant.acceptance import CriterionResult
 
@@ -33,8 +32,7 @@ from kostant.acceptance import CriterionResult
 RECORDS = [
     (Weight, (3, (1, -2, 0))),
     (RootInterval, (5, 2, 4)),
-    (AlternationSet,
-     (2, highest_root(2), zero_weight(2), frozenset([identity(2)]))),
+    (AlternationSet, (frozenset([identity(2)]),)),
     (MultiplicityReport, (QPolynomial((0, 1, 1)), 2)),
     (CriterionResult, ("fibonacci", True, "F_1..F_30", 0.25)),
 ]

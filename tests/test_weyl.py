@@ -6,6 +6,8 @@ its neighbors), letter by letter; the implementation under test goes
 through epsilon coordinates instead.
 """
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -149,19 +151,16 @@ def _cycle_parity(perm):
     return -1 if (len(perm) - cycles) % 2 else 1
 
 
-def test_sign_is_cycle_parity_with_and_without_a_cached_length():
-    from kostant import WeylElement
-
+def test_sign_is_cycle_parity():
     for r in range(1, 6):
         for sigma in enumerate_all(r):
             expected = _cycle_parity(sigma.perm)
-            fresh = WeylElement(r, sigma.perm)
-            assert fresh._length is None
-            assert fresh.sign == expected  # computes the length
-            assert fresh.sign == expected  # read off the cached length
+            built = WeylElement(r, sigma.perm)
+            assert sigma.sign == built.sign == expected
+            assert built.sign == expected  # read again, computed again
     for r, letters in [(5, (2, 4)), (7, (1, 3, 5, 7)), (6, ()), (8, (3, 8))]:
         sigma = from_nonconsecutive_letters(r, letters)
-        assert sigma._length == len(letters)
+        assert sigma.length == len(letters)
         assert sigma.sign == _cycle_parity(sigma.perm) == (-1) ** len(letters)
 
 
@@ -379,7 +378,35 @@ def test_element_entries_must_be_integers():
     with pytest.raises(TypeError):
         WeylElement(2, ("1", "2", "3"))
     assert WeylElement(2, [1, 3, 2]).perm == (1, 3, 2)
-    assert type(WeylElement(True, (2, 1)).rank) is int  # stored coerced, as Weight does
+    assert type(WeylElement(True, (2, 1)).rank) is int  # read off the perm
+
+
+def test_equal_elements_hash_alike():
+    built = [
+        WeylElement(4, (1, 3, 2, 5, 4)),
+        from_word(4, [2, 4]),
+        from_word(4, [4, 2]),
+        from_word(4, [2, 4, 1, 1]),
+        from_nonconsecutive_letters(4, (2, 4)),
+        next(s for s in enumerate_all(4) if s.perm == (1, 3, 2, 5, 4)),
+    ]
+    assert all(sigma == built[0] for sigma in built)
+    assert len({hash(sigma) for sigma in built}) == 1
+    assert len(set(built)) == 1 and {built[0]: 1}[built[-1]] == 1
+    assert WeylElement(3, (1, 2, 3, 4)) != WeylElement(2, (1, 2, 3))
+
+
+def test_elements_round_trip_through_pickle_and_copy():
+    for r in range(1, 5):
+        for sigma in enumerate_all(r):
+            clones = [copy.copy(sigma), copy.deepcopy(sigma)]
+            clones += [pickle.loads(pickle.dumps(sigma, protocol))
+                       for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+            for clone in clones:
+                assert type(clone) is WeylElement
+                assert clone == sigma and hash(clone) == hash(sigma)
+                assert (clone.rank, clone.perm) == (r, sigma.perm)
+                assert (clone.sign, clone.reduced_word()) == (sigma.sign, sigma.reduced_word())
 
 
 def test_element_word_and_perm():
