@@ -25,7 +25,7 @@ iv = RootInterval(5, 2, 3)
 lam = highest_root(5)
 mu = interval_root(iv)
 print(f"rank 5, mu = [2, 3] (height {iv.height}):")
-full = q_multiplicity(5, lam, mu, "kwmf_full")
+full = q_multiplicity(5, lam, mu)
 print(f"  full sum over 720 elements: {full.q_multiplicity.pretty()}"
       f"  ({full.term_count} nonzero terms)")
 print(f"  closed route:               {q_multiplicity_closed(iv).pretty()}")
@@ -49,5 +49,5 @@ print()
 
 print("zero weight instead of an interval:")
 for r in range(1, 6):
-    rep = q_multiplicity(r, highest_root(r), zero_weight(r), "kwmf_full")
+    rep = q_multiplicity(r, highest_root(r), zero_weight(r))
     print(f"  rank {r}: {rep.q_multiplicity.pretty()}")

@@ -44,7 +44,6 @@ from .weyl import (
     enumerate_all,
     from_nonconsecutive_letters,
     from_word,
-    identity,
     shifted_action,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "from_word",
     "height",
     "highest_root",
-    "identity",
     "interval_root",
     "kostant_q",
     "kostant_q_oracle",

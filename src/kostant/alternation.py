@@ -3,39 +3,11 @@
 The alternation set A(lam, mu) collects the Weyl group elements sigma whose
 shifted image sigma(lam + rho) - rho - mu still admits a decomposition into
 positive roots, i.e. contributes a nonzero term to the alternating weight
-multiplicity sum. Two constructions are provided:
-
-* `alt_set_bruteforce` scans every group element. In type A a weight has a
-  partition into positive roots exactly when its simple-root coordinates
-  are all nonnegative, so membership is that sign test, run by
-  `survivors` in one plain loop: one shifted action per element, and a
-  tuple built only for a survivor's xi. It works for any lam and mu up to
-  a fixed rank cap of 8. It stays a literal scan on purpose: it is the
-  reference for `pruned_survivors`, the one search entry, which finds the
-  same members by a search that drops a branch as soon as one coordinate
-  goes negative and is bounded by a fixed budget of visited nodes, not by
-  rank. It refuses before it builds anything, for every caller: the full
-  alternating sum, `alt-set --method brute|both` and verify.
-
-* `alt_set_characterized` is specific to lam = highest root and mu an
-  interval root [i, j]: there the set consists exactly of the products of
-  pairwise nonconsecutive generators drawn from {2..i-1} and {j+1..r-1}.
-  Nonconsecutive subsets of an n-set are Fibonacci-counted, so the set has
-  exactly F_i * F_{r-j+1} elements and is cheap to generate at ranks far
-  beyond brute force reach. The set is described once, by its two
-  `sides`: `characterized_sides` builds each side's words once from its
-  free letters (`nonconsecutive_choices`), in post-order, and a product's
-  word is a left word then a right one, from which
-  `from_nonconsecutive_letters` builds its element and checks the gaps
-  that make the word reduced. The set is refused with CapacityError,
-  before anything is built, past F_27 = 196,418 elements, the most one
-  side of 25 free letters gives (at rank 30, [15, 15] has 602,070); so it
-  also bounds each side.
-
-`sides` describes the theorem's two sides once: each side's free letter
-range and its boundary letter. `side_tally` counts a side's choices by
-length and boundary letter, by binomials. The generated set and the
-closed route in `multiplicity` read only these two.
+multiplicity sum. Two constructions are provided, kept apart so that each
+can check the other: `alt_set_bruteforce`, which filters the whole group,
+and `alt_set_characterized`, which builds A(highest root, [i, j]) from
+the theorem's description by its two `sides`, with F_i * F_{r-j+1}
+elements.
 """
 
 from collections import namedtuple
@@ -85,9 +57,6 @@ class AlternationSet(Value):
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, sigma) -> bool:
-        return sigma in self.elements
 
     def __iter__(self):
         return iter(sorted(self.elements, key=lambda s: (len(w := s.reduced_word()), w)))
@@ -214,7 +183,8 @@ def alt_set_bruteforce(rank: int, lam: Weight, mu: Weight) -> AlternationSet:
     """Filter the full Weyl group by sigma(lam + rho) - rho - mu >= 0.
 
     Rank is capped like enumerate_all (fixed at 8); lam and mu may be any
-    root-lattice weights of matching rank.
+    root-lattice weights of matching rank. It stays a literal scan on
+    purpose: it is the reference the pruned search is checked against.
     """
     if lam.rank != rank or mu.rank != rank:
         raise ValueError(
@@ -245,10 +215,11 @@ def characterized_sides(iv: RootInterval) -> tuple[list[Factor], list[Factor]]:
     Post-order sorts the left words by word + (r+1,) and the right ones of
     one length lexicographically. Past F_27 elements, what 25 free letters
     on one side give, the set is refused with CapacityError before any
-    side is built; the cap is fixed. The spot check builds the 8 longest
-    products from their words through `from_nonconsecutive_letters`,
-    which checks their letters and gaps, and re-runs the sign test on
-    them.
+    side is built; the cap is fixed. It bounds the product, not only each
+    side: at rank 30, [15, 15] has 602,070 elements from 13 letters a
+    side. The spot check builds the 8 longest products from their words
+    through `from_nonconsecutive_letters`, which checks their letters and
+    gaps, and re-runs the sign test on them.
     """
     r, i, j = iv.rank, iv.i, iv.j
     cap = DEFAULT_SUBSET_GROUND_CAP
@@ -284,7 +255,11 @@ j = r-1 the range is empty, so the boundary letter is always absent.
 
 
 def sides(iv: RootInterval) -> tuple[Side, Side]:
-    """The (left, right) sides of A(highest root, iv)."""
+    """The (left, right) sides of A(highest root, iv).
+
+    The generated set and the closed route in `multiplicity` read the
+    theorem's description from here and from `side_tally` only.
+    """
     r, i, j = iv.rank, iv.i, iv.j
     return (
         Side(range(2, i), i - 1 if i > 1 else None),

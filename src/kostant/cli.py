@@ -7,66 +7,18 @@ machines; the JSON envelope is always ``{"query": ..., "result": ...,
 subcommand compared independent routes.
 
 The CLI is the package's only writer: the library returns values and
-prints nothing. ``run`` opens the output once, before the handler runs,
-as a shell redirection would, so a call that fails leaves ``--out``
-empty and an unwritable ``--out`` exits 2 before any work. Each
-subcommand handler takes the parsed args and that stream, validates and
-computes, then returns ``(query, verdict, view)``, with the view built for
-the requested format only: the JSON result dict, a CSV ``(header, rows)``
-pair, or the table's lines. ``_render`` writes the envelope, the CSV or
-the lines (plus a ``verdict:`` line when there is a verdict) to the stream
-and maps the verdict to the exit code. CSV rows go through csv.writer,
-except ``alt-set``'s: there the rows are the body's lines as text, in an
-iterator. csv.writer quotes only a field holding a comma, a
-quote or a line break, and an alt-set field is a set's name, digits and
-spaces, or an int, so those lines are the bytes the writer would write.
-``verify`` writes its table itself,
-one line per criterion as ``acceptance.run_all`` yields its result and
-then the summary line, so its table view is None. The envelope is
-``json.dumps(..., indent=2)``'s text; a callable in a view, as alt-set's
-word lists, is spliced in as its own text at the indent of its line
-(``_json_text``). ``alt-set`` rows come in the
-alternation set's canonical order (by length, then by reduced word) and
-are joined from text rendered once per factor, after every route has
-returned, so a refused query renders none. The row order lives here:
-``_row_order`` computes it once per set and call from the factors' words,
-each word's length read once, as the left factors' lengths, the right
-factors' positions grouped by length and one run per total length, the
-left factors that reach the length. Each side's word and perm texts are
-kept in plain lists read by position (``_texts``), and each format builds
-its rows in one comprehension over the runs: the left factors of a run,
-each with the right factors of the rest. The theorem route takes the side
-words of ``characterized_sides`` for the order and never builds the set;
-its texts come from the Fibonacci recurrence that builds the words
-(``_side_texts``): ``nonconsecutive_choices`` folds each text as one piece
-joined to its tail's, "letter x sep" for a word, "y + 1, y" for a perm
-that takes letter y and "y" for one that skips it. A brute-force element,
-a member by the sign test read off ``pruned_survivors`` (no subcommand
-runs the literal scan of the group), is a left factor with an empty right
-factor, its texts joined from its word and perm. The JSON word lists, the
-CSV word and perm fields and the table's word and ``perm (...)`` text are
-each a left factor's text then a right factor's. ``--method both`` passes
-when the two routes print the same CSV rows, in order and field for field
-(word, perm, length, sign): the survivors' rows and the theorem's. Each
-route's rows are rendered once, without the method field, and ``--format
-csv`` prints those same rows, each after its method.
+prints nothing. Each subcommand handler takes the parsed args and the
+output stream, validates and computes, then returns ``(query, verdict,
+view)``, with the view built for the requested format only: the JSON
+result dict, a CSV ``(header, rows)`` pair, or the table's lines (None
+for ``verify``, which prints its table line by line); ``_render`` writes
+it.
 
 Exit codes: 0 success or all-pass, 1 a comparison or verification failed
 (or stdout closed before the output was written, as under ``| head``), 2
 usage error (including an ``--out`` that cannot be written), 3 a capacity
-cap was hit. Every cap is fixed, and its message, raised where the limit
-lives, says that no flag raises it: the node budget of the pruned search
-behind ``alt-set --method brute`` and ``qmult --method kwmf``, which
-refuses before it builds any element, the cap on
-the theorem's alternation sets (25 free letters a side, so at most F_27 =
-196418 elements), the height cap of ``partition --oracle`` and the
-``identity`` table's cap of n = 1000; see ``errors``.
-
-The parsers are built once per process and reused by every ``run`` call,
-and each call parses once, into a fresh Namespace: a known command's own
-parser parses the arguments after its name, and the top-level parser
-handles only -h, a missing or unknown command, and reports the arguments
-the command's parser does not know, in the words of its own full parse.
+cap was hit. Every cap is fixed and lives in ``errors``; its message,
+raised where the limit lives, says that no flag raises it.
 """
 
 from __future__ import annotations
@@ -130,6 +82,18 @@ def _parse_mu(text: str, rank: int) -> RootInterval | None:
 
 
 def _cmd_alt_set(args, out):
+    """The set's rows in its canonical order (by length, then by reduced word), never the set.
+
+    The theorem route reads the side words of `characterized_sides` and
+    builds no element per row. A brute-force member, found by the sign
+    test read off `pruned_survivors` (no subcommand runs the literal scan
+    of the group), is a left factor with one empty right factor. Rows are
+    rendered only after every route has returned, so a refused query
+    renders none, and each route's rows once, without the method field:
+    ``--method both`` passes when the two routes print the same CSV rows,
+    in order and field for field (word, perm, length, sign), and ``--format
+    csv`` prints those same rows, each after its method.
+    """
     iv = _parse_mu(args.mu, args.rank)
     if iv is None:
         raise UsageError("--mu 0 is only supported by qmult with --method kwmf")
@@ -187,8 +151,10 @@ def _row_order(left: list, right: list):
     are then left[p] + right[q] for p in the run and q in
     groups[n - lengths[p]], in that order. That holds for a theorem set,
     whose left words come in post-order and right words of one length
-    lexicographically (`characterized_sides`), and for sorted words with
-    one empty right word, as a brute-force set's. Each word's length is
+    lexicographically (`characterized_sides`): every right letter exceeds
+    every left one, so left + right sorts as left + (r + 1,), the left
+    words' post-order. It holds too for sorted words with one empty right
+    word, as a brute-force set's. Each word's length is
     read once, and each run is built from the left words grouped by length,
     so nothing is built or resumed per left word.
     """
@@ -279,8 +245,10 @@ def _json_words(lengths, groups, runs, texts, pad: str) -> str:
 def _csv_rows(lengths, groups, runs, texts) -> list[str]:
     """A set's CSV lines without the method field (word, perm, length, sign), as csv.writer would.
 
-    No field needs quoting (see the module docstring), and each line ends
-    in the writer's line terminator, \\r\\n.
+    csv.writer quotes only a field holding a comma, a quote or a line
+    break; these fields are digits and spaces or an int, and the method
+    field `_cmd_alt_set` puts before each line is a set's name, so none
+    needs quoting. Each line ends in the writer's line terminator, \\r\\n.
     """
     bare, joined, perms, words, rperms = texts(" ", " ")
     return [
@@ -439,7 +407,8 @@ def _output(path: str | None):
     """stdout, or the --out file; an OSError while opening or writing it is a usage error.
 
     The file is opened, and so emptied, before the command runs, as a shell
-    redirection would open it.
+    redirection would open it: a call that fails leaves it empty, and one
+    that cannot be opened exits 2 before any work.
     """
     if path is None:
         yield sys.stdout
@@ -482,7 +451,12 @@ def _json_text(envelope) -> str:
 
 
 def _render(args, out, query: dict, verdict: bool | None, view) -> int:
-    """Write one handler's view in args.format to out and return the exit code."""
+    """Write one handler's view in args.format to out and return the exit code.
+
+    A table gets a ``verdict:`` line when there is a verdict, and a False
+    verdict exits 1. alt-set's CSV rows come as lines of text, which are
+    the bytes csv.writer would write (`_csv_rows`).
+    """
     if args.format == "json":
         v = None if verdict is None else ("pass" if verdict else "fail")
         print(_json_text({"query": query, "result": view, "verdict": v}), file=out)

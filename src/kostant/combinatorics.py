@@ -1,14 +1,11 @@
 """Fibonacci numbers and nonconsecutive-subset counts.
 
 Conventions: Fibonacci numbers are 1-indexed with F_1 = F_2 = 1 (there is no
-F_0 here; asking for it is an error), and each is computed when asked for,
-with no table kept. A subset S of {1, ..., n} is *nonconsecutive* when no
-two of its elements differ by 1. There are F_{n+2} such subsets in total
-and C(n+1-k, k) of cardinality k, which `nonconsecutive_count_k` counts.
-`nonconsecutive_choices`, the one generator of such subsets here, builds
-those of any letter range by one Fibonacci recurrence, fresh on each call;
-no list of them stays resident. The same recurrence folds other values of
-the subsets, as the CLI's texts of the words and permutations they give.
+F_0 here; asking for it is an error). A subset S of {1, ..., n} is
+*nonconsecutive* when no two of its elements differ by 1. There are
+F_{n+2} such subsets in total and C(n+1-k, k) of cardinality k. Nothing
+here keeps a table or a list between calls: each value is computed when
+asked for.
 """
 
 import math

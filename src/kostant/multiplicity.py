@@ -8,32 +8,11 @@ sum over the Weyl group
 where P_q is the partition q-analog. Evaluating at q = 1 gives the ordinary
 weight multiplicity. Two evaluation routes and a prediction are
 implemented, deliberately sharing as little as possible so they can check
-one another:
-
-* `q_multiplicity`: the sum over the whole group, run as a pruned search
-  that never builds an element whose term is zero; the search, not the
-  rank, is bounded, by a fixed budget of visited nodes.
-* the closed route: for lam = highest root and mu the interval [i, j], each
-  alternation-set element sigma has a partition polynomial in closed form
-  q^a (1+q)^b (see `closed_form_term`), and the signed sum of those closed
-  forms telescopes. No cap refuses the closed route, but its time grows
-  faster than r^3.
-* the prediction: for every interval the result is the single monomial
-  q^(r - height(mu)), which `predicted_q_multiplicity` returns directly.
-
-The full sum computes P_q only on the nonzero terms: a term is nonzero
-exactly when sigma(lam + rho) - rho - mu is nonnegative.
-`alternation.pruned_survivors`, the one search entry, finds those elements
-by fixing sigma one slot at a time and dropping a branch once a coordinate
-goes negative, so it never builds the (r+1)! elements, and builds none at
-all when the search is refused.
-
-The closed form per element: with h = height(mu) and l the length of sigma,
-the exponents are a = l + (number of ABSENT boundary generators) and
-b = r - h - 2l - (that same number), where the boundary generators are
-s_{i-1} (present as a possibility only when i > 1) and s_{j+1} (only when
-j < r), as `alternation.sides` describes them. Both exponents are provably
-nonnegative on valid input; a negative one raises RuntimeError.
+one another: `q_multiplicity`, the sum over the whole group for any lam
+and mu; `q_multiplicity_closed`, for lam = highest root and mu an interval
+root, the signed sum of each alternation-set element's closed form
+q^a (1+q)^b (`closed_form_term`); and `predicted_q_multiplicity`, the
+single monomial q^(r - height(mu)) that the paper proves both equal.
 """
 
 from math import comb
@@ -55,10 +34,6 @@ class MultiplicityReport(Value):
 
     def __init__(self, q_multiplicity: QPolynomial, term_count: int):
         self._fill(q_multiplicity, term_count)
-
-    @property
-    def multiplicity_at_one(self) -> int:
-        return self.q_multiplicity.evaluate(1)
 
 
 def q_multiplicity(
@@ -88,7 +63,11 @@ def q_multiplicity(
 
 
 def _exponents(r: int, h: int, length: int, absent: int) -> tuple[int, int]:
-    """(a, b) of the closed form q^a (1+q)^b; b < 0 means the input was invalid."""
+    """(a, b) of the closed form q^a (1+q)^b.
+
+    Both are provably nonnegative on valid input, so a negative b raises
+    RuntimeError.
+    """
     b = r - h - 2 * length - absent
     if b < 0:
         raise RuntimeError(f"closed-form exponent b = {b} went negative")
@@ -101,7 +80,8 @@ def closed_form_term(iv: RootInterval, sigma: WeylElement) -> QPolynomial:
     sigma must belong to the characterized alternation set of the interval
     (support inside the two generator ranges, pairwise nonconsecutive);
     membership is validated. The value is q^a (1+q)^b with a = length +
-    #absent boundary generators and b = r - h - 2*length - #absent.
+    #absent boundary generators (the boundary letters of `sides`) and
+    b = r - h - 2*length - #absent, where h is the interval's height.
     """
     r = iv.rank
     if sigma.rank != r:

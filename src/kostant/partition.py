@@ -8,35 +8,13 @@ decomposition (the constant polynomial 1), and any weight with a negative
 coordinate has none at all (the zero polynomial).
 
 Two independent evaluators are provided. `kostant_q` is a memoized dynamic
-program over the positive roots in lexicographic (i, j) order; it is the
-one used everywhere else. `kostant_q_oracle` exhaustively enumerates
-decompositions as nonincreasing root sequences with no memoization and no
-shared logic beyond the root list; it exists so the DP can be checked
-against something that is obviously correct, and it is capped by height
-because it is deliberately naive.
+program; it is the one used everywhere else. `kostant_q_oracle`
+exhaustively enumerates decompositions as nonincreasing root sequences
+with no memoization and no shared logic beyond the root list; it exists
+so the DP can be checked against something that is obviously correct,
+and it is capped by height because it is deliberately naive.
 
 All coefficients are Python integers, so nothing overflows.
-
-What the DP remembers. In type A every positive root is an interval, so
-once the positions before the first nonzero one, f, are cleared, every
-root still usable at f starts at f. A state at the start of that block of
-roots [f, f], [f, f+1], ... is therefore fixed by the remaining weight
-alone, and only these block-boundary states are kept between calls, in
-one dict for every rank, keyed by the remaining coordinate tuple (whose
-length is the rank). Inside a block the DP chooses how many copies of
-[f, j] to take, j = f, f+1, ...; it takes only counts that leave the
-longer roots able to clear f, so it never visits a state without a
-decomposition. Those in-block states, keyed by (j, remaining weight), go
-into a scratch dict that one top-level call creates and drops on return.
-So about a tenth of the states stay resident (for 2rho at rank 7, 11,892
-block states against 106,881 in-block ones), but one large call still
-peaks with its scratch dict, which lives until the call returns. The
-resident dict is checked against PARTITION_MEMO_BOUND (2^16 states) after
-each top-level call, never inside the recursion, and past it is flushed
-wholesale, so the memo a long-lived process keeps stays bounded; one
-call's scratch is not (2rho at rank 7 peaks near 110 MB). Under CPython's
-GIL concurrent callers at worst duplicate work, and since every entry is a
-pure function of its key the results are identical either way.
 """
 
 from operator import index
@@ -77,10 +55,6 @@ class QPolynomial:
         return cls((0,) * degree + (1,))
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
@@ -114,7 +88,7 @@ class QPolynomial:
     def __mul__(self, other: "QPolynomial") -> "QPolynomial":
         if not isinstance(other, QPolynomial):
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        if not self or not other:
             return QPolynomial(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for d, c in enumerate(self.coeffs):
@@ -153,7 +127,8 @@ class QPolynomial:
         return f"QPolynomial({self.pretty()})"
 
 
-# Block-boundary states of every rank; a flush only costs recomputation.
+# Block-boundary states, keyed by the remaining coordinate tuple; its length
+# is the rank, so one dict serves every rank. A flush only costs recomputation.
 _MEMO: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
@@ -215,6 +190,21 @@ def kostant_q(rank: int, xi: Weight) -> QPolynomial:
     Zero polynomial iff xi has a negative coordinate (checked up front, no
     enumeration); constant 1 for xi = 0. A call that nests past Python's
     recursion limit, as the highest root at rank 1000 does, is refused.
+
+    What the DP remembers: it runs over the positive roots in lexicographic
+    (i, j) order, and only the states at the start of a block of roots
+    [f, f], [f, f+1], ... stay in `_MEMO` between calls, keyed by the
+    remaining weight alone (`_block_coeffs`). The states inside a block,
+    keyed by (j, remaining weight), go into a scratch dict that this call
+    creates and drops on return. So about a tenth of the states stay
+    resident (for 2rho at rank 7, 11,892 block states against 106,881
+    in-block ones), but one large call still peaks with its scratch (2rho
+    at rank 7 near 110 MB). The memo is checked against
+    PARTITION_MEMO_BOUND after each top-level call, never inside the
+    recursion, and past it is flushed wholesale, so the memo a long-lived
+    process keeps stays bounded. Under CPython's GIL concurrent callers at
+    worst duplicate work, and since every entry is a pure function of its
+    key the results are identical either way.
     """
     if xi.rank != rank:
         raise ValueError(f"rank mismatch: {rank} vs weight of rank {xi.rank}")

@@ -58,7 +58,8 @@ class Weight(Value):
     """An element of the rank-`rank` root lattice; coords[k-1] multiplies alpha_k.
 
     `_shift` caches the integer entries and offsets of `weyl.shifted_action`
-    on self, so a weight dropped takes them with it.
+    on self, so a scan that sends one weight through the whole group
+    computes them once, and a weight dropped takes them with it.
     """
 
     _fields = ("rank", "coords")

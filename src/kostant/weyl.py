@@ -11,15 +11,6 @@ with simple-root coordinates (c_1, ..., c_r) has epsilon coordinates
 (c_1, c_2 - c_1, ..., c_r - c_{r-1}, -c_r), which always sum to zero; a
 permutation sigma moves the entry in slot x to slot sigma(x); partial sums
 convert back. Both directions are integral, so the action is exact.
-
-rho's epsilon entries r/2 - x (x = 0..r) share one fractional part, so the
-shifted action sigma(lam + rho) - rho runs on the integer entries
-eps(lam)_x + r - x instead. That shift adds the same k*r/2 to the sum of
-slots 1..k of sigma(lam + rho) and of rho, so coordinate k of the shifted
-action is the prefix sum of the moved integer entries minus the offset
-T_k = k*r - k*(k-1)/2, with nothing doubled or halved. Both actions are one
-scatter loop, which moves each epsilon entry to its slot, and one prefix
-sum over the slots; the shifted action subtracts its offsets as it sums.
 """
 
 from bisect import bisect_left
@@ -124,11 +115,6 @@ class WeylElement:
         return tuple(word)
 
 
-def identity(rank: int) -> WeylElement:
-    """The identity element, the empty word's product."""
-    return from_word(rank, ())
-
-
 def from_word(rank: int, word) -> WeylElement:
     """Product s_{w_1} s_{w_2} ... s_{w_k}, the rightmost letter acting first.
 
@@ -186,13 +172,17 @@ def apply(sigma: WeylElement, w: Weight) -> Weight:
 def shifted_action(sigma: WeylElement, lam: Weight) -> Weight:
     """sigma(lam + rho) - rho, computed exactly on integers.
 
-    lam's first shifted action keeps (entries, offsets) in its `_shift`
-    slot: the entries eps(lam)_x + r - x for x = 0..r, lam + rho's epsilon
-    entries shifted by r/2, found through `_eps`, and the offsets
-    T_k = k*r - k*(k-1)/2, the prefix sums of the shift r - x alone. Every
-    call moves the entries by sigma in one scatter loop; coordinate k is the
-    sum of slots 1..k less T_k. The loop is most of the literal scan's cost
-    per element, so it is written out here rather than shared with `apply`.
+    rho's epsilon entries r/2 - x (x = 0..r) share one fractional part, so
+    the action runs on the integer entries eps(lam)_x + r - x, lam + rho's
+    epsilon entries shifted by r/2. That shift adds the same k*r/2 to the
+    sum of slots 1..k of sigma(lam + rho) and of rho, so coordinate k is
+    the sum of the moved entries in slots 1..k less the offset
+    T_k = k*r - k*(k-1)/2, the prefix sum of the shift r - x alone, with
+    nothing doubled or halved. lam's first shifted action keeps (entries,
+    offsets) in its `_shift` slot; every call moves the entries by sigma
+    in one scatter loop and subtracts the offsets as it sums. The loop is
+    most of the literal scan's cost per element, so it is written out here
+    rather than shared with `apply`.
     """
     rank = lam.rank
     # len(perm), not the `rank` property: a scan runs this check once per element

@@ -18,7 +18,6 @@ from kostant import (
     from_nonconsecutive_letters,
     from_word,
     highest_root,
-    identity,
     interval_root,
     zero_weight,
 )
@@ -69,7 +68,7 @@ def test_characterized_small_examples():
 def test_identity_is_always_a_member():
     for r in range(1, 9):
         for iv in _all_intervals(r):
-            assert identity(r) in alt_set_characterized(iv)
+            assert from_word(r, ()) in alt_set_characterized(iv).elements
 
 
 def test_bruteforce_matches_characterized_through_rank_5():
@@ -164,9 +163,9 @@ def test_bruteforce_cap_and_validation():
 
 def test_survivors_rejects_rank_mismatch():
     with pytest.raises(ValueError):
-        survivors(highest_root(3), interval_root(RootInterval(2, 1, 1)), [identity(3)])
+        survivors(highest_root(3), interval_root(RootInterval(2, 1, 1)), [from_word(3, ())])
     with pytest.raises(ValueError):  # sigma of the wrong rank
-        list(survivors(highest_root(3), interval_root(RootInterval(3, 1, 1)), [identity(2)]))
+        list(survivors(highest_root(3), interval_root(RootInterval(3, 1, 1)), [from_word(2, ())]))
 
 
 def test_the_literal_scan_sends_each_drawn_element_through_shifted_action_once(monkeypatch):
@@ -235,7 +234,7 @@ def test_pruned_search_reaches_a_deep_leaf_within_the_real_budget(monkeypatch):
     r = 1200
     monkeypatch.setattr(kostant.alternation, "SEARCH_NODE_BUDGET", r + 1)
     [(sigma, xi)] = pruned_survivors(highest_root(r), interval_root(RootInterval(r, 1, r)))
-    assert sigma == identity(r)
+    assert sigma == from_word(r, ())
     assert xi == (0,) * r
     monkeypatch.setattr(kostant.alternation, "SEARCH_NODE_BUDGET", r)
     with pytest.raises(CapacityError):
@@ -528,5 +527,5 @@ def test_spot_check_verifies_the_longest_products(monkeypatch):
 
 def test_from_word_membership_check():
     aset = alt_set_characterized(RootInterval(7, 3, 4))
-    assert from_word(7, [5, 2]) in aset
-    assert from_word(7, [3]) not in aset
+    assert from_word(7, [5, 2]) in aset.elements
+    assert from_word(7, [3]) not in aset.elements

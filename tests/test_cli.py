@@ -59,7 +59,7 @@ def test_qmult_json_round_trips_the_report(capsys):
     got = data["result"]["routes"]["kwmf"]
     assert got["coeffs"] == list(rep.q_multiplicity.coeffs)
     assert got["pretty"] == rep.q_multiplicity.pretty()
-    assert got["multiplicity_at_one"] == rep.multiplicity_at_one
+    assert got["multiplicity_at_one"] == rep.q_multiplicity.evaluate(1)
     assert got["term_count"] == rep.term_count
     assert got["method"] == "kwmf_full"
 

@@ -34,8 +34,8 @@ def _two_rho(r):
 def test_poly_normalization():
     assert QPolynomial((1, 2, 0, 0)).coeffs == (1, 2)
     assert QPolynomial((0, 0)).coeffs == ()
-    assert QPolynomial.zero().is_zero
-    assert not QPolynomial.one().is_zero
+    assert not QPolynomial.zero()  # the zero polynomial is falsy
+    assert QPolynomial.one()
     assert QPolynomial.monomial(3).coeffs == (0, 0, 0, 1)
     assert QPolynomial.monomial(0) == QPolynomial.one()
     with pytest.raises(ValueError):
@@ -54,10 +54,10 @@ def test_poly_arithmetic_examples():
     p = QPolynomial((0, 1, 1))  # q + q^2
     q = QPolynomial((1, 1))  # 1 + q
     assert (p + q).coeffs == (1, 2, 1)
-    assert (p - p).is_zero
+    assert not p - p
     assert (p * q).coeffs == (0, 1, 2, 1)
     assert (-p).coeffs == (0, -1, -1)
-    assert p * QPolynomial.zero() == QPolynomial.zero()
+    assert p * QPolynomial.zero() == QPolynomial.zero() == QPolynomial.zero() * p
     assert p.evaluate(1) == 2
     assert p.evaluate(2) == 6
     assert p.evaluate(-1) == 0
@@ -108,8 +108,8 @@ def test_poly_hash():
 
 def test_kostant_q_base_cases():
     assert kostant_q(3, zero_weight(3)) == QPolynomial.one()
-    assert kostant_q(2, Weight(2, (-1, 0))).is_zero
-    assert kostant_q(3, Weight(3, (1, -2, 1))).is_zero
+    assert not kostant_q(2, Weight(2, (-1, 0)))
+    assert not kostant_q(3, Weight(3, (1, -2, 1)))
     assert kostant_q(2, interval_root(RootInterval(2, 1, 1))).coeffs == (0, 1)
 
 
@@ -128,7 +128,7 @@ def test_oracle_known_values():
     assert kostant_q_oracle(3, Weight(3, (1, 2, 1))).coeffs == (0, 0, 2, 2, 1)
     assert kostant_q_oracle(1, Weight(1, (3,))).coeffs == (0, 0, 0, 1)
     assert kostant_q_oracle(3, zero_weight(3)) == QPolynomial.one()
-    assert kostant_q_oracle(2, Weight(2, (-1, 0))).is_zero
+    assert not kostant_q_oracle(2, Weight(2, (-1, 0)))
 
 
 def test_dp_matches_oracle_exhaustively_in_a3():

@@ -32,7 +32,6 @@ def test_all_names_exactly_the_public_surface():
         "from_word",
         "height",
         "highest_root",
-        "identity",
         "interval_root",
         "kostant_q",
         "kostant_q_oracle",
@@ -59,3 +58,11 @@ def test_readme_library_example_runs_and_prints_what_its_comments_say():
     assert len(lines) == 6 + 2
     assert lines[0] == "() 1"  # the identity comes first
     assert lines[6:] == ["QPolynomial(q + q^2)", "QPolynomial(q^5)"]
+
+
+def test_each_value_is_asked_one_way():
+    # each removed member was a second spelling of a question another one answers
+    assert not hasattr(kostant.weyl, "identity")  # from_word(rank, ())
+    assert not hasattr(kostant.QPolynomial, "is_zero")  # a zero polynomial is falsy
+    assert not hasattr(kostant.MultiplicityReport, "multiplicity_at_one")  # .evaluate(1)
+    assert "__contains__" not in vars(kostant.AlternationSet)  # `in set.elements`

@@ -22,8 +22,8 @@ from kostant import (
     QPolynomial,
     RootInterval,
     Weight,
+    from_word,
     highest_root,
-    identity,
     shifted_action,
 )
 from kostant.acceptance import CriterionResult
@@ -32,7 +32,7 @@ from kostant.acceptance import CriterionResult
 RECORDS = [
     (Weight, (3, (1, -2, 0))),
     (RootInterval, (5, 2, 4)),
-    (AlternationSet, (frozenset([identity(2)]),)),
+    (AlternationSet, (frozenset([from_word(2, ())]),)),
     (MultiplicityReport, (QPolynomial((0, 1, 1)), 2)),
     (CriterionResult, ("fibonacci", True, "F_1..F_30", 0.25)),
 ]
@@ -65,7 +65,7 @@ def test_eq_hash_and_repr_match_a_frozen_dataclass(cls, args):
 def test_the_cached_epsilon_vector_stays_out_of_eq_hash_and_repr():
     lam = highest_root(4)
     before = (repr(lam), hash(lam))
-    shifted_action(identity(4), lam)
+    shifted_action(from_word(4, ()), lam)
     assert lam._shift is not None  # filled by the first shifted action
     fresh = Weight(4, lam.coords)
     assert fresh._shift is None

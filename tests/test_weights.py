@@ -10,9 +10,9 @@ import kostant
 from kostant import (
     RootInterval,
     Weight,
+    from_word,
     height,
     highest_root,
-    identity,
     interval_root,
     shifted_action,
     zero_weight,
@@ -122,7 +122,7 @@ def test_interval_roots_are_distinct_and_supported_on_their_interval():
 def test_shifted_actions_at_many_ranks_leave_no_state_behind():
     # the kernel's entries and offsets live on the weight, so a process that
     # visits many ranks keeps nothing per rank once its weights are gone
-    shifted_action(identity(1), highest_root(1))  # first calls' one-off allocations
+    shifted_action(from_word(1, ()), highest_root(1))  # first calls' one-off allocations
     package = str(Path(kostant.__file__).parent / "*")
     gc.collect()
     tracemalloc.start()
@@ -130,7 +130,7 @@ def test_shifted_actions_at_many_ranks_leave_no_state_behind():
         before = tracemalloc.take_snapshot()
         for r in range(1, 2 * 64 + 1):
             lam = highest_root(r)
-            assert shifted_action(identity(r), lam) == lam
+            assert shifted_action(from_word(r, ()), lam) == lam
         del lam
         gc.collect()
         after = tracemalloc.take_snapshot()

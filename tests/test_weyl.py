@@ -24,7 +24,6 @@ from kostant import (
     from_word,
     height,
     highest_root,
-    identity,
     interval_root,
     shifted_action,
     zero_weight,
@@ -62,8 +61,7 @@ def _words(max_rank=5, max_len=8):
 
 
 def test_identity_and_simple_reflections():
-    assert identity(3).perm == (1, 2, 3, 4)
-    assert identity(3) == from_word(3, ())
+    assert from_word(3, ()).perm == (1, 2, 3, 4)
     assert from_word(3, (2,)).perm == (1, 3, 2, 4)
     assert from_word(1, (1,)).perm == (2, 1)
 
@@ -71,16 +69,16 @@ def test_identity_and_simple_reflections():
 def test_from_word_examples():
     assert from_word(3, [2]).perm == (1, 3, 2, 4)
     assert from_word(2, [1, 2, 1]).perm == (3, 2, 1)
-    assert from_word(2, []) == identity(2)
+    assert from_word(2, []).perm == (1, 2, 3)
     assert from_word(4, [2, 4]) == from_word(4, [4, 2])  # distant letters commute
     assert from_word(2, [1, 2, 1]) == from_word(2, [2, 1, 2])  # braid relation
-    assert from_word(3, [1, 1]) == identity(3)
+    assert from_word(3, [1, 1]) == from_word(3, ())
 
 
 def test_length_examples():
     assert from_word(2, [1, 2, 1]).length == 3
     assert from_word(4, [2, 4]).length == 2
-    assert identity(5).length == 0
+    assert from_word(5, ()).length == 0
     assert from_word(3, [1, 1]).length == 0
 
 
@@ -175,7 +173,7 @@ def _stabilizer_support(sigma):
 
 def test_support_examples_and_oracle():
     # the support, the letters of any reduced word, read off the one reduced_word finds
-    assert frozenset(identity(4).reduced_word()) == frozenset()
+    assert frozenset(from_word(4, ()).reduced_word()) == frozenset()
     assert frozenset(from_word(4, [2, 4]).reduced_word()) == {2, 4}
     assert frozenset(from_word(2, [1, 2, 1]).reduced_word()) == {1, 2}
     for r in range(1, 5):
@@ -216,7 +214,7 @@ def test_apply_examples():
     r2 = highest_root(2)
     assert apply(from_word(2, (1,)), r2) == interval_root(RootInterval(2, 2, 2))
     assert apply(from_word(2, (2,)), r2) == interval_root(RootInterval(2, 1, 1))
-    assert apply(identity(4), highest_root(4)) == highest_root(4)
+    assert apply(from_word(4, ()), highest_root(4)) == highest_root(4)
     # s_i negates its own simple root
     for r in range(1, 6):
         for i in range(1, r + 1):
@@ -263,7 +261,7 @@ def test_shifted_action_examples():
     r3 = highest_root(3)
     assert shifted_action(from_word(3, (1,)), r3).coords == (-1, 1, 1)
     assert shifted_action(from_word(5, (3,)), highest_root(5)).coords == (1, 1, 0, 1, 1)
-    assert shifted_action(identity(4), highest_root(4)) == highest_root(4)
+    assert shifted_action(from_word(4, ()), highest_root(4)) == highest_root(4)
 
 
 def test_shifted_action_is_an_action():
@@ -277,8 +275,8 @@ def test_shifted_action_is_an_action():
 
 def test_shifted_action_identity_cases():
     for r in range(1, 6):
-        assert shifted_action(identity(r), zero_weight(r)) == zero_weight(r)
-        assert shifted_action(identity(r), highest_root(r)) == highest_root(r)
+        assert shifted_action(from_word(r, ()), zero_weight(r)) == zero_weight(r)
+        assert shifted_action(from_word(r, ()), highest_root(r)) == highest_root(r)
 
 
 def test_shifted_action_never_exceeds_original_height():
@@ -362,7 +360,7 @@ def test_element_validation_and_equality():
     assert a == from_word(2, (1,))
     assert hash(a) == hash(from_word(2, (1,))) == hash((2, 1, 3))  # the perm fixes the rank
     with pytest.raises(ValueError):
-        a * identity(3)
+        a * from_word(3, ())
     with pytest.raises(ValueError):
         apply(a, zero_weight(3))
     with pytest.raises(ValueError):
